@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LexciteError
+from .errors import ConfigError, JoinMismatch, LexciteError
 from .impact import (
     Baseline,
     CitationRecord,
@@ -227,8 +227,9 @@ def _stage_file(config: RunConfig, stage: str, name: str) -> Path:
 
 def stage_ingest(config: RunConfig) -> None:
     input_dir = _require(config, "ingest", "input")
-    table = None
-    if config.abbrev is not None:
+    if config.abbrev is None:
+        table = AbbreviationTable()
+    else:
         table = AbbreviationTable.from_file(_require(config, "ingest", "abbrev"))
     xml_files = sorted(input_dir.glob("*.xml"))
     if not xml_files:
@@ -392,9 +393,19 @@ def _grouped_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
     return scores
 
 
+def _joined_inputs(config: RunConfig, stage: str
+                   ) -> tuple[list[ComplexityProfile], list[NormalizedScore]]:
+    """Profiles and grouped scores, which must share at least one doc id."""
+    profiles = _read_profiles(config, stage)
+    scores = _grouped_scores(config, stage)
+    score_ids = {s.doc_id for s in scores}
+    if not any(p.doc_id in score_ids for p in profiles):
+        raise StageFailure(stage, "", JoinMismatch("profiles and scores share no doc_ids"))
+    return profiles, scores
+
+
 def stage_compare(config: RunConfig) -> None:
-    profiles = _read_profiles(config, "compare")
-    scores = _grouped_scores(config, "compare")
+    profiles, scores = _joined_inputs(config, "compare")
     meta = config.metadata()
     write_table(config.out / "comparison.csv", COMPARISON_HEADER,
                 build_comparison_rows(profiles, scores), meta)
@@ -406,10 +417,13 @@ def stage_compare(config: RunConfig) -> None:
 
 
 def stage_regress(config: RunConfig) -> None:
-    profiles = _read_profiles(config, "regress")
-    scores = _grouped_scores(config, "regress")
-    write_table(config.out / "regression.csv", REGRESSION_HEADER,
-                build_regression_rows(profiles, scores), config.metadata())
+    profiles, scores = _joined_inputs(config, "regress")
+    try:
+        rows = build_regression_rows(profiles, scores)
+    except LexciteError as exc:
+        raise StageFailure("regress", "", exc)
+    write_table(config.out / "regression.csv", REGRESSION_HEADER, rows,
+                config.metadata())
 
 
 _STAGE_FUNCS = {

@@ -10,6 +10,11 @@ sentence length counts word tokens only; the standard deviation uses the
 n-1 denominator (0 for single-sentence documents); TTR lowercases surfaces
 and removes no stopwords; word length counts alphabetic characters only; a
 lexical class with no tokens yields an Absent value, not 0.
+
+`complexity_profile` makes one accumulator pass per document: integer sums
+and a set of surfaces, then one division per variable. Tokens within a
+document are interned (see `lexcite.tagging`), so many tokens it reads are
+the same immutable object.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyDocument
-from .tagging import LexClass, TaggedDocument, TaggedSentence
+from .tagging import LexClass, TaggedDocument
 
 # CSV column order for the profile table (after doc_id).
 VARIABLE_COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
@@ -84,81 +89,56 @@ class ComplexityProfile:
         return any(v is None for v in self.values())
 
 
-def _retained(doc: TaggedDocument) -> list[TaggedSentence]:
-    kept = [s for s in doc.sentences if s.word_count >= 1]
-    if not kept:
-        raise EmptyDocument(f"document {doc.doc_id!r} has no sentence with a word token")
-    return kept
-
-
-def _word_tokens(doc: TaggedDocument):
-    return [tt for s in doc.sentences for tt in s.tokens if tt.token.is_word]
-
-
-def sentence_length_stats(doc: TaggedDocument) -> tuple[float, float]:
-    """Mean and sample (n-1) standard deviation of per-sentence word counts.
-
-    Sentences without word tokens are excluded first; a single retained
-    sentence yields sd 0.
-    """
-    counts = [s.word_count for s in _retained(doc)]
-    n = len(counts)
-    mean = sum(counts) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((c - mean) ** 2 for c in counts) / (n - 1)
-    return mean, math.sqrt(var)
-
-
-def clause_ratio(doc: TaggedDocument) -> float:
-    """Total clause count divided by the number of retained sentences."""
-    kept = _retained(doc)
-    return sum(s.clause_count for s in kept) / len(kept)
-
-
-def type_token_ratio(doc: TaggedDocument) -> float:
-    """Distinct lowercased word surfaces over word tokens."""
-    words = _word_tokens(doc)
-    if not words:
-        raise EmptyDocument(f"document {doc.doc_id!r} has no word tokens")
-    surfaces = [tt.token.surface.lower() for tt in words]
-    return len(set(surfaces)) / len(surfaces)
-
-
-def lexical_sophistication(doc: TaggedDocument, lex_class: LexClass) -> float | None:
-    """Mean alphabetic character length of word tokens in the class, or
-    None (Absent) when the class has no tokens."""
-    lengths = [tt.token.char_length for tt in _word_tokens(doc) if tt.lex_class == lex_class]
-    if not lengths:
-        return None
-    return sum(lengths) / len(lengths)
-
-
-def lexical_density(doc: TaggedDocument, lex_class: LexClass) -> float:
-    """Share of word tokens belonging to the class."""
-    words = _word_tokens(doc)
-    if not words:
-        raise EmptyDocument(f"document {doc.doc_id!r} has no word tokens")
-    return sum(1 for tt in words if tt.lex_class == lex_class) / len(words)
-
-
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
-    """Assemble all 12 variables for one document."""
-    mean_len, sd_len = sentence_length_stats(doc)
+    """Assemble all 12 variables for one document in one pass over it.
+
+    The pass keeps integer sums only (words per retained sentence, clauses,
+    word tokens and alphabetic characters per lexical class) plus the set
+    of lowercased word surfaces; each variable is one division at the end.
+    A sentence without word tokens is not retained for x1-x3.
+    """
+    lengths: list[int] = []  # word tokens of each retained sentence
+    clauses = 0
+    types: set[str] = set()
+    words_in = dict.fromkeys(LexClass, 0)
+    chars_in = dict.fromkeys(LexClass, 0)
+    for sentence in doc.sentences:
+        if sentence.word_count >= 1:
+            lengths.append(sentence.word_count)
+            clauses += sentence.clause_count
+        for tt in sentence.tokens:
+            token = tt.token
+            if token.is_word:
+                types.add(token.surface.lower())
+                words_in[tt.lex_class] += 1
+                chars_in[tt.lex_class] += token.char_length
+    if not lengths:
+        raise EmptyDocument(f"document {doc.doc_id!r} has no sentence with a word token")
+
+    n = len(lengths)
+    mean_len = sum(lengths) / n
+    sd_len = 0.0 if n == 1 else math.sqrt(
+        sum((c - mean_len) ** 2 for c in lengths) / (n - 1))
+    words = sum(words_in.values())
+
+    def length(lex_class: LexClass) -> float | None:
+        count = words_in[lex_class]
+        return chars_in[lex_class] / count if count else None
+
     return ComplexityProfile(
         doc_id=doc.doc_id,
         mean_sentence_length=mean_len,
         sd_sentence_length=sd_len,
-        clause_ratio=clause_ratio(doc),
-        ttr=type_token_ratio(doc),
-        noun_length=lexical_sophistication(doc, LexClass.NOUN),
-        verb_length=lexical_sophistication(doc, LexClass.VERB),
-        adj_length=lexical_sophistication(doc, LexClass.ADJECTIVE),
-        adv_length=lexical_sophistication(doc, LexClass.ADVERB),
-        noun_ratio=lexical_density(doc, LexClass.NOUN),
-        verb_ratio=lexical_density(doc, LexClass.VERB),
-        adj_ratio=lexical_density(doc, LexClass.ADJECTIVE),
-        adv_ratio=lexical_density(doc, LexClass.ADVERB),
+        clause_ratio=clauses / n,
+        ttr=len(types) / words,
+        noun_length=length(LexClass.NOUN),
+        verb_length=length(LexClass.VERB),
+        adj_length=length(LexClass.ADJECTIVE),
+        adv_length=length(LexClass.ADVERB),
+        noun_ratio=words_in[LexClass.NOUN] / words,
+        verb_ratio=words_in[LexClass.VERB] / words,
+        adj_ratio=words_in[LexClass.ADJECTIVE] / words,
+        adv_ratio=words_in[LexClass.ADVERB] / words,
     )
 
 

@@ -4,6 +4,11 @@ The built-in tagger is a deterministic lexicon lookup (most frequent tag per
 word from a bundled frequency list) with suffix fallback rules. Users who
 need higher tagging accuracy can run an external tagger and feed its output
 back in through the tagged-token column format (`import_tagged`).
+
+Tokens are immutable and interned per document: `tag_document` and
+`import_tagged` each keep a table local to one call, so every repeat of a
+(surface, tag) pair within a document shares one `TaggedToken`, built once.
+Nothing is cached across documents.
 """
 
 from __future__ import annotations
@@ -47,11 +52,10 @@ class Token:
     def from_surface(cls, surface: str) -> "Token":
         if not surface:
             raise ValueError("empty token surface")
-        return cls(
-            surface=surface,
-            is_word=any(c.isalpha() for c in surface),
-            char_length=sum(1 for c in surface if c.isalpha()),
-        )
+        if surface.isalpha():  # every character is a letter
+            return cls(surface, True, len(surface))
+        letters = sum(map(str.isalpha, surface))
+        return cls(surface, letters > 0, letters)
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,24 @@ def coarsen_tag(fine_tag: str) -> LexClass:
     return LexClass.OTHER
 
 
-def tag_tokens(tokens: Sequence[Token], tagger: TaggerContract) -> list[TaggedToken]:
+def _tagged_token(token: Token, fine_tag: str) -> TaggedToken:
+    # Non-word tokens always get lex_class Other, whatever the tagger said.
+    lex_class = coarsen_tag(fine_tag) if token.is_word else LexClass.OTHER
+    return TaggedToken(token=token, fine_tag=fine_tag, lex_class=lex_class)
+
+
+def tag_tokens(
+    tokens: Sequence[Token],
+    tagger: TaggerContract,
+    interned: dict[tuple[str, str], TaggedToken] | None = None,
+) -> list[TaggedToken]:
     """Zip tokens with tagger output and coarse classes.
 
     Non-word tokens always get lex_class Other, whatever the tagger said.
+    `interned` maps (surface, tag) to the TaggedToken already built for it;
+    pass one dict for a whole document to share every repeat. The key
+    relies on a token being a function of its surface, as
+    `Token.from_surface` makes it.
     """
     tokens = list(tokens)
     tags = list(tagger(tokens))
@@ -136,14 +154,16 @@ def tag_tokens(tokens: Sequence[Token], tagger: TaggerContract) -> list[TaggedTo
         raise TaggerLengthMismatch(
             f"tagger returned {len(tags)} tags for {len(tokens)} tokens"
         )
-    return [
-        TaggedToken(
-            token=tok,
-            fine_tag=tag,
-            lex_class=coarsen_tag(tag) if tok.is_word else LexClass.OTHER,
-        )
-        for tok, tag in zip(tokens, tags)
-    ]
+    if interned is None:
+        interned = {}
+    tagged = []
+    for tok, tag in zip(tokens, tags):
+        key = (tok.surface, tag)
+        tt = interned.get(key)
+        if tt is None:
+            tt = interned[key] = _tagged_token(tok, tag)
+        tagged.append(tt)
+    return tagged
 
 
 def count_clauses(sentence: TaggedSentence) -> int:
@@ -152,17 +172,18 @@ def count_clauses(sentence: TaggedSentence) -> int:
     Each VBD/VBZ/VBP token counts once. A modal (MD) counts once when a VB
     follows it before any finite tag. VBG/VBN alone never count.
     """
-    tags = [tt.fine_tag for tt in sentence.tokens]
-    count = sum(1 for t in tags if t in _FINITE_TAGS)
-    for i, t in enumerate(tags):
-        if t != "MD":
-            continue
-        for later in tags[i + 1:]:
-            if later == "VB":
-                count += 1
-                break
-            if later in _FINITE_TAGS:
-                break
+    count = 0
+    open_modals = 0  # modals not yet matched by a VB or closed by a finite tag
+    for tt in sentence.tokens:
+        tag = tt.fine_tag
+        if tag in _FINITE_TAGS:
+            count += 1
+            open_modals = 0
+        elif tag == "VB":
+            count += open_modals
+            open_modals = 0
+        elif tag == "MD":
+            open_modals += 1
     return count
 
 
@@ -182,13 +203,14 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
     Sentences never span paragraph boundaries.
     """
     tagger = tagger or LexiconTagger()
+    interned: dict[tuple[str, str], TaggedToken] = {}
     sentences = []
     for paragraph in doc.paragraphs:
         for sent_text in segment_sentences(paragraph):
             tokens = tokenize(sent_text)
             if not tokens:
                 continue
-            sentences.append(_make_sentence(tag_tokens(tokens, tagger)))
+            sentences.append(_make_sentence(tag_tokens(tokens, tagger, interned)))
     return TaggedDocument(doc_id=doc.doc_id, sentences=sentences)
 
 
@@ -199,10 +221,16 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
 # overrides the heuristic clause count. A "#doc=ID" line names the document.
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
-    """Reconstruct a TaggedDocument from tagged-token column text."""
+    """Reconstruct a TaggedDocument from tagged-token column text.
+
+    Each distinct token line is split, validated and built once per call;
+    a repeat of it reuses that TaggedToken. Directive and blank lines are
+    never interned, so they take effect wherever they occur.
+    """
     sentences: list[TaggedSentence] = []
     block: list[TaggedToken] = []
     clause_override: int | None = None
+    interned: dict[str, TaggedToken] = {}
 
     def close_block():
         nonlocal block, clause_override
@@ -212,6 +240,10 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
         clause_override = None
 
     for lineno, line in enumerate(column_text.splitlines(), 1):
+        tt = interned.get(line)
+        if tt is not None:
+            block.append(tt)
+            continue
         if not line.strip():
             close_block()
             continue
@@ -236,12 +268,8 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             raise FormatError(lineno, "empty token surface")
         if not fine_tag:
             raise FormatError(lineno, "empty tag")
-        token = Token.from_surface(surface)
-        block.append(TaggedToken(
-            token=token,
-            fine_tag=fine_tag,
-            lex_class=coarsen_tag(fine_tag) if token.is_word else LexClass.OTHER,
-        ))
+        tt = interned[line] = _tagged_token(Token.from_surface(surface), fine_tag)
+        block.append(tt)
     close_block()
     return TaggedDocument(doc_id=doc_id, sentences=sentences)
 

@@ -107,6 +107,22 @@ PUNCT_POOL = [(".", "."), (",", ","), ("(", "("), (")", ")"),
               ("5", "CD"), ("3.5", "CD")]
 
 
+def oracle_clauses(tags):
+    """Clause count straight from the definition: every finite tag, plus
+    every modal whose forward scan meets a VB before a finite tag."""
+    count = sum(1 for t in tags if t in _FINITE)
+    for i, t in enumerate(tags):
+        if t != "MD":
+            continue
+        for later in tags[i + 1:]:
+            if later == "VB":
+                count += 1
+                break
+            if later in _FINITE:
+                break
+    return count
+
+
 def oracle_profile(sentences):
     """Recompute all 12 variables from (surface, tag) pairs, independently
     of the library implementation, straight from the documented definitions."""
@@ -129,19 +145,6 @@ def oracle_profile(sentences):
             return "Adverb"
         return "Other"
 
-    def clauses(tags):
-        count = sum(1 for t in tags if t in _FINITE)
-        for i, t in enumerate(tags):
-            if t != "MD":
-                continue
-            for later in tags[i + 1:]:
-                if later == "VB":
-                    count += 1
-                    break
-                if later in _FINITE:
-                    break
-        return count
-
     retained = [s for s in sentences if any(is_word(sf) for sf, _ in s)]
     counts = [sum(1 for sf, _ in s if is_word(sf)) for s in retained]
     n = len(counts)
@@ -150,7 +153,7 @@ def oracle_profile(sentences):
         sd_len = 0.0
     else:
         sd_len = math.sqrt(sum((c - mean_len) ** 2 for c in counts) / (n - 1))
-    ratio = sum(clauses([t for _, t in s]) for s in retained) / n
+    ratio = sum(oracle_clauses([t for _, t in s]) for s in retained) / n
 
     words = [(sf, tg) for s in sentences for sf, tg in s if is_word(sf)]
     ttr = len({sf.lower() for sf, _ in words}) / len(words)

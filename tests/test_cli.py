@@ -15,6 +15,7 @@ from lexcite.cli import (
     main,
 )
 from lexcite.errors import ConfigError
+from lexcite.ingest import AbbreviationTable
 from lexcite.tableio import read_table, write_table
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
@@ -147,6 +148,34 @@ class TestStageGating:
         assert "group stage" in err["message"]
         assert "error in compare stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["compare", "regress"])
+    def test_disjoint_ids_fail_in_stage(self, tmp_path, capsys, stage):
+        write_table(tmp_path / "profiles.csv",
+                    ["doc_id", *[f"x{i}" for i in range(1, 13)]],
+                    [["d1", *([1.0] * 12)], ["d2", *([2.0] * 12)]])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["e1", 1.0, "Low"], ["e2", 2.0, "High"]])
+        code = main([stage, "--out", str(tmp_path)])
+        assert code == 1
+        err = read_errors(tmp_path)
+        assert err["stage"] == stage
+        assert err["error"] == "JoinMismatch"
+        assert f"error in {stage} stage" in capsys.readouterr().err
+        assert not (tmp_path / "comparison.csv").exists()
+        assert not (tmp_path / "regression.csv").exists()
+
+    def test_regress_fit_error_names_stage(self, tmp_path):
+        # every profile has an Absent x8, so no row is left to fit
+        write_table(tmp_path / "profiles.csv",
+                    ["doc_id", *[f"x{i}" for i in range(1, 13)]],
+                    [[f"d{i}", *([float(i)] * 7), None, *([1.0 + i] * 4)]
+                     for i in range(5)])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [[f"d{i}", 1.0 + i, "Low"] for i in range(5)])
+        assert main(["regress", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("regress", "NoRowsRemaining")
+
     def test_missing_out_is_usage_error(self, capsys):
         assert main(["run"]) == 2
         assert "output directory" in capsys.readouterr().err
@@ -191,6 +220,18 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
         assert "no .xml files" in read_errors(out)["message"]
         capsys.readouterr()
+
+    def test_default_abbreviation_table_built_once(self, tmp_path, monkeypatch):
+        built = []
+        original = AbbreviationTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AbbreviationTable, "__init__", counting_init)
+        assert main(["ingest", "--input", str(MINICORPUS), "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     def test_abbreviation_table_applied(self, tmp_path):
         src = tmp_path / "xml"

@@ -10,8 +10,6 @@ from lexcite.metrics import (
     complexity_profile,
     profile_from_row,
     profile_to_row,
-    sentence_length_stats,
-    type_token_ratio,
 )
 from lexcite.tagging import import_tagged
 
@@ -31,38 +29,38 @@ S2 = [("It", "PRP"), ("was", "VBD"), ("very", "RB"), ("tired", "JJ"), (".", ".")
 class TestSentenceLength:
     def test_mean_and_sd(self):
         # word counts 4 and 4 -> mean 4, sd 0
-        mean, sd = sentence_length_stats(doc_from(S1, S2))
-        assert mean == 4.0
-        assert sd == 0.0
+        p = complexity_profile(doc_from(S1, S2))
+        assert p.mean_sentence_length == 4.0
+        assert p.sd_sentence_length == 0.0
 
     def test_sample_sd(self):
         # counts 2, 4, 6, 8: mean 5, sample variance 20/3
         sents = [[("a", "NN")] * n + [(".", ".")] for n in (2, 4, 6, 8)]
-        mean, sd = sentence_length_stats(doc_from(*sents))
-        assert mean == 5.0
-        assert abs(sd - math.sqrt(20.0 / 3.0)) < 1e-12
+        p = complexity_profile(doc_from(*sents))
+        assert p.mean_sentence_length == 5.0
+        assert abs(p.sd_sentence_length - math.sqrt(20.0 / 3.0)) < 1e-12
 
     def test_single_sentence_sd_zero(self):
-        mean, sd = sentence_length_stats(doc_from(S1))
-        assert (mean, sd) == (4.0, 0.0)
+        p = complexity_profile(doc_from(S1))
+        assert (p.mean_sentence_length, p.sd_sentence_length) == (4.0, 0.0)
 
     def test_wordless_sentence_excluded(self):
         punct_only = [("(", "("), (")", ")"), (".", ".")]
-        mean, _ = sentence_length_stats(doc_from(S1, punct_only))
-        assert mean == 4.0
+        p = complexity_profile(doc_from(S1, punct_only))
+        assert p.mean_sentence_length == 4.0
 
     def test_empty_document(self):
         with pytest.raises(EmptyDocument):
-            sentence_length_stats(doc_from([(".", ".")]))
+            complexity_profile(doc_from([(".", ".")]))
 
 
 class TestTtr:
     def test_case_folding(self):
         doc = doc_from([("The", "DT"), ("the", "DT"), ("cat", "NN")])
-        assert type_token_ratio(doc) == 2 / 3
+        assert complexity_profile(doc).ttr == 2 / 3
 
     def test_all_distinct(self):
-        assert type_token_ratio(doc_from(S1)) == 1.0
+        assert complexity_profile(doc_from(S1)).ttr == 1.0
 
 
 class TestProfile:

@@ -1,6 +1,8 @@
 """Segmentation, tokenization, tagging, clause counting, column format."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lexcite.errors import FormatError, TaggerLengthMismatch
 from lexcite.ingest import RawDocument
@@ -17,6 +19,7 @@ from lexcite.tagging import (
     tag_tokens,
     tokenize,
 )
+from test_acceptance import oracle_clauses
 
 
 class TestSegmentation:
@@ -63,6 +66,8 @@ class TestTokenize:
         token = Token.from_surface("B12-x")
         assert token.char_length == 2
         assert tokenize("3.5")[0].char_length == 0
+        assert Token.from_surface("Müller").char_length == 6
+        assert Token.from_surface("naïve").char_length == 5
 
     def test_apostrophe_stays_inside(self):
         assert [t.surface for t in tokenize("the cell's wall")] == \
@@ -196,6 +201,12 @@ class TestCountClauses:
         assert (self.tag(base).sentences[0].clause_count ==
                 self.tag(changed).sentences[0].clause_count == 1)
 
+    @given(st.lists(st.sampled_from(
+        ["MD", "VB", "VBD", "VBZ", "VBP", "VBG", "VBN", "NN"]), min_size=1, max_size=30))
+    def test_one_pass_matches_oracle(self, tags):
+        doc = self.tag([(f"w{i}", t) for i, t in enumerate(tags)])
+        assert doc.sentences[0].clause_count == oracle_clauses(tags)
+
 
 class TestColumnFormat:
     def test_basic_import(self):
@@ -244,6 +255,28 @@ class TestColumnFormat:
         again = import_tagged(export_tagged(doc))
         assert again == doc
 
+    def test_error_line_after_repeated_lines(self):
+        with pytest.raises(FormatError) as err:
+            import_tagged("the\tDT\nthe\tDT\n\nthe\tDT\nthe DT\n")
+        assert err.value.line_number == 5
+
+    def test_repeated_clause_directive_per_sentence(self):
+        text = "#clauses=4\nhe\tPRP\nran\tVBD\n\n" * 2 + "he\tPRP\nran\tVBD\n\n"
+        doc = import_tagged(text)
+        assert [s.clause_count for s in doc.sentences] == [4, 4, 1]
+
+    def test_repeated_lines_share_one_token(self):
+        doc = import_tagged("the\tDT\ncat\tNN\n\nthe\tDT\n\n")
+        assert doc.sentences[0].tokens[0] is doc.sentences[1].tokens[0]
+
+    def test_import_independent_of_previous_document(self):
+        doc_a = "#doc=A\nCats\tNNS\nran\tVBD\n\n"
+        doc_b = "#doc=B\nCats\tNN\nran\tVBN\nB12\tNN\n\n"
+        import_tagged(doc_a)
+        after_a = import_tagged(doc_b)
+        assert after_a == import_tagged(doc_b)
+        assert [tt.fine_tag for tt in after_a.sentences[0].tokens] == ["NN", "VBN", "NN"]
+
     def test_round_trip_preserves_override(self):
         doc = import_tagged("#doc=z\n#clauses=9\nhi\tUH\n\n")
         again = import_tagged(export_tagged(doc))
@@ -263,3 +296,10 @@ class TestTagDocument:
                           paragraphs=["One two three. Four five."])
         doc = tag_document(raw)
         assert sum(s.word_count for s in doc.sentences) == 5
+
+    def test_repeats_share_one_tagged_token(self):
+        doc = tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                       paragraphs=["The cat sat. The dog sat."]))
+        first, second = doc.sentences
+        assert first.tokens[0] is second.tokens[0]
+        assert first.tokens[2] is second.tokens[2]
