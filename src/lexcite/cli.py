@@ -31,8 +31,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .errors import ConfigError, JoinMismatch, LexciteError
+from .errors import ConfigError, FormatError, JoinMismatch, LexciteError
 from .impact import (
     Baseline,
     CitationRecord,
@@ -53,9 +55,10 @@ from .ingest import (
 )
 from .metrics import (
     ComplexityProfile,
+    ProfileMatrix,
     VARIABLE_COLUMNS,
     complexity_profile,
-    profile_from_row,
+    profile_cells,
     profile_to_row,
 )
 from .reports import (
@@ -67,8 +70,9 @@ from .reports import (
     build_comparison_rows,
     build_estimate_rows,
     build_regression_rows,
+    group_codes,
 )
-from .tableio import read_table, write_table
+from .tableio import parse_finite, read_table, write_table
 from .tagging import LexiconTagger, export_tagged, import_tagged, tag_document
 
 STAGE_ORDER = ("ingest", "tag", "profile", "normalize", "group",
@@ -317,32 +321,54 @@ def stage_profile(config: RunConfig) -> None:
                 config.metadata())
 
 
-def _read_citations(path: Path) -> list[CitationRecord]:
-    _, header, rows = read_table(path)
-    expected = ["doc_id", "year", "domain", "total_citations"]
-    if header != expected:
-        raise ConfigError(f"citations file columns {header} != {expected}")
-    return [CitationRecord(doc_id=r[0], year=int(r[1]), domain=r[2],
-                           total_citations=int(r[3])) for r in rows]
+def _read_rows(stage: str, path: Path, header: list[str], parse) -> list:
+    """The data rows of an input table, each through parse. A malformed
+    table or a header other than `header` fails the stage; so does a cell
+    that parse rejects with ValueError, as a FormatError naming its line
+    and, in a table keyed by doc_id, its document."""
+    try:
+        metadata, found, rows = read_table(path)
+    except FormatError as exc:
+        raise StageFailure(stage, "", exc)
+    if found != header:
+        raise StageFailure(stage, "", ConfigError(
+            f"{path.name} columns {found} != {header}"))
+    first_line = len(metadata) + 2  # after the metadata lines and the header
+    parsed = []
+    for i, row in enumerate(rows):
+        try:
+            parsed.append(parse(row))
+        except ValueError as exc:
+            document = row[0] if header[0] == "doc_id" else ""
+            raise StageFailure(stage, document, FormatError(
+                first_line + i, f"{path.name}: {exc}")) from None
+    return parsed
 
 
-def _read_baselines(path: Path) -> list[Baseline]:
-    _, header, rows = read_table(path)
-    expected = ["year", "domain", "adc", "n"]
-    if header != expected:
-        raise ConfigError(f"baselines file columns {header} != {expected}")
-    return [Baseline(year=int(r[0]), domain=r[1], adc=float(r[2]), n=int(r[3]))
-            for r in rows]
+def _citation(row: list[str]) -> CitationRecord:
+    return CitationRecord(doc_id=row[0], year=int(row[1]), domain=row[2],
+                          total_citations=int(row[3]))
+
+
+def _baseline(row: list[str]) -> Baseline:
+    return Baseline(year=int(row[0]), domain=row[1], adc=parse_finite(row[2]),
+                    n=int(row[3]))
+
+
+def _score(row: list[str]) -> NormalizedScore:
+    return NormalizedScore(doc_id=row[0], nc=parse_finite(row[1]),
+                           group=ImpactGroup(row[2]) if row[2] else None)
 
 
 def stage_normalize(config: RunConfig) -> None:
-    citations_path = _require(config, "normalize", "citations")
+    records = _read_rows("normalize", _require(config, "normalize", "citations"),
+                         ["doc_id", "year", "domain", "total_citations"], _citation)
+    if config.baselines is not None:
+        baselines = _read_rows("normalize", _require(config, "normalize", "baselines"),
+                               ["year", "domain", "adc", "n"], _baseline)
+    else:
+        baselines = compute_baselines(records)
     try:
-        records = _read_citations(citations_path)
-        if config.baselines is not None:
-            baselines = _read_baselines(_require(config, "normalize", "baselines"))
-        else:
-            baselines = compute_baselines(records)
         lookup = baseline_map(baselines)
         scores = [normalize_citations(rec, lookup) for rec in records]
     except LexciteError as exc:
@@ -363,14 +389,8 @@ def _write_scores(config: RunConfig, scores: list[NormalizedScore]) -> None:
 
 
 def _read_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
-    _, header, rows = read_table(_stage_file(config, stage, "scores.csv"))
-    if header != ["doc_id", "nc", "group"]:
-        raise StageFailure(stage, "", ConfigError(f"unexpected scores.csv columns {header}"))
-    scores = []
-    for r in rows:
-        group = ImpactGroup(r[2]) if r[2] else None
-        scores.append(NormalizedScore(doc_id=r[0], nc=float(r[1]), group=group))
-    return scores
+    return _read_rows(stage, _stage_file(config, stage, "scores.csv"),
+                      ["doc_id", "nc", "group"], _score)
 
 
 def stage_group(config: RunConfig) -> None:
@@ -378,11 +398,14 @@ def stage_group(config: RunConfig) -> None:
     _write_scores(config, stratify(scores))
 
 
-def _read_profiles(config: RunConfig, stage: str) -> list[ComplexityProfile]:
-    _, header, rows = read_table(_stage_file(config, stage, "profiles.csv"))
-    if header != ["doc_id", *VARIABLE_COLUMNS]:
-        raise StageFailure(stage, "", ConfigError(f"unexpected profiles.csv columns {header}"))
-    return [profile_from_row(r) for r in rows]
+def _read_profiles(config: RunConfig, stage: str) -> ProfileMatrix:
+    """profiles.csv as one matrix, in file row order; NaN marks Absent."""
+    rows = _read_rows(stage, _stage_file(config, stage, "profiles.csv"),
+                      ["doc_id", *VARIABLE_COLUMNS],
+                      lambda row: (row[0], profile_cells(row)))
+    values = np.array([cells for _, cells in rows], dtype=float)
+    return ProfileMatrix(tuple(doc_id for doc_id, _ in rows),
+                         values.reshape(len(rows), len(VARIABLE_COLUMNS)))
 
 
 def _grouped_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
@@ -394,32 +417,33 @@ def _grouped_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
 
 
 def _joined_inputs(config: RunConfig, stage: str
-                   ) -> tuple[list[ComplexityProfile], list[NormalizedScore]]:
+                   ) -> tuple[ProfileMatrix, list[NormalizedScore]]:
     """Profiles and grouped scores, which must share at least one doc id."""
-    profiles = _read_profiles(config, stage)
+    matrix = _read_profiles(config, stage)
     scores = _grouped_scores(config, stage)
     score_ids = {s.doc_id for s in scores}
-    if not any(p.doc_id in score_ids for p in profiles):
+    if not any(doc_id in score_ids for doc_id in matrix.doc_ids):
         raise StageFailure(stage, "", JoinMismatch("profiles and scores share no doc_ids"))
-    return profiles, scores
+    return matrix, scores
 
 
 def stage_compare(config: RunConfig) -> None:
-    profiles, scores = _joined_inputs(config, "compare")
+    matrix, scores = _joined_inputs(config, "compare")
+    codes = group_codes(matrix, scores)
     meta = config.metadata()
     write_table(config.out / "comparison.csv", COMPARISON_HEADER,
-                build_comparison_rows(profiles, scores), meta)
+                build_comparison_rows(matrix, codes), meta)
     write_table(config.out / "cdf.csv", CDF_HEADER,
-                build_cdf_rows(profiles, scores), meta)
+                build_cdf_rows(matrix, codes), meta)
     write_table(config.out / "estimates.csv", ESTIMATES_HEADER,
-                build_estimate_rows(profiles, scores, config.iterations,
+                build_estimate_rows(matrix, codes, config.iterations,
                                     config.level, config.seed), meta)
 
 
 def stage_regress(config: RunConfig) -> None:
-    profiles, scores = _joined_inputs(config, "regress")
+    matrix, scores = _joined_inputs(config, "regress")
     try:
-        rows = build_regression_rows(profiles, scores)
+        rows = build_regression_rows(matrix, scores)
     except LexciteError as exc:
         raise StageFailure("regress", "", exc)
     write_table(config.out / "regression.csv", REGRESSION_HEADER, rows,

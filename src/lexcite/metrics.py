@@ -15,6 +15,9 @@ lexical class with no tokens yields an Absent value, not 0.
 and a set of surfaces, then one division per variable. Tokens within a
 document are interned (see `lexcite.tagging`), so many tokens it reads are
 the same immutable object.
+
+The statistics read `profiles.csv` back as one `ProfileMatrix`: the doc ids
+in file row order plus an n x 12 float64 array, with NaN marking Absent.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyDocument
+from .tableio import parse_finite
 from .tagging import LexClass, TaggedDocument
 
 # CSV column order for the profile table (after doc_id).
@@ -79,14 +85,25 @@ class ComplexityProfile:
     adj_ratio: float
     adv_ratio: float
 
-    def value(self, column: str) -> float | None:
-        return getattr(self, VARIABLE_FIELDS[column])
-
     def values(self) -> list[float | None]:
-        return [self.value(c) for c in VARIABLE_COLUMNS]
+        return [getattr(self, VARIABLE_FIELDS[c]) for c in VARIABLE_COLUMNS]
 
-    def has_absent(self) -> bool:
-        return any(v is None for v in self.values())
+
+@dataclass(frozen=True, eq=False)
+class ProfileMatrix:
+    """The profile table as one array: row i holds x1..x12 of doc_ids[i],
+    in file row order, with NaN marking an Absent value."""
+
+    doc_ids: tuple[str, ...]
+    values: np.ndarray  # shape (len(doc_ids), 12), float64
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def subset(self, mask: np.ndarray) -> "ProfileMatrix":
+        """The rows where mask is true, in the same order."""
+        return ProfileMatrix(tuple(d for d, keep in zip(self.doc_ids, mask) if keep),
+                             self.values[mask])
 
 
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
@@ -146,7 +163,7 @@ def profile_to_row(profile: ComplexityProfile) -> list:
     return [profile.doc_id] + profile.values()
 
 
-def profile_from_row(row: list[str]) -> ComplexityProfile:
-    values = [float(cell) if cell != "" else None for cell in row[1:13]]
-    kwargs = {VARIABLE_FIELDS[c]: v for c, v in zip(VARIABLE_COLUMNS, values)}
-    return ComplexityProfile(doc_id=row[0], **kwargs)
+def profile_cells(row: list[str]) -> list[float]:
+    """x1..x12 of one profiles.csv row: an empty cell is Absent (NaN); any
+    other cell must be a finite number, else ValueError."""
+    return [math.nan if cell == "" else parse_finite(cell) for cell in row[1:]]

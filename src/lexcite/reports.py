@@ -8,7 +8,13 @@ R-squared or "-" when the fit is not estimable.
 
 Row order is fixed everywhere: variables x1..x12, groups High/Medium/Low,
 pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts all/High/
-Medium/Low. Documents whose value for a variable is Absent are excluded
+Medium/Low.
+
+Each stage reads profiles.csv once, as a `ProfileMatrix` with NaN marking
+Absent, and computes each document's group code once (`group_codes`).
+`group_samples` then takes boolean-mask slices of one matrix column, which
+keep file row order, so the bootstrap sees its sample in the same order on
+every run. Documents whose value for a variable is Absent are excluded
 from that variable's rows and counted in the n_excluded column. When the
 effective sample for a group is empty (an empty stratum, or every document
 lacking the variable), a GroupEmpty row is emitted instead of failing.
@@ -23,8 +29,10 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
+import numpy as np
+
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
-from .metrics import ComplexityProfile, VARIABLE_COLUMNS
+from .metrics import VARIABLE_COLUMNS, ProfileMatrix
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
 
 GROUP_PAIRS = (
@@ -60,40 +68,43 @@ def subseed(seed: int, var_index: int, group_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def group_codes(matrix: ProfileMatrix,
+                scores: Sequence[NormalizedScore]) -> np.ndarray:
+    """Per matrix row: the index of its document's group in GROUP_ORDER, or
+    -1 when the document has no score or no group."""
+    index = {group: i for i, group in enumerate(GROUP_ORDER)}
+    code_of = {s.doc_id: index[s.group] for s in scores if s.group is not None}
+    return np.array([code_of.get(doc_id, -1) for doc_id in matrix.doc_ids],
+                    dtype=np.int8)
+
+
 def group_samples(
-    profiles: Sequence[ComplexityProfile],
-    scores: Sequence[NormalizedScore],
+    matrix: ProfileMatrix,
+    codes: np.ndarray,
     column: str,
-) -> dict[ImpactGroup, tuple[list[float], int]]:
-    """Per group: the variable's present values and the Absent-drop count."""
-    group_of = {s.doc_id: s.group for s in scores if s.group is not None}
-    out: dict[ImpactGroup, tuple[list[float], int]] = {}
-    for group in GROUP_ORDER:
-        values: list[float] = []
-        excluded = 0
-        for profile in profiles:
-            if group_of.get(profile.doc_id) is not group:
-                continue
-            value = profile.value(column)
-            if value is None:
-                excluded += 1
-            else:
-                values.append(float(value))
-        out[group] = (values, excluded)
+) -> dict[ImpactGroup, tuple[np.ndarray, int]]:
+    """Per group: the variable's present values, in row order, and the
+    Absent-drop count."""
+    values = matrix.values[:, VARIABLE_COLUMNS.index(column)]
+    out: dict[ImpactGroup, tuple[np.ndarray, int]] = {}
+    for code, group in enumerate(GROUP_ORDER):
+        members = values[codes == code]
+        absent = np.isnan(members)
+        out[group] = (members[~absent], int(np.count_nonzero(absent)))
     return out
 
 
 def build_comparison_rows(
-    profiles: Sequence[ComplexityProfile],
-    scores: Sequence[NormalizedScore],
+    matrix: ProfileMatrix,
+    codes: np.ndarray,
 ) -> list[list[object]]:
     rows: list[list[object]] = []
     for column in VARIABLE_COLUMNS:
-        samples = group_samples(profiles, scores, column)
+        samples = group_samples(matrix, codes, column)
         for ga, gb in GROUP_PAIRS:
             pair = f"{ga.value}-{gb.value}"
             (va, ea), (vb, eb) = samples[ga], samples[gb]
-            if not va or not vb:
+            if len(va) == 0 or len(vb) == 0:
                 rows.append([column, pair, None, None, "",
                              len(va), len(vb), ea + eb, STATUS_GROUP_EMPTY])
                 continue
@@ -104,15 +115,15 @@ def build_comparison_rows(
 
 
 def build_cdf_rows(
-    profiles: Sequence[ComplexityProfile],
-    scores: Sequence[NormalizedScore],
+    matrix: ProfileMatrix,
+    codes: np.ndarray,
 ) -> list[list[object]]:
     rows: list[list[object]] = []
     for column in VARIABLE_COLUMNS:
-        samples = group_samples(profiles, scores, column)
+        samples = group_samples(matrix, codes, column)
         for group in GROUP_ORDER:
             values, _ = samples[group]
-            if not values:
+            if len(values) == 0:
                 continue
             for x, f in ecdf_steps(values):
                 rows.append([column, group.value, x, f])
@@ -120,18 +131,18 @@ def build_cdf_rows(
 
 
 def build_estimate_rows(
-    profiles: Sequence[ComplexityProfile],
-    scores: Sequence[NormalizedScore],
+    matrix: ProfileMatrix,
+    codes: np.ndarray,
     iterations: int,
     level: float,
     seed: int,
 ) -> list[list[object]]:
     rows: list[list[object]] = []
     for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
-        samples = group_samples(profiles, scores, column)
+        samples = group_samples(matrix, codes, column)
         for group_index, group in enumerate(GROUP_ORDER):
             values, excluded = samples[group]
-            if not values:
+            if len(values) == 0:
                 rows.append([column, group.value, None, None, None,
                              0, excluded, STATUS_GROUP_EMPTY])
                 continue
@@ -143,22 +154,19 @@ def build_estimate_rows(
 
 
 def build_regression_rows(
-    profiles: Sequence[ComplexityProfile],
+    matrix: ProfileMatrix,
     scores: Sequence[NormalizedScore],
 ) -> list[list[object]]:
     """One row per model and cohort; '-' marks a NonEstimable fit."""
-    by_id = {s.doc_id: s for s in scores}
-    cohorts: dict[str, list[ComplexityProfile]] = {"all": list(profiles)}
-    for group in GROUP_ORDER:
-        cohorts[group.value] = [
-            p for p in profiles
-            if p.doc_id in by_id and by_id[p.doc_id].group is group
-        ]
+    codes = group_codes(matrix, scores)
+    cohorts = {"all": matrix}
+    for code, group in enumerate(GROUP_ORDER):
+        cohorts[group.value] = matrix.subset(codes == code)
     rows: list[list[object]] = []
     for model_id in MODEL_IDS:
         for cohort in COHORT_ORDER:
             members = cohorts[cohort]
-            if not members:
+            if len(members) == 0:
                 rows.append([model_id, cohort, "-", 0, 0])
                 continue
             fit = fit_model(members, scores, model_id)

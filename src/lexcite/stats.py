@@ -1,6 +1,11 @@
 """Statistical battery: ECDFs, two-sample KS tests, bootstrap point
 estimation, and the six polynomial regression model families.
 
+Regressions read the profiles as one `ProfileMatrix` (n x 12 float64, NaN
+marking Absent): the join with the scores, the Absent-row drop and the
+zero-score drop of the log models are boolean masks over its rows, which
+keep file row order.
+
 The KS p-value uses the asymptotic series p = 2 * sum_{k>=1} (-1)^(k-1)
 exp(-2 k^2 lambda^2) with lambda = D * sqrt(n1*n2/(n1+n2)), truncated once
 terms fall below 1e-12 and clamped to [0, 1]. Bootstrap intervals are
@@ -27,12 +32,14 @@ from .errors import (
     NoRowsRemaining,
 )
 from .impact import NormalizedScore
-from .metrics import ComplexityProfile
+from .metrics import ProfileMatrix
 
 _SERIES_EPS = 1e-12
-# Resample index blocks are capped so bootstrap memory stays bounded; the
-# block size is a fixed function of the inputs, keeping runs reproducible.
-_BOOTSTRAP_BLOCK_CELLS = 2_000_000
+# Resample index blocks are capped so bootstrap memory stays bounded (2^18
+# int64 indices, 2 MB). The block size does not change the estimates:
+# Generator.integers yields the same stream however the draws are split
+# into calls, which test_chunking_invariant pins.
+_BOOTSTRAP_BLOCK_CELLS = 2 ** 18
 
 N_VARIABLES = 12
 
@@ -72,14 +79,6 @@ class ModelFit:
     n_dropped_zero_nc: int
     n_dropped_absent: int
     status: str  # "Estimable" | "NonEstimable"
-
-
-def ecdf(sample: Sequence[float], x: float) -> float:
-    """Fraction of sample values <= x."""
-    if len(sample) == 0:
-        raise EmptySample("ecdf of empty sample")
-    data = np.sort(np.asarray(sample, dtype=float))
-    return float(np.searchsorted(data, x, side="right")) / len(data)
 
 
 def ecdf_steps(sample: Sequence[float]) -> list[tuple[float, float]]:
@@ -230,26 +229,6 @@ def _standardize(base: np.ndarray) -> np.ndarray:
     return (base - mean) / sd
 
 
-def design_matrix(
-    profiles: Sequence[ComplexityProfile],
-    model_id: int,
-    standardize: bool = False,
-) -> tuple[np.ndarray, list[str], int]:
-    """Design matrix and column labels for a model family.
-
-    Profiles with any Absent variable are dropped; the drop count is
-    returned. Raises NoRowsRemaining when nothing is left.
-    """
-    complete = [p for p in profiles if not p.has_absent()]
-    n_dropped = len(profiles) - len(complete)
-    if not complete:
-        raise NoRowsRemaining("no profiles without Absent variables")
-    base = np.array([p.values() for p in complete], dtype=float)
-    if standardize:
-        base = _standardize(base)
-    return _expand_design(base, model_id), design_labels(model_id), n_dropped
-
-
 _COEFFICIENT_FAMILIES = {
     # model -> (family name -> column slice), matching the per-term reading
     # of the shared-letter coefficients in the model definitions.
@@ -263,7 +242,7 @@ _COEFFICIENT_FAMILIES = {
 
 
 def fit_model(
-    profiles: Sequence[ComplexityProfile],
+    matrix: ProfileMatrix,
     scores: Sequence[NormalizedScore],
     model_id: int,
 ) -> ModelFit:
@@ -272,35 +251,37 @@ def fit_model(
     Models 1 and 2 regress the normalized citation score itself; models 3,
     4, and 6 regress its natural log, dropping zero-score rows and counting
     them; model 5 fits the exponential-response form by least squares of
-    the score against the linear columns. Designs with fewer rows than
-    columns, or rank-deficient designs, come back NonEstimable with no
-    R-squared. Coefficients are reported in standardized-predictor space.
+    the score against the linear columns. Rows without a score are left
+    out; rows with an Absent value are dropped and counted. Designs with
+    fewer rows than columns, or rank-deficient designs, come back
+    NonEstimable with no R-squared. Coefficients are reported in
+    standardized-predictor space.
     """
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id}")
     score_map = {s.doc_id: s.nc for s in scores}
-    joined = [(p, score_map[p.doc_id]) for p in profiles if p.doc_id in score_map]
-    if profiles and not joined:
+    joined = [i for i, doc_id in enumerate(matrix.doc_ids) if doc_id in score_map]
+    if len(matrix) and not joined:
         raise JoinMismatch("profiles and scores share no doc_ids")
     if not joined:
         raise NoRowsRemaining("no profiles to fit")
 
-    complete = [(p, nc) for p, nc in joined if not p.has_absent()]
-    n_dropped_absent = len(joined) - len(complete)
+    base = matrix.values[joined]
+    nc = np.array([score_map[matrix.doc_ids[i]] for i in joined], dtype=float)
+    keep = ~np.isnan(base).any(axis=1)
+    n_complete = int(np.count_nonzero(keep))
+    n_dropped_absent = len(joined) - n_complete
 
     n_dropped_zero = 0
     if model_id in _LOG_RESPONSE_MODELS:
-        kept = [(p, nc) for p, nc in complete if nc > 0]
-        n_dropped_zero = len(complete) - len(kept)
-    else:
-        kept = complete
-    if not kept:
+        keep &= nc > 0
+        n_dropped_zero = n_complete - int(np.count_nonzero(keep))
+    if not keep.any():
         raise NoRowsRemaining("all rows excluded before fitting")
 
-    base = np.array([p.values() for p, _ in kept], dtype=float)
-    nc = np.array([v for _, v in kept], dtype=float)
+    nc = nc[keep]
     y = np.log(nc) if model_id in _LOG_RESPONSE_MODELS else nc
-    design = _expand_design(_standardize(base), model_id)
+    design = _expand_design(_standardize(base[keep]), model_id)
     n_rows, n_cols = design.shape
 
     fit = ModelFit(

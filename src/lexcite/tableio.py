@@ -2,8 +2,10 @@
 
 Every table written by the pipeline starts with zero or more lines of the
 form ``#key=value``, followed by a standard CSV header row and data rows
-(RFC 4180 quoting, CRLF line endings). Floats are serialized with repr so
-the shortest round-tripping form is written; None becomes an empty cell.
+(RFC 4180 quoting, CRLF line endings). Rows go straight to the standard
+csv writer, which writes a float with repr (the shortest form that reads
+back to the same float), None as an empty cell and anything else with str.
+Cells read back as strings; the stage that reads a table parses them.
 Nothing time-dependent goes into the metadata, so a rerun with identical
 inputs produces byte-identical files.
 """
@@ -12,19 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 from .errors import FormatError
-
-
-def format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_table(
@@ -42,8 +35,7 @@ def write_table(
             buf.write(f"#{key}={value}\r\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+    writer.writerows(rows)
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
@@ -82,5 +74,10 @@ def read_table(
     return metadata, header, rows
 
 
-def parse_optional_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+def parse_finite(cell: str) -> float:
+    """A cell as a finite float; ValueError for anything else, nan and inf
+    included."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value

@@ -36,13 +36,12 @@ from lexcite.impact import (
     normalize_citations,
     stratify,
 )
-from lexcite.metrics import ComplexityProfile, VARIABLE_FIELDS, complexity_profile
-from lexcite.reports import build_comparison_rows, build_regression_rows
+from lexcite.metrics import ProfileMatrix, complexity_profile
+from lexcite.reports import build_comparison_rows, build_regression_rows, group_codes
 from lexcite.stats import bootstrap_mean_ci, fit_model, ks_two_sample
 from lexcite.tableio import read_table
 from lexcite.tagging import import_tagged
 
-FIELDS = list(VARIABLE_FIELDS.values())
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
 
 
@@ -52,13 +51,8 @@ def report(index: int, name: str, ok: bool, detail: str) -> None:
 
 
 def rand_profiles(rng, n, prefix="d"):
-    return [
-        ComplexityProfile(
-            doc_id=f"{prefix}{i:05d}",
-            **{f: float(v) for f, v in zip(FIELDS, rng.uniform(0.5, 10, 12))},
-        )
-        for i in range(n)
-    ]
+    return ProfileMatrix(tuple(f"{prefix}{i:05d}" for i in range(n)),
+                         np.array([rng.uniform(0.5, 10, 12) for _ in range(n)]))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -295,12 +289,8 @@ def test_criterion_5_regression_behavior():
     rng = np.random.default_rng(5150)
     profiles = rand_profiles(rng, 60)
     coef = rng.uniform(-1.5, 1.5, 12)
-    scores = [
-        NormalizedScore(
-            doc_id=p.doc_id,
-            nc=float(40 + coef @ np.array([getattr(p, f) for f in FIELDS])))
-        for p in profiles
-    ]
+    scores = [NormalizedScore(doc_id=doc_id, nc=float(40 + coef @ x))
+              for doc_id, x in zip(profiles.doc_ids, profiles.values)]
     planted = fit_model(profiles, scores, 5)
     planted_ok = (planted.status == "Estimable"
                   and planted.r_squared >= 1 - 1e-9)
@@ -308,16 +298,17 @@ def test_criterion_5_regression_behavior():
     violations = 0
     for _ in range(100):
         profs = rand_profiles(rng, 120)
-        scrs = [NormalizedScore(doc_id=p.doc_id, nc=float(v))
-                for p, v in zip(profs, rng.lognormal(0, 1, 120))]
+        scrs = [NormalizedScore(doc_id=doc_id, nc=float(v))
+                for doc_id, v in zip(profs.doc_ids, rng.lognormal(0, 1, 120))]
         r = {m: fit_model(profs, scrs, m).r_squared for m in (1, 2, 3, 4, 5, 6)}
         if not (r[1] >= r[2] - 1e-9 and r[2] >= r[5] - 1e-9
                 and r[3] >= r[4] - 1e-9 and r[4] >= r[6] - 1e-9):
             violations += 1
 
     small_profiles = rand_profiles(rng, 17)
-    small_scores = [NormalizedScore(doc_id=p.doc_id, nc=float(v))
-                    for p, v in zip(small_profiles, rng.lognormal(0, 1, 17))]
+    small_scores = [NormalizedScore(doc_id=doc_id, nc=float(v))
+                    for doc_id, v in zip(small_profiles.doc_ids,
+                                         rng.lognormal(0, 1, 17))]
     small = fit_model(small_profiles, small_scores, 1)
     rows = build_regression_rows(small_profiles, stratify(small_scores))
     dash_ok = (small.status == "NonEstimable" and small.r_squared is None
@@ -395,26 +386,20 @@ def test_criterion_7_false_positive_control():
     n_docs = 3000
     values = rng.normal(10.0, 2.0, size=(n_docs, 12))
     nc = rng.exponential(1.0, n_docs)
-    profiles = [
-        ComplexityProfile(doc_id=f"D{i:05d}",
-                          **{f: float(v) for f, v in zip(FIELDS, values[i])})
-        for i in range(n_docs)
-    ]
+    profiles = ProfileMatrix(tuple(f"D{i:05d}" for i in range(n_docs)), values)
     scores = stratify([NormalizedScore(doc_id=f"D{i:05d}", nc=float(nc[i]))
                        for i in range(n_docs)])
-    null_rows = build_comparison_rows(profiles, scores)
+    codes = group_codes(profiles, scores)
+    null_rows = build_comparison_rows(profiles, codes)
     flagged = sum(1 for r in null_rows if r[4] != "")
 
     high_ids = {s.doc_id for s in scores if s.group is ImpactGroup.HIGH}
-    shifted = [
-        ComplexityProfile(
-            doc_id=p.doc_id,
-            **{f: (getattr(p, f) + 5.0
-                   if f == "mean_sentence_length" and p.doc_id in high_ids
-                   else getattr(p, f)) for f in FIELDS})
-        for p in profiles
-    ]
-    planted_rows = build_comparison_rows(shifted, scores)
+    shifted_values = values.copy()
+    for i, doc_id in enumerate(profiles.doc_ids):
+        if doc_id in high_ids:
+            shifted_values[i, 0] += 5.0  # x1, mean sentence length
+    shifted = ProfileMatrix(profiles.doc_ids, shifted_values)
+    planted_rows = build_comparison_rows(shifted, codes)
     planted = next(r for r in planted_rows
                    if r[0] == "x1" and r[1] == "High-Low")
     # frozen measurements: 0/36 null flags; planted d 0.8896, p 8.0e-21

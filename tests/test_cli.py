@@ -1,15 +1,21 @@
 """CLI configuration, stage gating, end-to-end runs, and error reporting."""
 
 import json
+import math
 import os
+import tempfile
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcite.cli import (
     DECISION_FLAGS,
     RunConfig,
+    _read_profiles,
     build_config,
     build_parser,
     main,
@@ -280,6 +286,95 @@ class TestImportTagged:
         assert err["stage"] == "tag"
         assert err["document"] == "docB.tsv"
         assert "error in tag stage" in capsys.readouterr().err
+
+
+PROFILE_HEADER = ["doc_id", *[f"x{i}" for i in range(1, 13)]]
+
+
+class TestBadCells:
+    """A cell that does not parse fails its stage through errors.json,
+    naming the document, never with a traceback."""
+
+    def write_inputs(self, out, profile_cell="1.5", nc_cell=1.0, group_cell="Low"):
+        write_table(out / "profiles.csv", PROFILE_HEADER,
+                    [["d1", *([2.0] * 12)], ["d2", *([3.0] * 11), profile_cell]])
+        write_table(out / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 2.0, "High"], ["d2", nc_cell, group_cell]])
+
+    def assert_failed(self, out, capsys, stage, document):
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == \
+            (stage, document, "FormatError")
+        assert f"error in {stage} stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["compare", "regress"])
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+    def test_bad_profile_cell(self, tmp_path, capsys, stage, cell):
+        self.write_inputs(tmp_path, profile_cell=cell)
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, stage, "d2")
+        # line 1 is the header, so d2 is on line 3
+        assert read_errors(tmp_path)["message"].startswith("line 3: profiles.csv")
+
+    @pytest.mark.parametrize("nc_cell, group_cell", [("x", "Low"), ("nan", "Low"),
+                                                     (1.0, "Top")])
+    @pytest.mark.parametrize("stage", ["group", "compare"])
+    def test_bad_score_cell(self, tmp_path, capsys, stage, nc_cell, group_cell):
+        self.write_inputs(tmp_path, nc_cell=nc_cell, group_cell=group_cell)
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, stage, "d2")
+
+    @pytest.mark.parametrize("count", ["1.5", "-3", ""])
+    def test_bad_citation_count(self, tmp_path, capsys, count):
+        citations = tmp_path / "citations.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4], ["b", 2010, "Eco", count]],
+                    metadata={"source": "hand"})
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out),
+                     "--citations", str(citations)]) == 1
+        self.assert_failed(out, capsys, "normalize", "b")
+        assert read_errors(out)["message"].startswith("line 4: citations.csv")
+
+    def test_bad_baseline_cell(self, tmp_path, capsys):
+        citations = tmp_path / "citations.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"],
+                    [[2010, "Eco", "inf", 5]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        self.assert_failed(out, capsys, "normalize", "")
+
+
+cell_values = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestProfileMatrixRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(cell_values, min_size=12, max_size=12),
+                    min_size=1, max_size=8))
+    def test_values_and_absent_positions_survive(self, table):
+        # ProfileMatrix -> profiles.csv -> ProfileMatrix, as compare reads it
+        doc_ids = tuple(f"d{i}" for i in range(len(table)))
+        values = np.array(table, dtype=float)
+        rows = [[doc_id, *(None if math.isnan(v) else float(v) for v in row)]
+                for doc_id, row in zip(doc_ids, values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_table(out / "profiles.csv", PROFILE_HEADER, rows)
+            again = _read_profiles(RunConfig(out=out), "compare")
+        assert again.doc_ids == doc_ids
+        assert again.values.shape == (len(table), 12)
+        assert np.array_equal(np.isnan(again.values), np.isnan(values))
+        assert np.array_equal(again.values, values, equal_nan=True)
+        assert all(np.signbit(again.values[~np.isnan(values)])
+                   == np.signbit(values[~np.isnan(values)]))
 
 
 class TestNormalizeStage:

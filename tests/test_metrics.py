@@ -8,9 +8,10 @@ from lexcite.errors import EmptyDocument
 from lexcite.metrics import (
     VARIABLE_COLUMNS,
     complexity_profile,
-    profile_from_row,
+    profile_cells,
     profile_to_row,
 )
+from lexcite.tableio import read_table, write_table
 from lexcite.tagging import import_tagged
 
 
@@ -77,7 +78,7 @@ class TestProfile:
         assert p.adv_length is None
         assert p.noun_ratio == p.verb_ratio == p.adj_ratio == pytest.approx(1 / 3)
         assert p.adv_ratio == 0.0
-        assert p.has_absent()
+        assert None in p.values()
 
     def test_adjective_lengths_averaged(self):
         doc = doc_from([("red", "JJ"), ("blue", "JJ"), ("wide", "JJ"),
@@ -112,18 +113,21 @@ class TestProfile:
 
 
 class TestRowRoundTrip:
-    def test_round_trip_with_absent(self):
+    def test_round_trip_with_absent(self, tmp_path):
+        # profile row -> profiles.csv -> the cells compare and regress read
         doc = doc_from([("Big", "JJ"), ("cats", "NNS"), ("sleep", "VBP"), (".", ".")])
         p = complexity_profile(doc)
         row = profile_to_row(p)
         assert len(row) == 1 + len(VARIABLE_COLUMNS)
         assert row[8] is None
-        again = profile_from_row([("" if c is None else repr(c)) if not isinstance(c, str) else c
-                                  for c in row])
-        assert again == p
+        write_table(tmp_path / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], [row])
+        _, _, rows = read_table(tmp_path / "profiles.csv")
+        assert rows[0][0] == p.doc_id
+        again = profile_cells(rows[0])
+        assert [None if math.isnan(v) else v for v in again] == p.values()
 
     def test_value_accessor(self):
         doc = doc_from(S1)
         p = complexity_profile(doc)
-        assert p.value("x1") == p.mean_sentence_length
         assert p.values()[0] == p.mean_sentence_length
+        assert p.values()[7] == p.adv_length

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
-from lexcite.metrics import ComplexityProfile, VARIABLE_FIELDS
+from lexcite.metrics import ProfileMatrix
 from lexcite.reports import (
     COHORT_ORDER,
     GROUP_PAIRS,
@@ -15,28 +15,37 @@ from lexcite.reports import (
     build_comparison_rows,
     build_estimate_rows,
     build_regression_rows,
+    group_codes,
     group_samples,
     stars_text,
     subseed,
 )
 
-FIELDS = list(VARIABLE_FIELDS.values())
+X1, X8 = 0, 7  # matrix columns of mean sentence length and adverb length
 
 
 def make_corpus(rng, sizes=(6, 8, 10)):
     """Profiles plus grouped scores: sizes = (High, Medium, Low) counts."""
-    profiles, scores = [], []
+    doc_ids, values, scores = [], [], []
     i = 0
     for group, size in zip(GROUP_ORDER, sizes):
         for _ in range(size):
             doc_id = f"d{i:03d}"
-            values = {f: float(v) for f, v in zip(FIELDS, rng.uniform(1, 9, 12))}
-            profiles.append(ComplexityProfile(doc_id=doc_id, **values))
+            doc_ids.append(doc_id)
+            values.append(rng.uniform(1, 9, 12))
             scores.append(NormalizedScore(doc_id=doc_id,
                                           nc=float(rng.lognormal(0, 1)),
                                           group=group))
             i += 1
-    return profiles, scores
+    matrix = ProfileMatrix(tuple(doc_ids),
+                           np.array(values, dtype=float).reshape(-1, 12))
+    return matrix, scores
+
+
+def codes_of(rng, sizes=(6, 8, 10)):
+    """make_corpus's matrix and the group code of each of its rows."""
+    matrix, scores = make_corpus(rng, sizes)
+    return matrix, group_codes(matrix, scores)
 
 
 class TestHelpers:
@@ -59,15 +68,15 @@ class TestHelpers:
 
     def test_group_samples_partitions(self):
         rng = np.random.default_rng(0)
-        profiles, scores = make_corpus(rng)
-        samples = group_samples(profiles, scores, "x1")
+        profiles, codes = codes_of(rng)
+        samples = group_samples(profiles, codes, "x1")
         assert [len(samples[g][0]) for g in GROUP_ORDER] == [6, 8, 10]
 
     def test_group_samples_counts_absent(self):
         rng = np.random.default_rng(1)
-        profiles, scores = make_corpus(rng)
-        profiles[0].adv_length = None  # doc in High
-        samples = group_samples(profiles, scores, "x8")
+        profiles, codes = codes_of(rng)
+        profiles.values[0, X8] = np.nan  # doc in High
+        samples = group_samples(profiles, codes, "x8")
         values, excluded = samples[ImpactGroup.HIGH]
         assert len(values) == 5
         assert excluded == 1
@@ -77,15 +86,35 @@ class TestHelpers:
         profiles, scores = make_corpus(rng)
         scores[0] = NormalizedScore(doc_id=scores[0].doc_id, nc=scores[0].nc,
                                     group=None)
-        samples = group_samples(profiles, scores, "x1")
+        samples = group_samples(profiles, group_codes(profiles, scores), "x1")
         assert len(samples[ImpactGroup.HIGH][0]) == 5
+
+    def test_group_samples_keep_row_order(self):
+        # groups interleaved in the file: each sample keeps file row order,
+        # and unscored documents fall in no group
+        column = [5.0, 12.0, 3.0, 9.0, 1.0, 7.0, 11.0, 2.0, 8.0, 4.0, 10.0, 6.0]
+        values = np.array(column)[:, None] * np.ones((1, 12))
+        values[4, X1] = np.nan
+        doc_ids = tuple(f"d{i:02d}" for i in range(12))
+        groups = [ImpactGroup.LOW, ImpactGroup.HIGH, ImpactGroup.LOW,
+                  ImpactGroup.MEDIUM, ImpactGroup.LOW, ImpactGroup.HIGH,
+                  None, ImpactGroup.MEDIUM, ImpactGroup.LOW, ImpactGroup.HIGH,
+                  ImpactGroup.LOW]  # d11 has no score
+        scores = [NormalizedScore(doc_id=d, nc=1.0, group=g)
+                  for d, g in zip(doc_ids, groups)][::-1]
+        matrix = ProfileMatrix(doc_ids, values)
+        samples = group_samples(matrix, group_codes(matrix, scores), "x1")
+        assert samples[ImpactGroup.HIGH][0].tolist() == [12.0, 7.0, 4.0]
+        assert samples[ImpactGroup.MEDIUM][0].tolist() == [9.0, 2.0]
+        assert samples[ImpactGroup.LOW][0].tolist() == [5.0, 3.0, 8.0, 10.0]
+        assert samples[ImpactGroup.LOW][1] == 1
 
 
 class TestComparisonRows:
     def test_row_order_and_count(self):
         rng = np.random.default_rng(3)
-        profiles, scores = make_corpus(rng)
-        rows = build_comparison_rows(profiles, scores)
+        profiles, codes = codes_of(rng)
+        rows = build_comparison_rows(profiles, codes)
         assert len(rows) == 36
         assert [r[0] for r in rows[:3]] == ["x1", "x1", "x1"]
         assert [r[1] for r in rows[:3]] == ["High-Medium", "High-Low",
@@ -95,15 +124,15 @@ class TestComparisonRows:
 
     def test_sample_sizes_reported(self):
         rng = np.random.default_rng(4)
-        profiles, scores = make_corpus(rng, sizes=(3, 5, 7))
-        rows = build_comparison_rows(profiles, scores)
+        profiles, codes = codes_of(rng, sizes=(3, 5, 7))
+        rows = build_comparison_rows(profiles, codes)
         high_medium = rows[0]
         assert (high_medium[5], high_medium[6]) == (3, 5)
 
     def test_group_empty_row(self):
         rng = np.random.default_rng(5)
-        profiles, scores = make_corpus(rng, sizes=(0, 5, 7))
-        rows = build_comparison_rows(profiles, scores)
+        profiles, codes = codes_of(rng, sizes=(0, 5, 7))
+        rows = build_comparison_rows(profiles, codes)
         assert rows[0][1] == "High-Medium"
         assert rows[0][8] == STATUS_GROUP_EMPTY
         assert rows[0][2] is None and rows[0][3] is None and rows[0][4] == ""
@@ -111,10 +140,9 @@ class TestComparisonRows:
 
     def test_all_absent_variable_is_group_empty(self):
         rng = np.random.default_rng(6)
-        profiles, scores = make_corpus(rng, sizes=(2, 2, 2))
-        for p in profiles[:2]:  # High docs lack x8
-            p.adv_length = None
-        rows = build_comparison_rows(profiles, scores)
+        profiles, codes = codes_of(rng, sizes=(2, 2, 2))
+        profiles.values[:2, X8] = np.nan  # High docs lack x8
+        rows = build_comparison_rows(profiles, codes)
         x8_rows = [r for r in rows if r[0] == "x8"]
         assert x8_rows[0][8] == STATUS_GROUP_EMPTY  # High-Medium
         assert x8_rows[0][7] == 2  # both High docs excluded
@@ -124,8 +152,8 @@ class TestComparisonRows:
 class TestCdfRows:
     def test_heights_and_order(self):
         rng = np.random.default_rng(7)
-        profiles, scores = make_corpus(rng, sizes=(2, 2, 2))
-        rows = build_cdf_rows(profiles, scores)
+        profiles, codes = codes_of(rng, sizes=(2, 2, 2))
+        rows = build_cdf_rows(profiles, codes)
         assert [r[0] for r in rows[:2]] == ["x1", "x1"]
         assert rows[0][1] == "High"
         by_key = {}
@@ -138,16 +166,16 @@ class TestCdfRows:
 
     def test_empty_group_skipped(self):
         rng = np.random.default_rng(8)
-        profiles, scores = make_corpus(rng, sizes=(0, 2, 2))
-        rows = build_cdf_rows(profiles, scores)
+        profiles, codes = codes_of(rng, sizes=(0, 2, 2))
+        rows = build_cdf_rows(profiles, codes)
         assert all(r[1] != "High" for r in rows)
 
 
 class TestEstimateRows:
     def test_order_and_status(self):
         rng = np.random.default_rng(9)
-        profiles, scores = make_corpus(rng, sizes=(3, 3, 3))
-        rows = build_estimate_rows(profiles, scores, iterations=200,
+        profiles, codes = codes_of(rng, sizes=(3, 3, 3))
+        rows = build_estimate_rows(profiles, codes, iterations=200,
                                    level=0.95, seed=0)
         assert len(rows) == 36
         assert [r[1] for r in rows[:3]] == ["High", "Medium", "Low"]
@@ -157,8 +185,8 @@ class TestEstimateRows:
 
     def test_empty_group_row(self):
         rng = np.random.default_rng(10)
-        profiles, scores = make_corpus(rng, sizes=(0, 3, 3))
-        rows = build_estimate_rows(profiles, scores, iterations=100,
+        profiles, codes = codes_of(rng, sizes=(0, 3, 3))
+        rows = build_estimate_rows(profiles, codes, iterations=100,
                                    level=0.95, seed=0)
         assert rows[0][1] == "High"
         assert rows[0][7] == STATUS_GROUP_EMPTY
@@ -167,21 +195,20 @@ class TestEstimateRows:
     def test_seed_isolation_per_variable(self):
         """Changing one variable's data must not shift another's interval."""
         rng = np.random.default_rng(11)
-        profiles, scores = make_corpus(rng, sizes=(4, 4, 4))
-        before = build_estimate_rows(profiles, scores, iterations=300,
+        profiles, codes = codes_of(rng, sizes=(4, 4, 4))
+        before = build_estimate_rows(profiles, codes, iterations=300,
                                      level=0.95, seed=7)
-        for p in profiles:
-            p.mean_sentence_length = p.mean_sentence_length + 100.0
-        after = build_estimate_rows(profiles, scores, iterations=300,
+        profiles.values[:, X1] += 100.0
+        after = build_estimate_rows(profiles, codes, iterations=300,
                                     level=0.95, seed=7)
         assert before[0] != after[0]  # x1 rows moved
         assert before[3:] == after[3:]  # x2..x12 rows byte-for-byte stable
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
-        profiles, scores = make_corpus(rng, sizes=(3, 3, 3))
-        a = build_estimate_rows(profiles, scores, 200, 0.95, 5)
-        b = build_estimate_rows(profiles, scores, 200, 0.95, 5)
+        profiles, codes = codes_of(rng, sizes=(3, 3, 3))
+        a = build_estimate_rows(profiles, codes, 200, 0.95, 5)
+        b = build_estimate_rows(profiles, codes, 200, 0.95, 5)
         assert a == b
 
 

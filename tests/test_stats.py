@@ -14,12 +14,10 @@ from lexcite.errors import (
     NoRowsRemaining,
 )
 from lexcite.impact import NormalizedScore
-from lexcite.metrics import ComplexityProfile, VARIABLE_FIELDS
+from lexcite.metrics import ProfileMatrix
 from lexcite.stats import (
     bootstrap_mean_ci,
     design_labels,
-    design_matrix,
-    ecdf,
     ecdf_steps,
     fit_model,
     ks_asymptotic_p,
@@ -28,31 +26,31 @@ from lexcite.stats import (
     stars_for_p,
 )
 
-FIELDS = list(VARIABLE_FIELDS.values())
-
-
-def make_profile(doc_id, values):
-    return ComplexityProfile(doc_id=doc_id,
-                             **{f: v for f, v in zip(FIELDS, values)})
+X5, X6, X8 = 4, 5, 7  # matrix columns of noun, verb and adverb length
 
 
 def rand_profiles(rng, n):
-    return [make_profile(f"d{i:04d}", [float(v) for v in rng.uniform(0.5, 10, 12)])
-            for i in range(n)]
+    """n profiles of 12 values each, drawn row by row."""
+    return ProfileMatrix(tuple(f"d{i:04d}" for i in range(n)),
+                         np.array([rng.uniform(0.5, 10, 12) for _ in range(n)]))
 
 
 class TestEcdf:
     def test_midpoint(self):
-        assert ecdf([1, 1, 2], 1) == pytest.approx(2 / 3)
+        # F(1) = 2/3: the step at 1 covers two of three values
+        assert ecdf_steps([1, 1, 2])[0] == (1.0, pytest.approx(2 / 3))
 
     def test_below_and_above(self):
-        assert ecdf([1, 2, 3], 0.5) == 0.0
-        assert ecdf([1, 2, 3], 3) == 1.0
-        assert ecdf([1, 2, 3], 99) == 1.0
+        # no step below the smallest value; the last step reaches 1
+        steps = ecdf_steps([3, 1, 2])
+        assert steps == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
+                         (3.0, 1.0)]
+        assert all(isinstance(x, float) and isinstance(f, float)
+                   for x, f in steps)
 
     def test_empty(self):
         with pytest.raises(EmptySample):
-            ecdf([], 1.0)
+            ecdf_steps([])
 
     def test_steps(self):
         steps = ecdf_steps([2, 1, 2])
@@ -185,19 +183,20 @@ class TestBootstrap:
         assert est.ci_low == means[0]
         assert est.ci_high == means[2]
 
-    def test_chunking_invariant(self):
-        # result must not depend on internal block size
+    def test_chunking_invariant(self, monkeypatch):
+        """Estimates do not depend on how the draws are split into blocks:
+        one row per block, the default 2^18 cells (two blocks here) and
+        2 M cells (one block), for odd and even n. Generator.integers must
+        give the same stream however the draws are split into calls."""
         import lexcite.stats as stats_mod
 
-        sample = list(np.random.default_rng(8).normal(size=64))
-        full = bootstrap_mean_ci(sample, iterations=300, seed=13)
-        original = stats_mod._BOOTSTRAP_BLOCK_CELLS
-        try:
-            stats_mod._BOOTSTRAP_BLOCK_CELLS = 64  # one row per block
-            chunked = bootstrap_mean_ci(sample, iterations=300, seed=13)
-        finally:
-            stats_mod._BOOTSTRAP_BLOCK_CELLS = original
-        assert full == chunked
+        for n in (63, 64):
+            sample = np.random.default_rng(8).normal(size=n)
+            results = []
+            for cells in (n, 2 ** 18, 2_000_000):
+                monkeypatch.setattr(stats_mod, "_BOOTSTRAP_BLOCK_CELLS", cells)
+                results.append(bootstrap_mean_ci(sample, iterations=5000, seed=13))
+            assert results[0] == results[1] == results[2]
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
@@ -229,14 +228,16 @@ class TestRSquared:
 
 class TestDesignMatrix:
     def test_column_counts(self):
+        # a design is NonEstimable with one row fewer than its columns
         rng = np.random.default_rng(1)
-        profiles = rand_profiles(rng, 5)
         for model_id, expected in ((1, 91), (2, 25), (3, 91), (4, 25),
                                    (5, 13), (6, 13)):
-            design, labels, dropped = design_matrix(profiles, model_id)
-            assert design.shape == (5, expected)
-            assert len(labels) == expected
-            assert dropped == 0
+            for n_rows, status in ((expected - 1, "NonEstimable"),
+                                   (expected, "Estimable")):
+                profiles = rand_profiles(rng, n_rows)
+                scores = make_scores(profiles, rng.lognormal(0, 1, n_rows))
+                fit = fit_model(profiles, scores, model_id)
+                assert (fit.status, fit.n_used) == (status, n_rows)
 
     def test_labels(self):
         labels = design_labels(2)
@@ -249,38 +250,41 @@ class TestDesignMatrix:
 
     def test_absent_rows_dropped(self):
         rng = np.random.default_rng(2)
-        profiles = rand_profiles(rng, 4)
-        profiles[1].adv_length = None
-        design, _, dropped = design_matrix(profiles, 5)
-        assert design.shape[0] == 3
-        assert dropped == 1
+        profiles = rand_profiles(rng, 20)
+        profiles.values[1, X8] = np.nan
+        fit = fit_model(profiles, make_scores(profiles, rng.lognormal(0, 1, 20)), 5)
+        assert fit.n_used == 19
+        assert fit.n_dropped_absent == 1
 
     def test_all_absent_raises(self):
         rng = np.random.default_rng(3)
         profiles = rand_profiles(rng, 2)
-        for p in profiles:
-            p.noun_length = None
+        profiles.values[:, X5] = np.nan
         with pytest.raises(NoRowsRemaining):
-            design_matrix(profiles, 5)
+            fit_model(profiles, make_scores(profiles, [1.0, 2.0]), 5)
 
     def test_standardize_preserves_span(self):
+        # an affine rescaling of the predictors leaves the fit unchanged
         rng = np.random.default_rng(4)
         profiles = rand_profiles(rng, 40)
-        y = rng.normal(size=40)
-        raw, _, _ = design_matrix(profiles, 2, standardize=False)
-        std, _, _ = design_matrix(profiles, 2, standardize=True)
-        fit_raw = raw @ np.linalg.lstsq(raw, y, rcond=None)[0]
-        fit_std = std @ np.linalg.lstsq(std, y, rcond=None)[0]
-        assert np.allclose(fit_raw, fit_std, atol=1e-8)
+        scores = make_scores(profiles, rng.lognormal(0, 1, 40))
+        rescaled = ProfileMatrix(profiles.doc_ids, profiles.values * 3.0 + 7.0)
+        raw = fit_model(profiles, scores, 2)
+        std = fit_model(rescaled, scores, 2)
+        assert raw.r_squared == pytest.approx(std.r_squared, abs=1e-9)
 
     def test_bad_model_id(self):
         with pytest.raises(ValueError):
             design_labels(7)
+        rng = np.random.default_rng(5)
+        profiles = rand_profiles(rng, 20)
+        with pytest.raises(ValueError):
+            fit_model(profiles, make_scores(profiles, [1.0] * 20), 7)
 
 
 def make_scores(profiles, nc_values):
-    return [NormalizedScore(doc_id=p.doc_id, nc=float(v))
-            for p, v in zip(profiles, nc_values)]
+    return [NormalizedScore(doc_id=doc_id, nc=float(v))
+            for doc_id, v in zip(profiles.doc_ids, nc_values)]
 
 
 class TestFitModel:
@@ -288,10 +292,8 @@ class TestFitModel:
         rng = np.random.default_rng(5150)
         profiles = rand_profiles(rng, 60)
         coef = rng.uniform(-1.5, 1.5, 12)
-        scores = []
-        for p in profiles:
-            x = np.array([getattr(p, f) for f in FIELDS])
-            scores.append(NormalizedScore(doc_id=p.doc_id, nc=float(40 + coef @ x)))
+        scores = [NormalizedScore(doc_id=doc_id, nc=float(40 + coef @ x))
+                  for doc_id, x in zip(profiles.doc_ids, profiles.values)]
         fit = fit_model(profiles, scores, 5)
         assert fit.status == "Estimable"
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -303,10 +305,9 @@ class TestFitModel:
         rng = np.random.default_rng(99)
         profiles = rand_profiles(rng, 120)
         scores = []
-        for p in profiles:
-            x = np.array([getattr(p, f) for f in FIELDS])
+        for doc_id, x in zip(profiles.doc_ids, profiles.values):
             nc = 50 + 0.3 * x[0] ** 2 + 0.5 * x[1] * x[2] - 1.2 * x[3]
-            scores.append(NormalizedScore(doc_id=p.doc_id, nc=float(nc)))
+            scores.append(NormalizedScore(doc_id=doc_id, nc=float(nc)))
         fit = fit_model(profiles, scores, 1)
         assert fit.status == "Estimable"
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -326,8 +327,7 @@ class TestFitModel:
     def test_non_estimable_rank_deficient(self):
         rng = np.random.default_rng(7)
         profiles = rand_profiles(rng, 40)
-        for p in profiles:  # duplicate one predictor into another
-            p.verb_length = p.noun_length
+        profiles.values[:, X6] = profiles.values[:, X5]  # duplicate a predictor
         scores = make_scores(profiles, rng.lognormal(0, 1, 40))
         fit = fit_model(profiles, scores, 5)
         assert fit.status == "NonEstimable"
@@ -349,8 +349,7 @@ class TestFitModel:
     def test_absent_rows_counted(self):
         rng = np.random.default_rng(9)
         profiles = rand_profiles(rng, 30)
-        profiles[0].adv_length = None
-        profiles[1].adv_length = None
+        profiles.values[0:2, X8] = np.nan
         scores = make_scores(profiles, rng.lognormal(0, 1, 30))
         fit = fit_model(profiles, scores, 5)
         assert fit.n_dropped_absent == 2

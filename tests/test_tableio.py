@@ -1,27 +1,36 @@
 """CSV table serialization: metadata block, CRLF, repr floats, round trips."""
 
+import math
+
 import pytest
 
 from lexcite.errors import FormatError
-from lexcite.tableio import format_cell, parse_optional_float, read_table, write_table
+from lexcite.metrics import profile_cells
+from lexcite.tableio import read_table, write_table
+
+
+def round_trip(tmp_path, row):
+    """Write one data row, then return its raw line and its cells read back."""
+    path = tmp_path / "t.csv"
+    write_table(path, [f"c{i}" for i in range(len(row))], [row])
+    _, _, rows = read_table(path)
+    return path.read_bytes().split(b"\r\n")[1], rows[0]
 
 
 class TestFormatCell:
-    def test_none_is_empty(self):
-        assert format_cell(None) == ""
+    def test_none_is_empty(self, tmp_path):
+        assert round_trip(tmp_path, [None, "a"]) == (b",a", ["", "a"])
 
-    def test_bool_lowercase(self):
-        assert format_cell(True) == "true"
-        assert format_cell(False) == "false"
+    def test_float_repr(self, tmp_path):
+        line, cells = round_trip(tmp_path, [0.1, 1 / 3, 2.0])
+        assert line == b"0.1,0.3333333333333333,2.0"
+        assert cells == ["0.1", repr(1 / 3), "2.0"]
+        assert [float(c) for c in cells] == [0.1, 1 / 3, 2.0]
 
-    def test_float_repr(self):
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(1 / 3) == repr(1 / 3)
-        assert format_cell(2.0) == "2.0"
-
-    def test_int_and_str(self):
-        assert format_cell(7) == "7"
-        assert format_cell("abc") == "abc"
+    def test_int_and_str(self, tmp_path):
+        line, cells = round_trip(tmp_path, [7, "abc", 'say "hi", then go'])
+        assert line == b'7,abc,"say ""hi"", then go"'
+        assert cells == ["7", "abc", 'say "hi", then go']
 
 
 class TestWriteRead:
@@ -108,12 +117,20 @@ class TestReadErrors:
 
 
 class TestParseOptionalFloat:
+    """profiles.csv cells as the compare and regress stages parse them."""
+
     def test_empty_is_none(self):
-        assert parse_optional_float("") is None
+        assert all(math.isnan(v) for v in profile_cells(["d", ""]))
 
     def test_value(self):
-        assert parse_optional_float("2.5") == 2.5
+        assert profile_cells(["d", "2.5", "-0.0"]) == [2.5, -0.0]
 
-    def test_round_trip_precision(self):
+    def test_round_trip_precision(self, tmp_path):
         x = 1 / 3
-        assert parse_optional_float(format_cell(x)) == x
+        _, cells = round_trip(tmp_path, ["d", x])
+        assert profile_cells(cells) == [x]
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf", "1e999"])
+    def test_bad_cell_rejected(self, cell):
+        with pytest.raises(ValueError):
+            profile_cells(["d", "1.0", cell])
