@@ -18,6 +18,10 @@ an unrecognized LEXCITE_* variable is an error rather than a silent no-op.
 Outputs carry no timestamps and all randomness flows from the recorded
 seed, so a rerun with identical inputs is byte-identical. On failure a
 machine-readable errors.json names the failing stage and document.
+
+Only compare and regress compute with arrays. Every function that uses
+numpy imports it itself, so importing this module and running any other
+stage never loads numpy, and a one-stage process does not pay for it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FormatError, JoinMismatch, LexciteError
@@ -242,7 +244,7 @@ def stage_ingest(config: RunConfig) -> None:
     rejects: list[list[object]] = []
     for path in xml_files:
         try:
-            doc = parse_jats(path.read_text(encoding="utf-8"))
+            doc = parse_jats(path.read_bytes())
         except LexciteError as exc:
             rejects.append([path.name, type(exc).__name__, str(exc)])
             continue
@@ -361,19 +363,30 @@ def _score(row: list[str]) -> NormalizedScore:
 
 
 def stage_normalize(config: RunConfig) -> None:
+    seen: set[str] = set()
+
+    def citation(row: list[str]) -> CitationRecord:
+        # a repeated doc_id would be counted twice, in its cell's baseline
+        # and in the strata
+        if row[0] in seen:
+            raise ValueError(f"doc_id {row[0]!r} is repeated")
+        seen.add(row[0])
+        return _citation(row)
+
     records = _read_rows("normalize", _require(config, "normalize", "citations"),
-                         ["doc_id", "year", "domain", "total_citations"], _citation)
+                         ["doc_id", "year", "domain", "total_citations"], citation)
     if config.baselines is not None:
         baselines = _read_rows("normalize", _require(config, "normalize", "baselines"),
                                ["year", "domain", "adc", "n"], _baseline)
     else:
         baselines = compute_baselines(records)
-    try:
-        lookup = baseline_map(baselines)
-        scores = [normalize_citations(rec, lookup) for rec in records]
-    except LexciteError as exc:
-        document = getattr(exc, "doc_id", "")
-        raise StageFailure("normalize", document, exc)
+    lookup = baseline_map(baselines)
+    scores = []
+    for rec in records:
+        try:
+            scores.append(normalize_citations(rec, lookup))
+        except LexciteError as exc:
+            raise StageFailure("normalize", rec.doc_id, exc)
     config.out.mkdir(parents=True, exist_ok=True)
     write_table(config.out / "baselines.csv", ["year", "domain", "adc", "n"],
                 [[b.year, b.domain, b.adc, b.n] for b in baselines],
@@ -400,6 +413,8 @@ def stage_group(config: RunConfig) -> None:
 
 def _read_profiles(config: RunConfig, stage: str) -> ProfileMatrix:
     """profiles.csv as one matrix, in file row order; NaN marks Absent."""
+    import numpy as np
+
     rows = _read_rows(stage, _stage_file(config, stage, "profiles.csv"),
                       ["doc_id", *VARIABLE_COLUMNS],
                       lambda row: (row[0], profile_cells(row)))

@@ -51,14 +51,6 @@ class EmptySample(LexciteError):
     """Statistical operation received an empty sample."""
 
 
-class LengthMismatch(LexciteError):
-    """Paired sequences have different lengths."""
-
-
-class DegenerateResponse(LexciteError):
-    """Response values are constant, so SS_tot is zero."""
-
-
 class NoRowsRemaining(LexciteError):
     """All rows were excluded before model fitting."""
 

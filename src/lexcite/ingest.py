@@ -165,18 +165,23 @@ def _collect_paragraphs(root: ElementTree.Element) -> list[str]:
     return paragraphs
 
 
-def parse_jats(xml_text: str, paths: MetadataPaths | None = None) -> RawDocument:
-    """Parse one article XML string into a RawDocument.
+def parse_jats(source: str | bytes, paths: MetadataPaths | None = None) -> RawDocument:
+    """Parse one article XML document into a RawDocument.
 
-    Paragraphs are exactly the text content of each <p> element in document
-    order; entity references are decoded by the XML parser. Documents
-    without a doc id, a publication year, or any paragraph content are
-    rejected rather than defaulted.
+    Pass a file's bytes so that the parser decodes them: it honours the
+    XML encoding declaration and reads UTF-8 when there is none. Bytes
+    that do not decode, and an unknown or multi-byte declared encoding,
+    are MalformedXml. Paragraphs are exactly the text content of each <p>
+    element in document order; entity references are decoded by the XML
+    parser. Documents without a doc id, a publication year, or any
+    paragraph content are rejected rather than defaulted.
     """
     paths = paths or MetadataPaths()
     try:
-        root = ElementTree.fromstring(xml_text)
-    except ElementTree.ParseError as exc:
+        root = ElementTree.fromstring(source)
+    # expat raises LookupError for an unknown declared encoding and
+    # ValueError for a multi-byte one it cannot decode
+    except (ElementTree.ParseError, LookupError, ValueError) as exc:
         raise MalformedXml(str(exc)) from exc
 
     id_nodes = _find_path(root, paths.doc_id)

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyDocument
 from .tableio import parse_finite
 from .tagging import LexClass, TaggedDocument
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # CSV column order for the profile table (after doc_id).
 VARIABLE_COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",

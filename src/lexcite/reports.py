@@ -22,18 +22,22 @@ lacking the variable), a GroupEmpty row is emitted instead of failing.
 Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
 another variable's interval.
+
+Each function that builds an array imports numpy itself, so that importing
+this module does not load numpy (see `lexcite.cli`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS, ProfileMatrix
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GROUP_PAIRS = (
     (ImpactGroup.HIGH, ImpactGroup.MEDIUM),
@@ -72,6 +76,8 @@ def group_codes(matrix: ProfileMatrix,
                 scores: Sequence[NormalizedScore]) -> np.ndarray:
     """Per matrix row: the index of its document's group in GROUP_ORDER, or
     -1 when the document has no score or no group."""
+    import numpy as np
+
     index = {group: i for i, group in enumerate(GROUP_ORDER)}
     code_of = {s.doc_id: index[s.group] for s in scores if s.group is not None}
     return np.array([code_of.get(doc_id, -1) for doc_id in matrix.doc_ids],
@@ -85,6 +91,8 @@ def group_samples(
 ) -> dict[ImpactGroup, tuple[np.ndarray, int]]:
     """Per group: the variable's present values, in row order, and the
     Absent-drop count."""
+    import numpy as np
+
     values = matrix.values[:, VARIABLE_COLUMNS.index(column)]
     out: dict[ImpactGroup, tuple[np.ndarray, int]] = {}
     for code, group in enumerate(GROUP_ORDER):

@@ -12,6 +12,9 @@ terms fall below 1e-12 and clamped to [0, 1]. Bootstrap intervals are
 percentile (nearest-rank) with a recorded seed. Regressions are ordinary
 least squares with SVD rank detection; designs wider than the row count or
 rank-deficient designs are reported NonEstimable instead of being forced.
+
+Each function that computes with arrays imports numpy itself, so that
+importing this module does not load numpy (see `lexcite.cli`).
 """
 
 from __future__ import annotations
@@ -19,20 +22,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .errors import (
-    DegenerateResponse,
-    DegenerateResponseWarning,
-    EmptySample,
-    JoinMismatch,
-    LengthMismatch,
-    NoRowsRemaining,
-)
+from .errors import DegenerateResponseWarning, EmptySample, JoinMismatch, NoRowsRemaining
 from .impact import NormalizedScore
 from .metrics import ProfileMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SERIES_EPS = 1e-12
 # Resample index blocks are capped so bootstrap memory stays bounded (2^18
@@ -73,7 +70,6 @@ class BootstrapEstimate:
 @dataclass
 class ModelFit:
     model_id: int
-    coefficients: dict[str, list[float]] | None
     r_squared: float | None
     n_used: int
     n_dropped_zero_nc: int
@@ -83,6 +79,8 @@ class ModelFit:
 
 def ecdf_steps(sample: Sequence[float]) -> list[tuple[float, float]]:
     """(x, F(x)) at every distinct sample value, for step plotting."""
+    import numpy as np
+
     if len(sample) == 0:
         raise EmptySample("ecdf of empty sample")
     data = np.sort(np.asarray(sample, dtype=float))
@@ -121,6 +119,8 @@ def ks_asymptotic_p(lam: float) -> float:
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     """Two-sample KS test: supremum ECDF gap over all observed values."""
+    import numpy as np
+
     if len(a) == 0 or len(b) == 0:
         raise EmptySample("ks_two_sample requires two nonempty samples")
     a_sorted = np.sort(np.asarray(a, dtype=float))
@@ -149,6 +149,8 @@ def bootstrap_mean_ci(
     seed: int = 0,
 ) -> BootstrapEstimate:
     """Percentile bootstrap CI for the mean, bit-reproducible per seed."""
+    import numpy as np
+
     data = np.asarray(sample, dtype=float)
     n = len(data)
     if n == 0:
@@ -176,36 +178,9 @@ def bootstrap_mean_ci(
     )
 
 
-def r_squared(y: Sequence[float], yhat: Sequence[float]) -> float:
-    """Coefficient of determination 1 - SS_res/SS_tot."""
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    if len(y) != len(yhat) or len(y) < 2:
-        raise LengthMismatch(f"need equal lengths >= 2, got {len(y)} and {len(yhat)}")
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DegenerateResponse("constant response: SS_tot = 0")
-    ss_res = float(np.sum((y - yhat) ** 2))
-    return 1.0 - ss_res / ss_tot
-
-
-def design_labels(model_id: int) -> list[str]:
-    """Fixed, documented column order for each model family."""
-    if model_id not in MODEL_IDS:
-        raise ValueError(f"unknown model id {model_id}")
-    labels = ["const"] + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
-    if model_id in _QUADRATIC_MODELS or model_id in _SQUARES_MODELS:
-        labels += [f"x{i}^2" for i in range(1, N_VARIABLES + 1)]
-    if model_id in _QUADRATIC_MODELS:
-        labels += [
-            f"x{i}*x{j}"
-            for i in range(1, N_VARIABLES + 1)
-            for j in range(i + 1, N_VARIABLES + 1)
-        ]
-    return labels
-
-
 def _expand_design(base: np.ndarray, model_id: int) -> np.ndarray:
+    import numpy as np
+
     n = base.shape[0]
     cols = [np.ones(n), *(base[:, i] for i in range(N_VARIABLES))]
     if model_id in _QUADRATIC_MODELS or model_id in _SQUARES_MODELS:
@@ -220,6 +195,8 @@ def _expand_design(base: np.ndarray, model_id: int) -> np.ndarray:
 
 
 def _standardize(base: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # Affine rescaling before term expansion preserves the expanded column
     # span (hence fitted values, rank, and R^2) while conditioning the
     # normal equations; zero-variance columns are only centered.
@@ -227,18 +204,6 @@ def _standardize(base: np.ndarray) -> np.ndarray:
     sd = base.std(axis=0)
     sd[sd == 0.0] = 1.0
     return (base - mean) / sd
-
-
-_COEFFICIENT_FAMILIES = {
-    # model -> (family name -> column slice), matching the per-term reading
-    # of the shared-letter coefficients in the model definitions.
-    1: {"a": (13, 25), "b": (25, 91), "c": (1, 13), "d": (0, 1)},
-    3: {"a": (13, 25), "b": (25, 91), "c": (1, 13), "d": (0, 1)},
-    2: {"a": (13, 25), "b": (1, 13), "c": (0, 1)},
-    4: {"a": (13, 25), "b": (1, 13), "c": (0, 1)},
-    5: {"a": (1, 13), "b": (0, 1)},
-    6: {"a": (1, 13), "b": (0, 1)},
-}
 
 
 def fit_model(
@@ -254,9 +219,10 @@ def fit_model(
     the score against the linear columns. Rows without a score are left
     out; rows with an Absent value are dropped and counted. Designs with
     fewer rows than columns, or rank-deficient designs, come back
-    NonEstimable with no R-squared. Coefficients are reported in
-    standardized-predictor space.
+    NonEstimable with no R-squared.
     """
+    import numpy as np
+
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id}")
     score_map = {s.doc_id: s.nc for s in scores}
@@ -286,7 +252,6 @@ def fit_model(
 
     fit = ModelFit(
         model_id=model_id,
-        coefficients=None,
         r_squared=None,
         n_used=n_rows,
         n_dropped_zero_nc=n_dropped_zero,
@@ -313,8 +278,4 @@ def fit_model(
 
     fit.status = "Estimable"
     fit.r_squared = r2
-    fit.coefficients = {
-        family: [float(v) for v in beta[lo:hi]]
-        for family, (lo, hi) in _COEFFICIENT_FAMILIES[model_id].items()
-    }
     return fit

@@ -6,9 +6,10 @@ need higher tagging accuracy can run an external tagger and feed its output
 back in through the tagged-token column format (`import_tagged`).
 
 Tokens are immutable and interned per document: `tag_document` and
-`import_tagged` each keep a table local to one call, so every repeat of a
-(surface, tag) pair within a document shares one `TaggedToken`, built once.
-Nothing is cached across documents.
+`import_tagged` each keep tables local to one call, so every repeat of a
+surface within a document shares one `Token`, and every repeat of a
+(surface, tag) pair one `TaggedToken`, each built once. Nothing is cached
+across documents.
 """
 
 from __future__ import annotations
@@ -105,15 +106,26 @@ def segment_sentences(text: str) -> list[str]:
     return [part.strip() for part in _BOUNDARY_RE.split(text) if part.strip()]
 
 
-def tokenize(sentence: str) -> list[Token]:
+def tokenize(sentence: str, interned: dict[str, Token] | None = None) -> list[Token]:
     """Split a sentence into word and punctuation tokens.
 
     Whitespace separates tokens; punctuation and symbol characters attached
     to a word are detached into their own tokens. Hyphenated words stay one
     token, as do decimal numbers. A token is a word iff it contains at least
     one letter.
+
+    `interned` maps a surface to the Token already built for it; pass one
+    dict for a whole document to build each distinct surface once.
     """
-    return [Token.from_surface(s) for s in _TOKEN_RE.findall(sentence)]
+    if interned is None:
+        interned = {}
+    tokens = []
+    for surface in _TOKEN_RE.findall(sentence):
+        token = interned.get(surface)
+        if token is None:
+            token = interned[surface] = Token.from_surface(surface)
+        tokens.append(token)
+    return tokens
 
 
 def coarsen_tag(fine_tag: str) -> LexClass:
@@ -203,11 +215,12 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
     Sentences never span paragraph boundaries.
     """
     tagger = tagger or LexiconTagger()
+    tokens_by_surface: dict[str, Token] = {}
     interned: dict[tuple[str, str], TaggedToken] = {}
     sentences = []
     for paragraph in doc.paragraphs:
         for sent_text in segment_sentences(paragraph):
-            tokens = tokenize(sent_text)
+            tokens = tokenize(sent_text, tokens_by_surface)
             if not tokens:
                 continue
             sentences.append(_make_sentence(tag_tokens(tokens, tagger, interned)))

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexcite
 from lexcite.cli import (
     DECISION_FLAGS,
     RunConfig,
@@ -116,6 +119,34 @@ class TestBuildConfig:
             assert meta[key] == value
         assert meta["tool"] == "lexcite"
         assert meta["seed"] == "0"
+
+
+# Runs the stages one by one in a fresh interpreter and prints, after the
+# import and after each stage, whether numpy has been loaded.
+NUMPY_PROBE = """
+import sys
+from lexcite.cli import main
+print("import", "numpy" in sys.modules)
+corpus, out = sys.argv[1:]
+common = ["--input", corpus, "--citations", corpus + "/citations.csv",
+          "--out", out, "--iterations", "50"]
+for stage in ("ingest", "tag", "profile", "normalize", "group", "compare"):
+    if main([stage, *common]) != 0:
+        sys.exit(stage + " failed")
+    print(stage, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loaded_only_by_array_stages(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(MINICORPUS), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split("\n") == [
+        "import False", "ingest False", "tag False", "profile False",
+        "normalize False", "group False", "compare True", ""]
 
 
 class TestStageGating:
@@ -238,6 +269,37 @@ class TestIngest:
         monkeypatch.setattr(AbbreviationTable, "__init__", counting_init)
         assert main(["ingest", "--input", str(MINICORPUS), "--out", str(tmp_path)]) == 0
         assert len(built) == 1
+
+    def test_declared_encoding_honoured(self, tmp_path):
+        src = tmp_path / "xml"
+        src.mkdir()
+        latin1 = ARTICLE.format(doc_id="10.1/m").replace("The cats", "Müller's cats")
+        (src / "m.xml").write_bytes(
+            b'<?xml version="1.0" encoding="ISO-8859-1"?>\n' + latin1.encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        text = (out / "corpus.jsonl").read_text(encoding="utf-8")
+        assert "Müller's cats sleep." in text
+        _, _, rejects = read_table(out / "rejects.csv")
+        assert rejects == []
+
+    @pytest.mark.parametrize("data", [
+        ARTICLE.format(doc_id="10.1/x").replace("cats", "chats\xe9").encode("latin-1"),
+        b'<?xml version="1.0" encoding="no-such-codec"?>' + ARTICLE.encode(),
+    ], ids=["undecodable-bytes", "unknown-encoding"])
+    def test_undecodable_file_rejected(self, tmp_path, data):
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "bad.xml").write_bytes(data)
+        (src / "good.xml").write_text(ARTICLE.format(doc_id="10.1/ok"),
+                                      encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        _, _, rejects = read_table(out / "rejects.csv")
+        assert [row[:2] for row in rejects] == [["bad.xml", "MalformedXml"]]
+        corpus_text = (out / "corpus.jsonl").read_text(encoding="utf-8")
+        assert corpus_text.count("\n") == 1
+        assert "10.1/ok" in corpus_text
 
     def test_abbreviation_table_applied(self, tmp_path):
         src = tmp_path / "xml"
@@ -429,6 +491,41 @@ class TestNormalizeStage:
                      "--baselines", str(baselines)]) == 1
         assert read_errors(out)["error"] == "ZeroBaselineNonzeroCitations"
         assert "zero-mean cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell_year, adc, error, document", [
+        (2010, 0.0, "ZeroBaselineNonzeroCitations", "b"),  # "a" has 0 citations
+        (2011, 2.0, "MissingBaseline", "a"),
+    ])
+    def test_failure_names_document(self, tmp_path, capsys, cell_year, adc, error,
+                                    document):
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2010, "Eco", 0], ["b", 2010, "Eco", 3]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"],
+                    [[cell_year, "Eco", adc, 2]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == \
+            ("normalize", document, error)
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    def test_repeated_doc_id_rejected(self, tmp_path, capsys):
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2010, "Eco", 4], ["b", 2010, "Eco", 8],
+                                         ["a", 2010, "Eco", 4]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out),
+                     "--citations", str(citations)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == \
+            ("normalize", "a", "FormatError")
+        # line 1 is the header, so the second "a" is on line 4
+        assert err["message"] == "line 4: citations.csv: doc_id 'a' is repeated"
+        assert not (out / "scores.csv").exists()
+        assert not (out / "baselines.csv").exists()
+        capsys.readouterr()
 
 
 @pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")

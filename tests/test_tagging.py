@@ -303,3 +303,27 @@ class TestTagDocument:
         first, second = doc.sentences
         assert first.tokens[0] is second.tokens[0]
         assert first.tokens[2] is second.tokens[2]
+
+    def test_each_surface_built_once(self, monkeypatch):
+        built = []
+        from_surface = Token.from_surface.__func__
+
+        def counting(cls, surface):
+            built.append(surface)
+            return from_surface(cls, surface)
+
+        monkeypatch.setattr(Token, "from_surface", classmethod(counting))
+        calls = []
+
+        def tagger(tokens):  # everything NN in one sentence, VB in the next
+            calls.append(1)
+            return ["NN" if len(calls) == 1 else "VB"] * len(tokens)
+
+        doc = tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                       paragraphs=["The cat sat. The cat sat."]),
+                           tagger)
+        assert built == ["The", "cat", "sat", "."]
+        first, second = doc.sentences
+        assert first.tokens[1].token is second.tokens[1].token
+        assert first.tokens[1] is not second.tokens[1]
+        assert (first.tokens[1].fine_tag, second.tokens[1].fine_tag) == ("NN", "VB")

@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled synthetic mini-corpus.
+"""Generate the synthetic mini-corpus.
 
-Writes 30 article XML files plus citations.csv into src/lexcite/data/
-minicorpus/. All text is synthetic (template-filled), so the corpus is
-freely redistributable. Three documents are built without any adverb so
-the adverb variables exercise their Absent path, and a few documents get
-zero citations so the log-response models exercise their drop path.
+Writes DOCS_PER_CELL article XML files per (year, domain) cell plus
+citations.csv into --out. The defaults, 2 per cell into src/lexcite/data/
+minicorpus/, regenerate the bundled 30-article corpus byte for byte. All
+text is synthetic (template-filled), so the corpus is freely
+redistributable. Three documents are built without any adverb so the
+adverb variables exercise their Absent path, and a few documents get zero
+citations so the log-response models exercise their drop path.
 
 The output is deterministic: a fixed seed drives every choice, and files
-are written in sorted order. Run from the repository root:
+are written in sorted order. Article files left in --out by an earlier,
+larger run are deleted; no other file there is touched. Examples:
 
     python3 tools/gen_minicorpus.py
+    python3 tools/gen_minicorpus.py --out /tmp/corpus3k --docs-per-cell 200
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import random
@@ -24,6 +29,7 @@ OUT_DIR = Path(__file__).resolve().parents[1] / "src" / "lexcite" / "data" / "mi
 
 SEED = 20090501
 YEARS = (2009, 2010, 2011, 2012, 2013)
+# The planted documents below use serials 1 and 2, so every cell needs two.
 DOCS_PER_CELL = 2
 
 DOMAINS = {
@@ -268,21 +274,35 @@ def article_xml(rng: random.Random, doc_id: str, year: int, domain: str,
 """
 
 
-def main() -> None:
+def docs_per_cell(text: str) -> int:
+    value = int(text)
+    if value < DOCS_PER_CELL:
+        raise argparse.ArgumentTypeError(f"must be at least {DOCS_PER_CELL}")
+    return value
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT_DIR,
+                        help="output directory (default: the bundled package data)")
+    parser.add_argument("--docs-per-cell", type=docs_per_cell, default=DOCS_PER_CELL,
+                        help=f"articles per (year, domain) cell (default {DOCS_PER_CELL})")
+    args = parser.parse_args(argv)
+    out_dir: Path = args.out
     rng = random.Random(SEED)
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    for stale in OUT_DIR.glob("*"):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("*.xml"):
         stale.unlink()
     citation_rows = []
     for domain in sorted(DOMAINS):
         prefix, journal = DOMAINS[domain]
         for year in YEARS:
-            for serial in range(1, DOCS_PER_CELL + 1):
+            for serial in range(1, args.docs_per_cell + 1):
                 doc_id = f"{prefix}.{year}.{serial:04d}"
                 adverb_free = doc_id in ADVERB_FREE
                 paragraphs = build_paragraphs(rng, domain, adverb_free)
                 xml = article_xml(rng, doc_id, year, domain, journal, paragraphs)
-                (OUT_DIR / f"{doc_id}.xml").write_text(xml, encoding="utf-8")
+                (out_dir / f"{doc_id}.xml").write_text(xml, encoding="utf-8")
                 if doc_id in ZERO_CITED:
                     cites = 0
                 else:
@@ -293,8 +313,8 @@ def main() -> None:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["doc_id", "year", "domain", "total_citations"])
     writer.writerows(citation_rows)
-    (OUT_DIR / "citations.csv").write_bytes(buf.getvalue().encode("utf-8"))
-    print(f"wrote {len(citation_rows)} articles + citations.csv to {OUT_DIR}")
+    (out_dir / "citations.csv").write_bytes(buf.getvalue().encode("utf-8"))
+    print(f"wrote {len(citation_rows)} articles + citations.csv to {out_dir}")
 
 
 if __name__ == "__main__":
