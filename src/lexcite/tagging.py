@@ -114,8 +114,9 @@ def tokenize(sentence: str, interned: dict[str, Token] | None = None) -> list[To
     token, as do decimal numbers. A token is a word iff it contains at least
     one letter.
 
-    `interned` maps a surface to the Token already built for it; pass one
-    dict for a whole document to build each distinct surface once.
+    `interned` maps a surface to the Token already built for it;
+    `tag_document` passes one dict per document, so each distinct surface
+    is built once per document. Without it the table lasts one sentence.
     """
     if interned is None:
         interned = {}

@@ -27,21 +27,3 @@ def test_defaults_reproduce_bundled_corpus(tool, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (MINICORPUS / name).read_bytes(), name
     capsys.readouterr()
 
-
-def test_docs_per_cell_and_stale_articles(tool, tmp_path, capsys):
-    (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
-    tool.main(["--out", str(tmp_path), "--docs-per-cell", "3"])
-    assert len(list(tmp_path.glob("*.xml"))) == 45
-    tool.main(["--out", str(tmp_path)])
-    assert len(list(tmp_path.glob("*.xml"))) == 30
-    lines = (tmp_path / "citations.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 31  # header + one row per article
-    assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept"
-    capsys.readouterr()
-
-
-def test_docs_per_cell_below_two_refused(tool, tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        tool.main(["--out", str(tmp_path), "--docs-per-cell", "1"])
-    assert "at least 2" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Generate the synthetic mini-corpus.
 
-Writes DOCS_PER_CELL article XML files per (year, domain) cell plus
-citations.csv into --out. The defaults, 2 per cell into src/lexcite/data/
-minicorpus/, regenerate the bundled 30-article corpus byte for byte. All
-text is synthetic (template-filled), so the corpus is freely
+Writes 30 article XML files plus citations.csv into --out, by default
+src/lexcite/data/minicorpus/, where they regenerate the bundled corpus byte
+for byte. All text is synthetic (template-filled), so the corpus is freely
 redistributable. Three documents are built without any adverb so the
 adverb variables exercise their Absent path, and a few documents get zero
 citations so the log-response models exercise their drop path.
 
 The output is deterministic: a fixed seed drives every choice, and files
-are written in sorted order. Article files left in --out by an earlier,
-larger run are deleted; no other file there is touched. Examples:
+are written in sorted order. Files of the same names in --out are
+overwritten; no other file there is touched. Examples:
 
     python3 tools/gen_minicorpus.py
-    python3 tools/gen_minicorpus.py --out /tmp/corpus3k --docs-per-cell 200
+    python3 tools/gen_minicorpus.py --out /tmp/minicorpus
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ OUT_DIR = Path(__file__).resolve().parents[1] / "src" / "lexcite" / "data" / "mi
 
 SEED = 20090501
 YEARS = (2009, 2010, 2011, 2012, 2013)
-# The planted documents below use serials 1 and 2, so every cell needs two.
 DOCS_PER_CELL = 2
 
 DOMAINS = {
@@ -274,30 +272,19 @@ def article_xml(rng: random.Random, doc_id: str, year: int, domain: str,
 """
 
 
-def docs_per_cell(text: str) -> int:
-    value = int(text)
-    if value < DOCS_PER_CELL:
-        raise argparse.ArgumentTypeError(f"must be at least {DOCS_PER_CELL}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=OUT_DIR,
                         help="output directory (default: the bundled package data)")
-    parser.add_argument("--docs-per-cell", type=docs_per_cell, default=DOCS_PER_CELL,
-                        help=f"articles per (year, domain) cell (default {DOCS_PER_CELL})")
     args = parser.parse_args(argv)
     out_dir: Path = args.out
     rng = random.Random(SEED)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in out_dir.glob("*.xml"):
-        stale.unlink()
     citation_rows = []
     for domain in sorted(DOMAINS):
         prefix, journal = DOMAINS[domain]
         for year in YEARS:
-            for serial in range(1, args.docs_per_cell + 1):
+            for serial in range(1, DOCS_PER_CELL + 1):
                 doc_id = f"{prefix}.{year}.{serial:04d}"
                 adverb_free = doc_id in ADVERB_FREE
                 paragraphs = build_paragraphs(rng, domain, adverb_free)
