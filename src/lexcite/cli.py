@@ -236,7 +236,10 @@ def stage_ingest(config: RunConfig) -> None:
     if config.abbrev is None:
         table = AbbreviationTable()
     else:
-        table = AbbreviationTable.from_file(_require(config, "ingest", "abbrev"))
+        try:
+            table = AbbreviationTable.from_file(_require(config, "ingest", "abbrev"))
+        except FormatError as exc:
+            raise StageFailure("ingest", "", exc)
     xml_files = sorted(input_dir.glob("*.xml"))
     if not xml_files:
         raise StageFailure("ingest", "", ConfigError(f"no .xml files in {input_dir}"))
@@ -291,7 +294,10 @@ def stage_tag(config: RunConfig) -> None:
             emit(doc.doc_id, export_tagged(doc))
         return
 
-    corpus = read_corpus(_stage_file(config, "tag", "corpus.jsonl"))
+    try:
+        corpus = read_corpus(_stage_file(config, "tag", "corpus.jsonl"))
+    except FormatError as exc:
+        raise StageFailure("tag", "", exc)
     tagger = LexiconTagger()
     for raw in corpus:
         try:
@@ -323,11 +329,13 @@ def stage_profile(config: RunConfig) -> None:
                 config.metadata())
 
 
-def _read_rows(stage: str, path: Path, header: list[str], parse) -> list:
+def _read_rows(stage: str, path: Path, header: list[str], parse, key) -> list:
     """The data rows of an input table, each through parse. A malformed
-    table or a header other than `header` fails the stage; so does a cell
-    that parse rejects with ValueError, as a FormatError naming its line
-    and, in a table keyed by doc_id, its document."""
+    table or a header other than `header` fails the stage. So does a cell
+    that parse rejects with ValueError, or a row whose key (a tuple of its
+    parsed leading columns, from key) repeats an earlier row's: each as a
+    FormatError naming its line and, in a table keyed by doc_id, its
+    document."""
     try:
         metadata, found, rows = read_table(path)
     except FormatError as exc:
@@ -337,9 +345,16 @@ def _read_rows(stage: str, path: Path, header: list[str], parse) -> list:
             f"{path.name} columns {found} != {header}"))
     first_line = len(metadata) + 2  # after the metadata lines and the header
     parsed = []
+    seen: set[tuple] = set()
     for i, row in enumerate(rows):
         try:
-            parsed.append(parse(row))
+            value = parse(row)
+            row_key = key(value)
+            if row_key in seen:
+                shown = row_key[0] if len(row_key) == 1 else row_key
+                raise ValueError(f"{', '.join(header[:len(row_key)])} {shown!r} is repeated")
+            seen.add(row_key)
+            parsed.append(value)
         except ValueError as exc:
             document = row[0] if header[0] == "doc_id" else ""
             raise StageFailure(stage, document, FormatError(
@@ -363,21 +378,13 @@ def _score(row: list[str]) -> NormalizedScore:
 
 
 def stage_normalize(config: RunConfig) -> None:
-    seen: set[str] = set()
-
-    def citation(row: list[str]) -> CitationRecord:
-        # a repeated doc_id would be counted twice, in its cell's baseline
-        # and in the strata
-        if row[0] in seen:
-            raise ValueError(f"doc_id {row[0]!r} is repeated")
-        seen.add(row[0])
-        return _citation(row)
-
     records = _read_rows("normalize", _require(config, "normalize", "citations"),
-                         ["doc_id", "year", "domain", "total_citations"], citation)
+                         ["doc_id", "year", "domain", "total_citations"], _citation,
+                         lambda rec: (rec.doc_id,))
     if config.baselines is not None:
         baselines = _read_rows("normalize", _require(config, "normalize", "baselines"),
-                               ["year", "domain", "adc", "n"], _baseline)
+                               ["year", "domain", "adc", "n"], _baseline,
+                               lambda b: (b.year, b.domain))
     else:
         baselines = compute_baselines(records)
     lookup = baseline_map(baselines)
@@ -403,7 +410,7 @@ def _write_scores(config: RunConfig, scores: list[NormalizedScore]) -> None:
 
 def _read_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
     return _read_rows(stage, _stage_file(config, stage, "scores.csv"),
-                      ["doc_id", "nc", "group"], _score)
+                      ["doc_id", "nc", "group"], _score, lambda s: (s.doc_id,))
 
 
 def stage_group(config: RunConfig) -> None:
@@ -417,7 +424,8 @@ def _read_profiles(config: RunConfig, stage: str) -> ProfileMatrix:
 
     rows = _read_rows(stage, _stage_file(config, stage, "profiles.csv"),
                       ["doc_id", *VARIABLE_COLUMNS],
-                      lambda row: (row[0], profile_cells(row)))
+                      lambda row: (row[0], profile_cells(row)),
+                      lambda parsed: parsed[:1])
     values = np.array([cells for _, cells in rows], dtype=float)
     return ProfileMatrix(tuple(doc_id for doc_id, _ in rows),
                          values.reshape(len(rows), len(VARIABLE_COLUMNS)))

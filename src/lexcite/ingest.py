@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 from xml.etree import ElementTree
 
-from .errors import MalformedXml, MissingMetadata
+from .errors import FormatError, MalformedXml, MissingMetadata
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -64,10 +64,7 @@ class AbbreviationTable:
     def __init__(self, entries: dict[str, str] | None = None):
         self.entries = dict(DEFAULT_ABBREVIATIONS if entries is None else entries)
         for key, expansion in self.entries.items():
-            if not key.endswith("."):
-                raise ValueError(f"abbreviation key {key!r} must end with '.'")
-            if "." in expansion:
-                raise ValueError(f"expansion {expansion!r} for {key!r} contains '.'")
+            _check_entry(key, expansion)
         # Longest key first so that e.g. "et al." wins over a bare "al.".
         ordered = sorted(self.entries, key=len, reverse=True)
         if ordered:
@@ -78,27 +75,41 @@ class AbbreviationTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AbbreviationTable":
-        """Load a table from a two-column key TAB expansion text file."""
+        """Load a table from a two-column key TAB expansion UTF-8 text file.
+        A line that does not decode, has no TAB, or holds an entry the table
+        rejects is a FormatError naming the line."""
+        path = Path(path)
         entries: dict[str, str] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key TAB expansion")
-            key, expansion = line.split("\t", 1)
-            entries[key] = expansion.strip()
+        for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                if "\t" not in line:
+                    raise ValueError("expected key TAB expansion")
+                key, expansion = line.split("\t", 1)
+                expansion = expansion.strip()
+                _check_entry(key, expansion)
+            except ValueError as exc:
+                raise FormatError(lineno, f"{path.name}: {exc}") from None
+            entries[key] = expansion
         return cls(entries)
 
 
-def normalize_abbreviations(text: str, table: AbbreviationTable | None = None) -> str:
+def _check_entry(key: str, expansion: str) -> None:
+    if not key.endswith("."):
+        raise ValueError(f"abbreviation key {key!r} must end with '.'")
+    if "." in expansion:
+        raise ValueError(f"expansion {expansion!r} for {key!r} contains '.'")
+
+
+def normalize_abbreviations(text: str, table: AbbreviationTable) -> str:
     """Replace every word-boundary occurrence of a table key by its expansion.
 
     Matching is longest-first. The rewrite is idempotent as long as
     expansions contain no keys, which the table validation guarantees for
     any single-table round trip.
     """
-    if table is None:
-        table = AbbreviationTable()
     if table._pattern is None:
         return text
     return table._pattern.sub(lambda m: table.entries[m.group(0)], text)
@@ -253,9 +264,18 @@ def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
 
 
 def read_corpus(path: str | Path) -> list[RawDocument]:
+    """The documents of a corpus file. A line that is not a UTF-8 document
+    record (bad bytes, bad JSON, a missing field, a year out of range) is a
+    FormatError naming the line."""
+    path = Path(path)
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                docs.append(document_from_json(line))
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    docs.append(document_from_json(line))
+            except (ValueError, KeyError, TypeError, MissingMetadata) as exc:
+                raise FormatError(lineno, f"{path.name}: not a document record: "
+                                          f"{type(exc).__name__}: {exc}") from None
     return docs

@@ -11,10 +11,10 @@ n-1 denominator (0 for single-sentence documents); TTR lowercases surfaces
 and removes no stopwords; word length counts alphabetic characters only; a
 lexical class with no tokens yields an Absent value, not 0.
 
-`complexity_profile` makes one accumulator pass per document: integer sums
-and a set of surfaces, then one division per variable. Tokens within a
-document are interned (see `lexcite.tagging`), so many tokens it reads are
-the same immutable object.
+`complexity_profile` makes one accumulator pass per document over each
+sentence's tokens and parallel tags: integer sums per fine tag and a set of
+surfaces, folded into lexical classes once per document, then one division
+per variable.
 
 The statistics read `profiles.csv` back as one `ProfileMatrix`: the doc ids
 in file row order plus an n x 12 float64 array, with NaN marking Absent.
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .errors import EmptyDocument
 from .tableio import parse_finite
-from .tagging import LexClass, TaggedDocument
+from .tagging import LexClass, TaggedDocument, coarsen_tag
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,38 +111,47 @@ class ProfileMatrix:
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
     """Assemble all 12 variables for one document in one pass over it.
 
-    The pass keeps integer sums only (words per retained sentence, clauses,
-    word tokens and alphabetic characters per lexical class) plus the set
-    of lowercased word surfaces; each variable is one division at the end.
-    A sentence without word tokens is not retained for x1-x3.
+    The pass keeps integer sums only (word tokens of each retained sentence,
+    clauses, word tokens and alphabetic characters per fine tag) plus the
+    set of lowercased word surfaces; the tag sums are folded into lexical
+    classes once, and each variable is one division at the end. A sentence
+    without word tokens is not retained for x1-x3.
     """
     lengths: list[int] = []  # word tokens of each retained sentence
     clauses = 0
     types: set[str] = set()
-    words_in = dict.fromkeys(LexClass, 0)
-    chars_in = dict.fromkeys(LexClass, 0)
+    words_by_tag: dict[str, int] = {}
+    chars_by_tag: dict[str, int] = {}
     for sentence in doc.sentences:
-        if sentence.word_count >= 1:
-            lengths.append(sentence.word_count)
-            clauses += sentence.clause_count
-        for tt in sentence.tokens:
-            token = tt.token
+        n_words = 0
+        for token, tag in zip(sentence.tokens, sentence.tags):
             if token.is_word:
+                n_words += 1
                 types.add(token.surface.lower())
-                words_in[tt.lex_class] += 1
-                chars_in[tt.lex_class] += token.char_length
+                words_by_tag[tag] = words_by_tag.get(tag, 0) + 1
+                chars_by_tag[tag] = chars_by_tag.get(tag, 0) + token.char_length
+        if n_words:
+            lengths.append(n_words)
+            clauses += sentence.clause_count
     if not lengths:
         raise EmptyDocument(f"document {doc.doc_id!r} has no sentence with a word token")
 
+    words_in = dict.fromkeys(LexClass, 0)
+    chars_in = dict.fromkeys(LexClass, 0)
+    for tag, count in words_by_tag.items():
+        kind = coarsen_tag(tag)
+        words_in[kind] += count
+        chars_in[kind] += chars_by_tag[tag]
+
     n = len(lengths)
-    mean_len = sum(lengths) / n
+    words = sum(lengths)
+    mean_len = words / n
     sd_len = 0.0 if n == 1 else math.sqrt(
         sum((c - mean_len) ** 2 for c in lengths) / (n - 1))
-    words = sum(words_in.values())
 
-    def length(lex_class: LexClass) -> float | None:
-        count = words_in[lex_class]
-        return chars_in[lex_class] / count if count else None
+    def length(kind: LexClass) -> float | None:
+        count = words_in[kind]
+        return chars_in[kind] / count if count else None
 
     return ComplexityProfile(
         doc_id=doc.doc_id,

@@ -266,14 +266,16 @@ def fit_model(
     if rank < n_cols:
         return fit
 
-    yhat = design @ beta
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
+    # Decide a constant response on the values themselves: the mean of n
+    # equal floats can differ from them by an ulp, leaving a sum of squares
+    # of about 1e-30 that would turn R-squared into noise.
+    if y.max() == y.min():
         warnings.warn("constant response; R-squared reported as 0",
                       DegenerateResponseWarning)
         r2 = 0.0
     else:
-        r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r2 = 1.0 - float(np.sum((y - design @ beta) ** 2)) / ss_tot
         r2 = min(max(r2, 0.0), 1.0)
 
     fit.status = "Estimable"

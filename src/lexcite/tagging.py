@@ -5,11 +5,12 @@ word from a bundled frequency list) with suffix fallback rules. Users who
 need higher tagging accuracy can run an external tagger and feed its output
 back in through the tagged-token column format (`import_tagged`).
 
+A tagged sentence is its tokens plus a parallel list of fine tags.
 Tokens are immutable and interned per document: `tag_document` and
-`import_tagged` each keep tables local to one call, so every repeat of a
-surface within a document shares one `Token`, and every repeat of a
-(surface, tag) pair one `TaggedToken`, each built once. Nothing is cached
-across documents.
+`import_tagged` each keep one surface->Token table for one call, so every
+repeat of a surface within a document shares one `Token`, built once.
+Nothing is cached across documents. Coarse lexical classes are not stored;
+`coarsen_tag` derives them from the tags when they are needed.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ class LexClass(str, Enum):
     OTHER = "Other"
 
 
-_NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
-_VERB_TAGS = {"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"}
-_ADJ_TAGS = {"JJ", "JJR", "JJS"}
-_ADV_TAGS = {"RB", "RBR", "RBS"}
+# Penn-Treebank fine tag -> coarse class; every other tag is Other.
+_TAG_CLASSES = {
+    **dict.fromkeys(("NN", "NNS", "NNP", "NNPS"), LexClass.NOUN),
+    **dict.fromkeys(("VB", "VBD", "VBG", "VBN", "VBP", "VBZ"), LexClass.VERB),
+    **dict.fromkeys(("JJ", "JJR", "JJS"), LexClass.ADJECTIVE),
+    **dict.fromkeys(("RB", "RBR", "RBS"), LexClass.ADVERB),
+}
 
 # Finite-verb anchors for clause counting: past, 3rd-singular and non-3rd
 # present forms carry tense; VB only counts when licensed by a modal.
@@ -59,17 +63,12 @@ class Token:
         return cls(surface, letters > 0, letters)
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    token: Token
-    fine_tag: str
-    lex_class: LexClass
-
-
 @dataclass
 class TaggedSentence:
-    tokens: list[TaggedToken]
-    word_count: int
+    """tags[i] is the fine tag of tokens[i]."""
+
+    tokens: list[Token]
+    tags: list[str]
     clause_count: int
 
 
@@ -129,66 +128,20 @@ def tokenize(sentence: str, interned: dict[str, Token] | None = None) -> list[To
     return tokens
 
 
-def coarsen_tag(fine_tag: str) -> LexClass:
+def coarsen_tag(tag: str) -> LexClass:
     """Collapse a Penn-Treebank-style tag into a coarse lexical class."""
-    if fine_tag in _NOUN_TAGS:
-        return LexClass.NOUN
-    if fine_tag in _VERB_TAGS:
-        return LexClass.VERB
-    if fine_tag in _ADJ_TAGS:
-        return LexClass.ADJECTIVE
-    if fine_tag in _ADV_TAGS:
-        return LexClass.ADVERB
-    return LexClass.OTHER
+    return _TAG_CLASSES.get(tag, LexClass.OTHER)
 
 
-def _tagged_token(token: Token, fine_tag: str) -> TaggedToken:
-    # Non-word tokens always get lex_class Other, whatever the tagger said.
-    lex_class = coarsen_tag(fine_tag) if token.is_word else LexClass.OTHER
-    return TaggedToken(token=token, fine_tag=fine_tag, lex_class=lex_class)
+def count_clauses(tags: Sequence[str]) -> int:
+    """Number of finite-verb anchors in a sentence's tag sequence.
 
-
-def tag_tokens(
-    tokens: Sequence[Token],
-    tagger: TaggerContract,
-    interned: dict[tuple[str, str], TaggedToken] | None = None,
-) -> list[TaggedToken]:
-    """Zip tokens with tagger output and coarse classes.
-
-    Non-word tokens always get lex_class Other, whatever the tagger said.
-    `interned` maps (surface, tag) to the TaggedToken already built for it;
-    pass one dict for a whole document to share every repeat. The key
-    relies on a token being a function of its surface, as
-    `Token.from_surface` makes it.
-    """
-    tokens = list(tokens)
-    tags = list(tagger(tokens))
-    if len(tags) != len(tokens):
-        raise TaggerLengthMismatch(
-            f"tagger returned {len(tags)} tags for {len(tokens)} tokens"
-        )
-    if interned is None:
-        interned = {}
-    tagged = []
-    for tok, tag in zip(tokens, tags):
-        key = (tok.surface, tag)
-        tt = interned.get(key)
-        if tt is None:
-            tt = interned[key] = _tagged_token(tok, tag)
-        tagged.append(tt)
-    return tagged
-
-
-def count_clauses(sentence: TaggedSentence) -> int:
-    """Number of finite-verb anchors in a tagged sentence.
-
-    Each VBD/VBZ/VBP token counts once. A modal (MD) counts once when a VB
+    Each VBD/VBZ/VBP tag counts once. A modal (MD) counts once when a VB
     follows it before any finite tag. VBG/VBN alone never count.
     """
     count = 0
     open_modals = 0  # modals not yet matched by a VB or closed by a finite tag
-    for tt in sentence.tokens:
-        tag = tt.fine_tag
+    for tag in tags:
         if tag in _FINITE_TAGS:
             count += 1
             open_modals = 0
@@ -200,90 +153,80 @@ def count_clauses(sentence: TaggedSentence) -> int:
     return count
 
 
-def _make_sentence(tagged: list[TaggedToken], clause_override: int | None = None) -> TaggedSentence:
-    sentence = TaggedSentence(
-        tokens=tagged,
-        word_count=sum(1 for tt in tagged if tt.token.is_word),
-        clause_count=0,
-    )
-    sentence.clause_count = clause_override if clause_override is not None else count_clauses(sentence)
-    return sentence
-
-
 def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> TaggedDocument:
     """Segment, tokenize, and tag a document whose text is already normalized.
 
-    Sentences never span paragraph boundaries.
+    Sentences never span paragraph boundaries. A tagger that returns more
+    or fewer tags than it was given tokens raises TaggerLengthMismatch.
     """
     tagger = tagger or LexiconTagger()
-    tokens_by_surface: dict[str, Token] = {}
-    interned: dict[tuple[str, str], TaggedToken] = {}
+    interned: dict[str, Token] = {}
     sentences = []
     for paragraph in doc.paragraphs:
         for sent_text in segment_sentences(paragraph):
-            tokens = tokenize(sent_text, tokens_by_surface)
-            if not tokens:
-                continue
-            sentences.append(_make_sentence(tag_tokens(tokens, tagger, interned)))
+            tokens = tokenize(sent_text, interned)
+            tags = list(tagger(tokens))
+            if len(tags) != len(tokens):
+                raise TaggerLengthMismatch(
+                    f"tagger returned {len(tags)} tags for {len(tokens)} tokens")
+            sentences.append(TaggedSentence(tokens, tags, count_clauses(tags)))
     return TaggedDocument(doc_id=doc.doc_id, sentences=sentences)
 
 
 # --- tagged-token column format ---------------------------------------------
 #
 # One "token TAB fine-tag" line per token, a blank line between sentences,
-# and an optional "#clauses=N" comment inside a sentence block that
-# overrides the heuristic clause count. A "#doc=ID" line names the document.
+# and an optional "#clauses=N" line inside a sentence block that overrides
+# the heuristic clause count. A "#doc=ID" line names the document. A line
+# with a TAB is always a token line, so a token may start with "#".
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
     """Reconstruct a TaggedDocument from tagged-token column text.
 
-    Each distinct token line is split, validated and built once per call;
-    a repeat of it reuses that TaggedToken. Directive and blank lines are
-    never interned, so they take effect wherever they occur.
+    Each distinct surface builds one Token per call; its repeats share it.
     """
     sentences: list[TaggedSentence] = []
-    block: list[TaggedToken] = []
+    tokens: list[Token] = []
+    tags: list[str] = []
     clause_override: int | None = None
-    interned: dict[str, TaggedToken] = {}
+    interned: dict[str, Token] = {}
 
     def close_block():
-        nonlocal block, clause_override
-        if block:
-            sentences.append(_make_sentence(block, clause_override))
-        block = []
-        clause_override = None
+        nonlocal tokens, tags, clause_override
+        if tokens:
+            clauses = count_clauses(tags) if clause_override is None else clause_override
+            sentences.append(TaggedSentence(tokens, tags, clauses))
+        tokens, tags, clause_override = [], [], None
 
     for lineno, line in enumerate(column_text.splitlines(), 1):
-        tt = interned.get(line)
-        if tt is not None:
-            block.append(tt)
-            continue
         if not line.strip():
             close_block()
             continue
-        if line.startswith("#"):
-            if line.startswith("#doc="):
-                doc_id = line[len("#doc="):].strip()
-                continue
-            if line.startswith("#clauses="):
-                value = line[len("#clauses="):].strip()
-                if not value.isdigit():
-                    raise FormatError(lineno, f"bad clause count {value!r}")
-                clause_override = int(value)
-                continue
+        surface, tab, tag = line.partition("\t")
+        if tab:
+            if "\t" in tag:
+                raise FormatError(
+                    lineno, f"expected 2 tab-separated fields, got {line.count(tab) + 1}")
+            if not surface:
+                raise FormatError(lineno, "empty token surface")
+            if not tag:
+                raise FormatError(lineno, "empty tag")
+            token = interned.get(surface)
+            if token is None:
+                token = interned[surface] = Token.from_surface(surface)
+            tokens.append(token)
+            tags.append(tag)
+        elif line.startswith("#doc="):
+            doc_id = line[len("#doc="):].strip()
+        elif line.startswith("#clauses="):
+            value = line[len("#clauses="):].strip()
+            if not value.isdigit():
+                raise FormatError(lineno, f"bad clause count {value!r}")
+            clause_override = int(value)
+        elif line.startswith("#"):
             raise FormatError(lineno, f"unknown directive {line.strip()!r}")
-        if "\t" not in line:
+        else:
             raise FormatError(lineno, "expected token TAB tag")
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(lineno, f"expected 2 tab-separated fields, got {len(fields)}")
-        surface, fine_tag = fields
-        if not surface:
-            raise FormatError(lineno, "empty token surface")
-        if not fine_tag:
-            raise FormatError(lineno, "empty tag")
-        tt = interned[line] = _tagged_token(Token.from_surface(surface), fine_tag)
-        block.append(tt)
     close_block()
     return TaggedDocument(doc_id=doc_id, sentences=sentences)
 
@@ -300,8 +243,8 @@ def export_tagged(doc: TaggedDocument) -> str:
         lines.append(f"#doc={doc.doc_id}")
     for sentence in doc.sentences:
         lines.append(f"#clauses={sentence.clause_count}")
-        for tt in sentence.tokens:
-            lines.append(f"{tt.token.surface}\t{tt.fine_tag}")
+        for token, tag in zip(sentence.tokens, sentence.tags):
+            lines.append(f"{token.surface}\t{tag}")
         lines.append("")
     return "\n".join(lines) + ("\n" if lines and lines[-1] != "" else "")
 
@@ -372,7 +315,7 @@ class LexiconTagger:
             stems.append(plural[:-2])
         if plural.endswith("ies"):
             stems.append(plural[:-3] + "y")
-        return any(self.lexicon.get(s) in _NOUN_TAGS for s in stems)
+        return any(coarsen_tag(self.lexicon.get(s, "")) is LexClass.NOUN for s in stems)
 
 
 def _symbol_tag(surface: str) -> str:

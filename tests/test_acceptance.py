@@ -126,7 +126,7 @@ def oracle_profile(sentences):
     def char_len(s):
         return sum(1 for c in s if c.isalpha())
 
-    def lex_class(surface, tag):
+    def word_class(surface, tag):
         if not is_word(surface):
             return "Other"
         if tag in _NOUN:
@@ -154,10 +154,10 @@ def oracle_profile(sentences):
 
     out = [mean_len, sd_len, ratio, ttr]
     for cls in ("Noun", "Verb", "Adjective", "Adverb"):
-        lens = [char_len(sf) for sf, tg in words if lex_class(sf, tg) == cls]
+        lens = [char_len(sf) for sf, tg in words if word_class(sf, tg) == cls]
         out.append(sum(lens) / len(lens) if lens else None)
     for cls in ("Noun", "Verb", "Adjective", "Adverb"):
-        out.append(sum(1 for sf, tg in words if lex_class(sf, tg) == cls)
+        out.append(sum(1 for sf, tg in words if word_class(sf, tg) == cls)
                    / len(words))
     return out
 

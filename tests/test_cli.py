@@ -319,6 +319,39 @@ class TestIngest:
         assert "Fig." not in text
 
 
+    @pytest.mark.parametrize("line", [b"Fig. Figure", b"Fig\tFigure", b"Fig.\tFig\xffure"],
+                             ids=["no-tab", "key-without-period", "not-utf-8"])
+    def test_bad_abbreviation_file_fails_stage(self, tmp_path, capsys, line):
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "a.xml").write_text(ARTICLE.format(doc_id="10.1/a"), encoding="utf-8")
+        abbrev = tmp_path / "abbrev.tsv"
+        abbrev.write_bytes(b"# mine\n" + line + b"\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out),
+                     "--abbrev", str(abbrev)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["error"]) == ("ingest", "FormatError")
+        assert err["message"].startswith("line 2: abbrev.tsv: ")
+        assert "error in ingest stage" in capsys.readouterr().err
+
+
+class TestTagStage:
+    @pytest.mark.parametrize("line", [
+        b'{"doc_id": "b", "year": 2010, "paragraphs": ["Cut',
+        b'{"doc_id": "b", "year": 1066, "domain": "x", "paragraphs": ["Old."]}',
+        b'{"doc_id": "b", "year": 2010, "domain": "x", "paragraphs": ["Caf\xe9."]}',
+    ], ids=["malformed-json", "year-out-of-range", "not-utf-8"])
+    def test_bad_corpus_line_fails_tag(self, tmp_path, capsys, line):
+        good = b'{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": ["Fine."]}'
+        (tmp_path / "corpus.jsonl").write_bytes(good + b"\n" + line + b"\n")
+        assert main(["tag", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("tag", "FormatError")
+        assert err["message"].startswith("line 2: corpus.jsonl: ")
+        assert "error in tag stage" in capsys.readouterr().err
+
+
 class TestImportTagged:
     def test_external_tags_flow_through(self, tmp_path):
         ext = tmp_path / "ext"
@@ -409,6 +442,52 @@ class TestBadCells:
         assert main(["normalize", "--out", str(out), "--citations", str(citations),
                      "--baselines", str(baselines)]) == 1
         self.assert_failed(out, capsys, "normalize", "")
+
+
+class TestRepeatedKeys:
+    """A key repeated in an input table fails the stage through errors.json,
+    naming the line, before any output is written."""
+
+    def assert_repeated(self, out, capsys, stage, document, message):
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"], err["message"]) == \
+            (stage, document, "FormatError", message)
+        assert f"error in {stage} stage" in capsys.readouterr().err
+
+    def test_repeated_score_doc_id(self, tmp_path, capsys):
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["a", 1.0, ""], ["a", 2.0, ""], ["b", 0.5, ""]])
+        assert main(["group", "--out", str(tmp_path)]) == 1
+        # line 1 is the header, so the second "a" is on line 3
+        self.assert_repeated(tmp_path, capsys, "group", "a",
+                             "line 3: scores.csv: doc_id 'a' is repeated")
+        _, _, rows = read_table(tmp_path / "scores.csv")
+        assert [row[2] for row in rows] == ["", "", ""]
+
+    def test_repeated_baseline_cell(self, tmp_path, capsys):
+        citations = tmp_path / "citations.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4], ["b", 2010, "Eco", 8]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"],
+                    [[2010, "Eco", 2.0, 2], [2011, "Eco", 1.0, 1], [2010, "Eco", 6.0, 2]],
+                    metadata={"source": "hand"})
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        self.assert_repeated(out, capsys, "normalize", "",
+                             "line 5: base.csv: year, domain (2010, 'Eco') is repeated")
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["compare", "regress"])
+    def test_repeated_profile_doc_id(self, tmp_path, capsys, stage):
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [["d1", *([2.0] * 12)], ["d2", *([3.0] * 12)], ["d1", *([4.0] * 12)]])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 2.0, "High"], ["d2", 1.0, "Low"]])
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        self.assert_repeated(tmp_path, capsys, stage, "d1",
+                             "line 4: profiles.csv: doc_id 'd1' is repeated")
 
 
 cell_values = st.one_of(

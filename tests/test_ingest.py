@@ -2,7 +2,7 @@
 
 import pytest
 
-from lexcite.errors import MalformedXml, MissingMetadata
+from lexcite.errors import FormatError, MalformedXml, MissingMetadata
 from lexcite.ingest import (
     AbbreviationTable,
     RawDocument,
@@ -126,13 +126,15 @@ class TestAbbreviations:
         assert normalize_abbreviations("cf. Fig. 1.", table) == "compare Figure 1."
 
     def test_default_table(self):
-        out = normalize_abbreviations("See Fig. 2, e.g. the left panel.")
+        out = normalize_abbreviations("See Fig. 2, e.g. the left panel.",
+                                      AbbreviationTable())
         assert out == "See Figure 2, for example the left panel."
 
     def test_idempotent(self):
+        table = AbbreviationTable()
         text = "Smith et al. e.g. cf. Fig. 3 vs. Eq. 2."
-        once = normalize_abbreviations(text)
-        assert normalize_abbreviations(once) == once
+        once = normalize_abbreviations(text, table)
+        assert normalize_abbreviations(once, table) == once
 
     def test_key_not_matched_inside_word(self):
         table = AbbreviationTable({"al.": "others"})
@@ -156,9 +158,20 @@ class TestAbbreviations:
 
     def test_from_file_missing_tab(self, tmp_path):
         path = tmp_path / "abbrev.tsv"
-        path.write_text("etc. and so on\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        path.write_text("etc.\tand so on\netc. and so on\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
             AbbreviationTable.from_file(path)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("line", ["etc\tand so on", "etc.\tet cetera."],
+                             ids=["key-without-period", "period-in-expansion"])
+    def test_from_file_bad_entry_names_line(self, tmp_path, line):
+        path = tmp_path / "abbrev.tsv"
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            AbbreviationTable.from_file(path)
+        assert err.value.line_number == 2
+        assert "abbrev.tsv" in str(err.value)
 
 
 class TestRawDocument:
@@ -195,6 +208,21 @@ class TestCorpusFile:
                                           paragraphs=["Three."])]
         with pytest.raises(MissingMetadata):
             write_corpus(docs, tmp_path / "corpus.jsonl")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"doc_id": "c", "year": 2012', "JSONDecodeError"),
+        ('{"doc_id": "c", "year": 3000, "paragraphs": ["P."]}', "year 3000 outside"),
+        ('{"doc_id": "c", "paragraphs": ["P."]}', "KeyError: 'year'"),
+    ], ids=["malformed-json", "year-out-of-range", "missing-year"])
+    def test_bad_line_names_line(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(self.docs(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(FormatError) as err:
+            read_corpus(path)
+        assert err.value.line_number == 4
+        assert "corpus.jsonl" in str(err.value) and message in str(err.value)
 
     def test_json_field_order(self):
         doc = RawDocument(doc_id="a", year=2010, domain="d",

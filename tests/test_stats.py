@@ -249,6 +249,17 @@ class TestRSquared:
             fit = fit_model(profiles, make_scores(profiles, [1.0] * 20), 6)
         assert (fit.status, fit.r_squared) == ("Estimable", 0.0)
 
+    @pytest.mark.parametrize("score", [3.0, 0.7, 2.5])
+    @pytest.mark.parametrize("model_id", [2, 4, 5, 6])
+    def test_inexact_constant_response(self, score, model_id):
+        # the mean of equal floats (or of their logs) can miss them by an
+        # ulp; the response is still constant, so R-squared is 0, not noise
+        rng = np.random.default_rng(20)
+        profiles = rand_profiles(rng, 30)
+        with pytest.warns(DegenerateResponseWarning):
+            fit = fit_model(profiles, make_scores(profiles, [score] * 30), model_id)
+        assert (fit.status, fit.r_squared) == ("Estimable", 0.0)
+
 
 class TestDesignMatrix:
     def test_column_counts(self):

@@ -1,7 +1,7 @@
 """Segmentation, tokenization, tagging, clause counting, column format."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcite.errors import FormatError, TaggerLengthMismatch
@@ -11,15 +11,20 @@ from lexcite.tagging import (
     LexiconTagger,
     Token,
     coarsen_tag,
+    count_clauses,
     export_tagged,
     import_tagged,
     load_lexicon,
     segment_sentences,
     tag_document,
-    tag_tokens,
     tokenize,
 )
 from test_acceptance import oracle_clauses
+
+# Any character but whitespace, which can never be part of a token.
+non_space = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())
+penn_tags = st.sampled_from(["NN", "NNS", "VB", "VBD", "VBZ", "VBP", "MD", "JJ",
+                             "RB", "DT", "."])
 
 
 class TestSegmentation:
@@ -89,29 +94,29 @@ class TestCoarsen:
 
 
 class TestTagTokens:
+    """How tag_document pairs each sentence's tokens with tagger output."""
+
     def test_builtin_tagger_example(self):
-        tagged = tag_tokens(tokenize("Cats sleep ."), LexiconTagger())
-        assert [tt.fine_tag for tt in tagged] == ["NNS", "VBP", "."]
-        assert [tt.lex_class for tt in tagged] == \
+        doc = tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                       paragraphs=["Cats sleep ."]), LexiconTagger())
+        (sentence,) = doc.sentences
+        assert [t.surface for t in sentence.tokens] == ["Cats", "sleep", "."]
+        assert sentence.tags == ["NNS", "VBP", "."]
+        assert [coarsen_tag(t) for t in sentence.tags] == \
             [LexClass.NOUN, LexClass.VERB, LexClass.OTHER]
+        assert sentence.clause_count == 1
 
     def test_empty_input(self):
-        assert tag_tokens([], LexiconTagger()) == []
+        # the tagger contract is total: no tokens, no tags
+        assert LexiconTagger()([]) == []
 
     def test_length_mismatch(self):
-        def bad_tagger(tokens):
+        def short_tagger(tokens):
             return ["NN"] * (len(tokens) - 1)
 
         with pytest.raises(TaggerLengthMismatch):
-            tag_tokens(tokenize("a b c"), bad_tagger)
-
-    def test_non_word_forced_other(self):
-        def noun_everything(tokens):
-            return ["NN"] * len(tokens)
-
-        tagged = tag_tokens(tokenize("word ."), noun_everything)
-        assert tagged[0].lex_class is LexClass.NOUN
-        assert tagged[1].lex_class is LexClass.OTHER
+            tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                     paragraphs=["a b c"]), short_tagger)
 
 
 class TestLexiconTagger:
@@ -212,7 +217,10 @@ class TestColumnFormat:
     def test_basic_import(self):
         doc = import_tagged("Cats\tNNS\nsleep\tVBP\n.\t.\n\n")
         assert len(doc.sentences) == 1
-        assert doc.sentences[0].word_count == 2
+        sentence = doc.sentences[0]
+        assert [t.surface for t in sentence.tokens] == ["Cats", "sleep", "."]
+        assert sentence.tags == ["NNS", "VBP", "."]
+        assert [t.is_word for t in sentence.tokens] == [True, True, False]
 
     def test_clause_override(self):
         doc = import_tagged("#clauses=3\nCats\tNNS\nsleep\tVBP\n\n")
@@ -265,17 +273,50 @@ class TestColumnFormat:
         doc = import_tagged(text)
         assert [s.clause_count for s in doc.sentences] == [4, 4, 1]
 
-    def test_repeated_lines_share_one_token(self):
-        doc = import_tagged("the\tDT\ncat\tNN\n\nthe\tDT\n\n")
-        assert doc.sentences[0].tokens[0] is doc.sentences[1].tokens[0]
-
     def test_import_independent_of_previous_document(self):
         doc_a = "#doc=A\nCats\tNNS\nran\tVBD\n\n"
         doc_b = "#doc=B\nCats\tNN\nran\tVBN\nB12\tNN\n\n"
         import_tagged(doc_a)
         after_a = import_tagged(doc_b)
         assert after_a == import_tagged(doc_b)
-        assert [tt.fine_tag for tt in after_a.sentences[0].tokens] == ["NN", "VBN", "NN"]
+        assert after_a.sentences[0].tags == ["NN", "VBN", "NN"]
+
+    def test_tab_line_is_a_token_even_after_hash(self):
+        doc = import_tagged("#\tSYM\n#doc=x\tNN\n#clauses=2\n\n")
+        assert [t.surface for t in doc.sentences[0].tokens] == ["#", "#doc=x"]
+        assert doc.sentences[0].clause_count == 2  # a line without a TAB is a directive
+        assert doc.doc_id == ""
+        assert import_tagged(export_tagged(doc)) == doc
+        tagged = tag_document(RawDocument(doc_id="x", year=2010, domain="d",
+                                          paragraphs=["Item #3 failed."]))
+        assert import_tagged(export_tagged(tagged)) == tagged
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc_id=st.text(non_space, max_size=6),
+           blocks=st.lists(st.tuples(
+               st.lists(st.tuples(st.text(non_space, min_size=1, max_size=6),
+                                  st.one_of(penn_tags, st.text(non_space, min_size=1,
+                                                               max_size=4))),
+                        min_size=1, max_size=8),
+               st.none() | st.integers(0, 20)), max_size=5))
+    def test_round_trip_property(self, doc_id, blocks):
+        # hand-written column text, with and without #clauses= overrides,
+        # reads back as written, and export -> import reproduces it exactly
+        lines = [f"#doc={doc_id}"] if doc_id else []
+        for pairs, override in blocks:
+            if override is not None:
+                lines.append(f"#clauses={override}")
+            lines += [f"{surface}\t{tag}" for surface, tag in pairs]
+            lines.append("")
+        doc = import_tagged("\n".join(lines) + "\n", doc_id="fallback")
+        assert doc.doc_id == (doc_id or "fallback")
+        assert len(doc.sentences) == len(blocks)
+        for sentence, (pairs, override) in zip(doc.sentences, blocks):
+            assert [(t.surface, tag) for t, tag in zip(sentence.tokens, sentence.tags)] == pairs
+            assert len(sentence.tokens) == len(sentence.tags)
+            assert sentence.clause_count == \
+                (count_clauses(sentence.tags) if override is None else override)
+        assert import_tagged(export_tagged(doc), doc_id="fallback") == doc
 
     def test_round_trip_preserves_override(self):
         doc = import_tagged("#doc=z\n#clauses=9\nhi\tUH\n\n")
@@ -291,18 +332,32 @@ class TestTagDocument:
             paragraphs=["First sentence only", "second paragraph text"]))
         assert len(doc.sentences) == 2
 
-    def test_word_count_totals(self):
+    def test_word_totals(self):
         raw = RawDocument(doc_id="d", year=2010, domain="x",
                           paragraphs=["One two three. Four five."])
         doc = tag_document(raw)
-        assert sum(s.word_count for s in doc.sentences) == 5
+        assert sum(t.is_word for s in doc.sentences for t in s.tokens) == 5
 
-    def test_repeats_share_one_tagged_token(self):
-        doc = tag_document(RawDocument(doc_id="d", year=2010, domain="x",
-                                       paragraphs=["The cat sat. The dog sat."]))
-        first, second = doc.sentences
-        assert first.tokens[0] is second.tokens[0]
-        assert first.tokens[2] is second.tokens[2]
+    @pytest.mark.parametrize("build", ["tag_document", "import_tagged"])
+    def test_one_token_per_distinct_surface(self, build):
+        # a surface tagged NN in one sentence and VB in the next is still one
+        # Token within a document; a second document builds its own
+        def read():
+            if build == "import_tagged":
+                return import_tagged("The\tDT\ncat\tNN\nsat\tVBD\n\n"
+                                     "The\tDT\ncat\tVB\nsat\tVBD\n\n")
+            tags = iter([["DT", "NN", "VBD", "."], ["DT", "VB", "VBD", "."]])
+            return tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                            paragraphs=["The cat sat. The cat sat."]),
+                                lambda tokens: next(tags))
+
+        doc = read()
+        tokens = [t for s in doc.sentences for t in s.tokens]
+        assert len({id(t) for t in tokens}) == len({t.surface for t in tokens})
+        assert [s.tags[1] for s in doc.sentences] == ["NN", "VB"]
+        again = [t for s in read().sentences for t in s.tokens]
+        assert again == tokens
+        assert not any(a is b for a, b in zip(again, tokens))
 
     def test_each_surface_built_once(self, monkeypatch):
         built = []
@@ -324,6 +379,5 @@ class TestTagDocument:
                            tagger)
         assert built == ["The", "cat", "sat", "."]
         first, second = doc.sentences
-        assert first.tokens[1].token is second.tokens[1].token
-        assert first.tokens[1] is not second.tokens[1]
-        assert (first.tokens[1].fine_tag, second.tokens[1].fine_tag) == ("NN", "VB")
+        assert first.tokens[1] is second.tokens[1]
+        assert (first.tags[1], second.tags[1]) == ("NN", "VB")
