@@ -75,7 +75,7 @@ from .reports import (
     group_codes,
 )
 from .tableio import parse_finite, read_table, write_table
-from .tagging import LexiconTagger, export_tagged, import_tagged, tag_document
+from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
 
 STAGE_ORDER = ("ingest", "tag", "profile", "normalize", "group",
                "compare", "regress")
@@ -287,8 +287,7 @@ def stage_tag(config: RunConfig) -> None:
             raise StageFailure("tag", "", ConfigError(f"no .tsv files in {import_dir}"))
         for path in files:
             try:
-                doc = import_tagged(path.read_text(encoding="utf-8"),
-                                    doc_id=path.stem)
+                doc = read_tagged(path)
             except LexciteError as exc:
                 raise StageFailure("tag", path.name, exc)
             emit(doc.doc_id, export_tagged(doc))
@@ -318,7 +317,7 @@ def stage_profile(config: RunConfig) -> None:
     profiles: list[ComplexityProfile] = []
     for path in files:
         try:
-            doc = import_tagged(path.read_text(encoding="utf-8"), doc_id=path.stem)
+            doc = read_tagged(path)
             profiles.append(complexity_profile(doc))
         except LexciteError as exc:
             raise StageFailure("profile", path.stem, exc)

@@ -47,18 +47,21 @@ class RawDocument:
 
     def __post_init__(self):
         if not self.doc_id:
-            raise MissingMetadata("empty doc_id")
+            raise MissingMetadata("no doc_id element found")
         if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise MissingMetadata(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+            raise MissingMetadata(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}] "
+                                  f"for {self.doc_id!r}")
         self.paragraphs = [p.strip() for p in self.paragraphs if p.strip()]
 
 
 class AbbreviationTable:
     """Mapping from abbreviation surface form (with trailing period) to expansion.
 
-    Keys must end with "." and expansions must not contain "." so that a
-    rewritten text cannot re-trigger another key (which keeps the rewrite
-    idempotent).
+    Keys must end with "." and expansions must not contain ".", so no
+    expansion holds a whole key. A key can still form where an expansion
+    meets the text after it: with {"x.": "a", "ab.": "Z"}, "x.b." becomes
+    "ab.", which a second rewrite turns into "Z". Whether the rewrite is
+    idempotent depends on the table; tests check it for the default table.
     """
 
     def __init__(self, entries: dict[str, str] | None = None):
@@ -106,25 +109,28 @@ def _check_entry(key: str, expansion: str) -> None:
 def normalize_abbreviations(text: str, table: AbbreviationTable) -> str:
     """Replace every word-boundary occurrence of a table key by its expansion.
 
-    Matching is longest-first. The rewrite is idempotent as long as
-    expansions contain no keys, which the table validation guarantees for
-    any single-table round trip.
+    Matching is longest-first. A second rewrite can change the result
+    when a key forms across the edge of an expansion (see
+    AbbreviationTable); with the default table it does not.
     """
     if table._pattern is None:
         return text
     return table._pattern.sub(lambda m: table.entries[m.group(0)], text)
 
 
-@dataclass
-class MetadataPaths:
-    """Element paths (local-name chains) used to pull article metadata."""
-
-    doc_id: tuple[str, ...] = ("front", "article-meta", "article-id")
-    year: tuple[str, ...] = ("front", "article-meta", "pub-date", "year")
-    domain: tuple[str, ...] = ("front", "article-meta", "article-categories",
-                               "subj-group", "subject")
-    journal: tuple[str, ...] = ("front", "journal-meta", "journal-title")
-    preferred_id_type: str = "doi"
+# Local-name chains of the id, year, domain and journal fields, in that
+# order. An element is a candidate for a field when its local name is the
+# chain's last name and the chain's other names appear, in order, among its
+# ancestors below the root element. Each field takes its first candidate in
+# document order; the id takes the first candidate whose pub-id-type is
+# PREFERRED_ID_TYPE, if one has a text.
+FIELD_CHAINS = (
+    ("front", "article-meta", "article-id"),
+    ("front", "article-meta", "pub-date", "year"),
+    ("front", "article-meta", "article-categories", "subj-group", "subject"),
+    ("front", "journal-meta", "journal-title"),
+)
+PREFERRED_ID_TYPE = "doi"
 
 
 def _local(tag) -> str:
@@ -132,99 +138,74 @@ def _local(tag) -> str:
     return tag.rpartition("}")[2] if isinstance(tag, str) else ""
 
 
-def _find_path(root: ElementTree.Element, path: tuple[str, ...]) -> list[ElementTree.Element]:
-    """All elements reachable by the local-name chain, in document order."""
-    nodes = [root]
-    for name in path:
-        nxt = []
-        for node in nodes:
-            for child in node.iter():
-                if child is not node and _local(child.tag) == name:
-                    nxt.append(child)
-        # Restrict each step to descendants; duplicates cannot arise because
-        # iter() of distinct subtrees only overlaps when nested, and nesting
-        # of the same local name along metadata paths does not occur in
-        # practice. Deduplicate defensively all the same.
-        seen = set()
-        nodes = [n for n in nxt if id(n) not in seen and not seen.add(id(n))]
-    return nodes
-
-
 def _element_text(elem: ElementTree.Element) -> str:
     return "".join(elem.itertext())
 
 
-def _collect_paragraphs(root: ElementTree.Element) -> list[str]:
-    """Text of every <p> element in document order, inline markup stripped.
-
-    A <p> nested inside another <p> is not emitted separately; its text is
-    already part of the enclosing paragraph.
-    """
+def _walk(root: ElementTree.Element) -> tuple[list[list[ElementTree.Element]], list[str]]:
+    """One pass over the tree in document order: the candidates for each
+    chain of FIELD_CHAINS, and the text of every <p> element that is not
+    inside another <p> (a nested <p> is already part of that text), inline
+    markup stripped."""
+    candidates: list[list[ElementTree.Element]] = [[] for _ in FIELD_CHAINS]
     paragraphs: list[str] = []
 
-    def walk(node):
+    def visit(node, name: str, matched: list[int], in_p: bool) -> None:
+        # matched[i]: how many names of chain i, short of its last, node and
+        # its ancestors below the root hold, matched greedily.
+        if name == "p" and not in_p:
+            paragraphs.append(_element_text(node))
+            in_p = True
         for child in node:
-            if _local(child.tag) == "p":
-                paragraphs.append(_element_text(child))
-            else:
-                walk(child)
+            child_name = _local(child.tag)
+            step = list(matched)
+            for i, chain in enumerate(FIELD_CHAINS):
+                if chain[matched[i]] == child_name:
+                    if matched[i] + 1 == len(chain):
+                        candidates[i].append(child)
+                    else:
+                        step[i] += 1
+            visit(child, child_name, step, in_p)
 
-    if _local(root.tag) == "p":
-        paragraphs.append(_element_text(root))
-    else:
-        walk(root)
-    return paragraphs
+    visit(root, _local(root.tag), [0] * len(FIELD_CHAINS), False)
+    return candidates, paragraphs
 
 
-def parse_jats(source: str | bytes, paths: MetadataPaths | None = None) -> RawDocument:
+def _first_text(nodes: list[ElementTree.Element]) -> str:
+    return _element_text(nodes[0]).strip() if nodes else ""
+
+
+def parse_jats(source: str | bytes) -> RawDocument:
     """Parse one article XML document into a RawDocument.
 
     Pass a file's bytes so that the parser decodes them: it honours the
     XML encoding declaration and reads UTF-8 when there is none. Bytes
     that do not decode, and an unknown or multi-byte declared encoding,
-    are MalformedXml. Paragraphs are exactly the text content of each <p>
-    element in document order; entity references are decoded by the XML
-    parser. Documents without a doc id, a publication year, or any
-    paragraph content are rejected rather than defaulted.
+    are MalformedXml. Paragraphs are exactly the text content of each
+    outermost <p> element in document order, wherever it is in the file;
+    entity references are decoded by the XML parser. Documents without a
+    doc id, a publication year, or any paragraph content are rejected
+    rather than defaulted.
     """
-    paths = paths or MetadataPaths()
     try:
         root = ElementTree.fromstring(source)
     # expat raises LookupError for an unknown declared encoding and
     # ValueError for a multi-byte one it cannot decode
     except (ElementTree.ParseError, LookupError, ValueError) as exc:
         raise MalformedXml(str(exc)) from exc
+    (ids, years, domains, journals), paragraphs = _walk(root)
 
-    id_nodes = _find_path(root, paths.doc_id)
-    doc_id = ""
-    for node in id_nodes:
-        if node.get("pub-id-type") == paths.preferred_id_type:
-            doc_id = _element_text(node).strip()
-            break
-    if not doc_id and id_nodes:
-        doc_id = _element_text(id_nodes[0]).strip()
-    if not doc_id:
-        raise MissingMetadata("no doc_id element found")
-
-    year_nodes = _find_path(root, paths.year)
-    year_text = _element_text(year_nodes[0]).strip() if year_nodes else ""
-    if not year_text.isdigit():
+    preferred = [n for n in ids if n.get("pub-id-type") == PREFERRED_ID_TYPE]
+    doc_id = _first_text(preferred) or _first_text(ids)
+    year_text = _first_text(years)
+    # isdecimal, not isdigit: int() rejects digits such as "²"
+    if not year_text.isdecimal():
         raise MissingMetadata(f"no usable year for {doc_id!r}")
-    year = int(year_text)
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        raise MissingMetadata(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] for {doc_id!r}")
-
-    domain_nodes = _find_path(root, paths.domain)
-    domain = _element_text(domain_nodes[0]).strip() if domain_nodes else ""
-    journal_nodes = _find_path(root, paths.journal)
-    journal = _element_text(journal_nodes[0]).strip() if journal_nodes else ""
-
-    paragraphs = [p.strip() for p in _collect_paragraphs(root) if p.strip()]
-    if not paragraphs:
+    doc = RawDocument(doc_id=doc_id, year=int(year_text), domain=_first_text(domains),
+                      paragraphs=paragraphs, journal=_first_text(journals))
+    if not doc.paragraphs:
         raise MissingMetadata(f"no <p> paragraph content for {doc_id!r}")
-
-    return RawDocument(doc_id=doc_id, year=year, domain=domain,
-                       paragraphs=paragraphs, journal=journal)
+    return doc
 
 
 def document_to_json(doc: RawDocument) -> str:

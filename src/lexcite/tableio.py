@@ -26,13 +26,18 @@ def write_table(
     rows: list[list[object]],
     metadata: dict[str, str] | None = None,
 ) -> None:
-    """Write a metadata block, header row, and data rows to path."""
+    """Write a metadata block, header row, and data rows to path. A
+    metadata key or value, or a header, that would not read back is a
+    ValueError."""
     buf = io.StringIO()
     if metadata:
         for key, value in metadata.items():
-            if "=" in key or "\n" in key or "\n" in str(value):
+            line = f"{key}={value}"
+            if not key or "=" in key or "\r" in line or "\n" in line:
                 raise ValueError(f"metadata key/value not representable: {key!r}")
-            buf.write(f"#{key}={value}\r\n")
+            buf.write(f"#{line}\r\n")
+    if header and header[0].startswith("#"):
+        raise ValueError(f"header {header[0]!r} would read back as a metadata line")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -42,10 +47,11 @@ def write_table(
 def read_table(
     path: str | Path,
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read back (metadata, header, rows); cells stay strings."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read back (metadata, header, rows); cells stay strings. A line ends
+    at "\r\n", "\n" or "\r"; line ends inside a quoted cell are kept."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
     metadata: dict[str, str] = {}
-    lines = text.splitlines(keepends=True)
     body_start = 0
     for lineno, line in enumerate(lines, start=1):
         stripped = line.rstrip("\r\n")
@@ -58,8 +64,7 @@ def read_table(
             raise FormatError(lineno, "metadata line with empty key")
         metadata[key] = value
         body_start = lineno
-    body = "".join(lines[body_start:])
-    reader = csv.reader(io.StringIO(body))
+    reader = csv.reader(lines[body_start:])
     try:
         header = next(reader)
     except StopIteration:

@@ -178,7 +178,26 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
 # One "token TAB fine-tag" line per token, a blank line between sentences,
 # and an optional "#clauses=N" line inside a sentence block that overrides
 # the heuristic clause count. A "#doc=ID" line names the document. A line
-# with a TAB is always a token line, so a token may start with "#".
+# with a TAB is always a token line, so a token may start with "#". A line
+# ends at "\n", "\r\n" or "\r", as bytes.splitlines splits; str.splitlines
+# would also split at "\v", "\f", "\x1c"-"\x1e", "\x85", U+2028 and U+2029,
+# which a token may hold.
+
+def read_tagged(path: str | Path) -> TaggedDocument:
+    """The TaggedDocument in a UTF-8 column-format file, with the file stem as
+    the doc id when no "#doc=" line names one. Bytes that are not UTF-8 are a
+    FormatError naming the file and the line."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A byte put after the bytes before the bad one starts a line of
+        # its own exactly when they end with a line end.
+        lineno = len((data[:exc.start] + b"x").splitlines())
+        raise FormatError(lineno, f"{path.name}: not UTF-8: {exc}") from None
+    return import_tagged(text, doc_id=path.stem)
+
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
     """Reconstruct a TaggedDocument from tagged-token column text.
@@ -198,7 +217,8 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             sentences.append(TaggedSentence(tokens, tags, clauses))
         tokens, tags, clause_override = [], [], None
 
-    for lineno, line in enumerate(column_text.splitlines(), 1):
+    lines = column_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             close_block()
             continue

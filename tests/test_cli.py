@@ -382,6 +382,21 @@ class TestImportTagged:
         assert err["document"] == "docB.tsv"
         assert "error in tag stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, document", [("tag", "docC.tsv"), ("profile", "docC")])
+    def test_non_utf8_file_names_line(self, tmp_path, capsys, stage, document):
+        out = tmp_path / "out"
+        tsv_dir = tmp_path / "ext" if stage == "tag" else out / "tagged"
+        tsv_dir.mkdir(parents=True)
+        (tsv_dir / "docC.tsv").write_bytes(b"The\tDT\ncats\tNNS\nCaf\xe9\tNN\n\n")
+        argv = [stage, "--out", str(out)]
+        if stage == "tag":
+            argv += ["--import-tagged", str(tsv_dir)]
+        assert main(argv) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == (stage, document, "FormatError")
+        assert err["message"].startswith("line 3: docC.tsv: not UTF-8")
+        assert f"error in {stage} stage" in capsys.readouterr().err
+
 
 PROFILE_HEADER = ["doc_id", *[f"x{i}" for i in range(1, 13)]]
 

@@ -1,6 +1,8 @@
 """Citation normalization and impact stratification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcite.errors import (
     GroupEmptyWarning,
@@ -82,15 +84,23 @@ class TestNormalize:
         lookup = baseline_map([Baseline(2010, "e", 5.0, 2)])
         assert normalize_citations(CitationRecord("d", 2010, "e", 1), lookup).group is None
 
-    def test_within_cell_mean_is_one(self):
-        recs = records({(2010, "e"): [1, 2, 3, 10], (2011, "p"): [5, 7]})
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(1900, 2100), st.sampled_from(["e", "p", "Ökologie"])),
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=40), min_size=1, max_size=6))
+    def test_within_cell_mean_is_one(self, cells):
+        # a cell whose mean is 0 holds only zeros, which normalize to 0
+        recs = records(cells)
         lookup = baseline_map(compute_baselines(recs))
         by_cell = {}
         for rec in recs:
             nc = normalize_citations(rec, lookup).nc
             by_cell.setdefault((rec.year, rec.domain), []).append(nc)
         for cell, ncs in by_cell.items():
-            assert abs(sum(ncs) / len(ncs) - 1.0) < 1e-9
+            if any(cells[cell]):
+                assert abs(sum(ncs) / len(ncs) - 1.0) < 1e-9
+            else:
+                assert set(ncs) == {0.0}
 
     def test_scaling_invariance(self):
         counts = [1, 2, 3, 10]

@@ -1,9 +1,12 @@
 """Article XML parsing, abbreviation rewriting, and corpus files."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcite.errors import FormatError, MalformedXml, MissingMetadata
 from lexcite.ingest import (
+    DEFAULT_ABBREVIATIONS,
     AbbreviationTable,
     RawDocument,
     document_from_json,
@@ -58,6 +61,23 @@ class TestParseJats:
         doc = parse_jats(article("<p>outer <p>inner</p> tail</p>"))
         assert doc.paragraphs == ["outer inner tail"]
 
+    def test_first_year_in_document_order_wins(self):
+        xml = article("<p>t.</p>").replace(
+            "<pub-date><year>2010</year></pub-date>",
+            "<pub-date><year>2012</year></pub-date><pub-date><year>2010</year></pub-date>")
+        assert parse_jats(xml).year == 2012
+
+    def test_first_subject_wins(self):
+        xml = article("<p>t.</p>").replace(
+            "<subj-group><subject>Ecology</subject></subj-group>",
+            "<subj-group><subject>Genetics</subject><subject>Ecology</subject></subj-group>")
+        assert parse_jats(xml).domain == "Genetics"
+
+    def test_abstract_and_caption_paragraphs_collected(self):
+        xml = article("<fig><caption><p>Cap.</p></caption></fig><p>Body.</p>").replace(
+            "</article-meta>", "<abstract><p>Abs.</p></abstract></article-meta>")
+        assert parse_jats(xml).paragraphs == ["Abs.", "Cap.", "Body."]
+
     def test_zero_paragraphs_rejected(self):
         with pytest.raises(MissingMetadata):
             parse_jats(article("<sec><title>Intro</title></sec>"))
@@ -73,7 +93,7 @@ class TestParseJats:
     def test_missing_doc_id(self):
         xml = article("<p>t.</p>").replace(
             '<article-id pub-id-type="doi">10.1/x</article-id>', "")
-        with pytest.raises(MissingMetadata):
+        with pytest.raises(MissingMetadata, match="no doc_id element found"):
             parse_jats(xml)
 
     def test_missing_year(self):
@@ -82,8 +102,14 @@ class TestParseJats:
             parse_jats(xml)
 
     def test_year_out_of_range(self):
-        with pytest.raises(MissingMetadata):
+        with pytest.raises(MissingMetadata, match=r"year 1850 outside \[1900, 2100\] for '10.1/x'"):
             parse_jats(article("<p>t.</p>", year="1850"))
+
+    @pytest.mark.parametrize("year", ["²⁰¹⁰", "20.1", "-2010", ""],
+                             ids=["superscript-digits", "decimal-point", "minus-sign", "empty"])
+    def test_unusable_year(self, year):
+        with pytest.raises(MissingMetadata, match="no usable year for '10.1/x'"):
+            parse_jats(article("<p>t.</p>", year=year))
 
     def test_preferred_id_type_wins(self):
         xml = article("<p>t.</p>").replace(
@@ -108,6 +134,15 @@ class TestParseJats:
     def test_deterministic(self):
         xml = article("<p>Some text here.</p>")
         assert parse_jats(xml) == parse_jats(xml)
+
+
+DEFAULT_TABLE = AbbreviationTable()
+# Keys, expansions, their fragments and the characters around a match, so
+# that generated text puts keys next to expansions and to each other.
+ABBREVIATION_PIECES = sorted(
+    {piece for key, expansion in DEFAULT_ABBREVIATIONS.items()
+     for piece in (key, expansion, key[:-1], key[1:], expansion[-3:])}
+    | set(" .,;-(\"'a1Éß\n"))
 
 
 class TestAbbreviations:
@@ -135,6 +170,17 @@ class TestAbbreviations:
         text = "Smith et al. e.g. cf. Fig. 3 vs. Eq. 2."
         once = normalize_abbreviations(text, table)
         assert normalize_abbreviations(once, table) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(ABBREVIATION_PIECES)).map("".join)))
+    def test_default_table_idempotent(self, text):
+        once = normalize_abbreviations(text, DEFAULT_TABLE)
+        assert normalize_abbreviations(once, DEFAULT_TABLE) == once
+
+    def test_not_idempotent_for_every_table(self):
+        table = AbbreviationTable({"x.": "a", "ab.": "Z"})
+        once = normalize_abbreviations("x.b.", table)
+        assert (once, normalize_abbreviations(once, table)) == ("ab.", "Z")
 
     def test_key_not_matched_inside_word(self):
         table = AbbreviationTable({"al.": "others"})

@@ -1,12 +1,34 @@
 """CSV table serialization: metadata block, CRLF, repr floats, round trips."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcite.errors import FormatError
 from lexcite.metrics import profile_cells
 from lexcite.tableio import read_table, write_table
+
+
+@st.composite
+def tables(draw):
+    """(header, rows, metadata): a header of one or more columns and rows as
+    wide as it, with any text, ints, floats and None in the cells."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.text(), min_size=width, max_size=width))
+    cells = st.one_of(st.text(), st.integers(), st.floats(), st.none())
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=4))
+    return header, rows, draw(st.dictionaries(st.text(), st.text(), max_size=3))
+
+
+def expected_cell(value):
+    """A cell as it reads back: floats by repr, None as empty, the rest by str."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def round_trip(tmp_path, row):
@@ -34,14 +56,33 @@ class TestFormatCell:
 
 
 class TestWriteRead:
-    def test_round_trip(self, tmp_path):
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_round_trip(self, table):
+        # write_table refuses with ValueError what would not read back
+        header, rows, metadata = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            try:
+                write_table(path, header, rows, metadata)
+            except ValueError:
+                assert not path.exists()
+                return
+            assert read_table(path) == (metadata, header,
+                                        [[expected_cell(c) for c in row] for row in rows])
+
+    @pytest.mark.parametrize("header, metadata", [
+        (["a"], {"k": "x\ry"}), (["a"], {"": "v"}), (["#a"], None),
+    ], ids=["cr-in-value", "empty-key", "hash-header"])
+    def test_unreadable_table_refused(self, tmp_path, header, metadata):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", header, [["x"]], metadata)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_lines_end_only_at_cr_or_lf(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["a", "b"], [[1, 0.5], ["x", None]],
-                    metadata={"seed": "0", "tool": "demo"})
-        metadata, header, rows = read_table(path)
-        assert metadata == {"seed": "0", "tool": "demo"}
-        assert header == ["a", "b"]
-        assert rows == [["1", "0.5"], ["x", ""]]
+        write_table(path, ["a"], [["x\ry"], ["u\r\nv"]], {"k": "x\x85\u2028y"})
+        assert read_table(path) == ({"k": "x\x85\u2028y"}, ["a"], [["x\ry"], ["u\r\nv"]])
 
     def test_crlf_everywhere(self, tmp_path):
         path = tmp_path / "t.csv"

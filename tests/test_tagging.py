@@ -15,6 +15,7 @@ from lexcite.tagging import (
     export_tagged,
     import_tagged,
     load_lexicon,
+    read_tagged,
     segment_sentences,
     tag_document,
     tokenize,
@@ -250,6 +251,25 @@ class TestColumnFormat:
     def test_bad_clause_value(self):
         with pytest.raises(FormatError):
             import_tagged("#clauses=x\nok\tNN\n")
+
+    @pytest.mark.parametrize("inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+    def test_line_ends_only_at_newline_or_return(self, inner):
+        doc = import_tagged(f"a{inner}b\tNN\r\nc\tNN\rd\tNN\n")
+        assert [t.surface for t in doc.sentences[0].tokens] == [f"a{inner}b", "c", "d"]
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xe9\tNN\n", 1),
+        (b"a\tDT\r\nb\tNN\rCaf\xe9\tNN\n", 3),
+        (b"a\tDT\n\n\xe9", 3),
+    ], ids=["first-byte", "after-crlf-and-cr", "after-blank-line"])
+    def test_read_tagged_names_bad_byte_line(self, tmp_path, data, line):
+        path = tmp_path / "doc.tsv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read_tagged(path)
+        assert err.value.line_number == line
+        assert "doc.tsv: not UTF-8" in str(err.value)
 
     def test_multiple_sentences(self):
         doc = import_tagged("a\tDT\n\nb\tNN\n\n")
