@@ -336,16 +336,15 @@ def _read_rows(stage: str, path: Path, header: list[str], parse, key) -> list:
     FormatError naming its line and, in a table keyed by doc_id, its
     document."""
     try:
-        metadata, found, rows = read_table(path)
+        table = read_table(path)
     except FormatError as exc:
         raise StageFailure(stage, "", exc)
-    if found != header:
+    if table.header != header:
         raise StageFailure(stage, "", ConfigError(
-            f"{path.name} columns {found} != {header}"))
-    first_line = len(metadata) + 2  # after the metadata lines and the header
+            f"{path.name} columns {table.header} != {header}"))
     parsed = []
     seen: set[tuple] = set()
-    for i, row in enumerate(rows):
+    for row, line in zip(table.rows, table.lines):
         try:
             value = parse(row)
             row_key = key(value)
@@ -357,7 +356,7 @@ def _read_rows(stage: str, path: Path, header: list[str], parse, key) -> list:
         except ValueError as exc:
             document = row[0] if header[0] == "doc_id" else ""
             raise StageFailure(stage, document, FormatError(
-                first_line + i, f"{path.name}: {exc}")) from None
+                line, f"{path.name}: {exc}")) from None
     return parsed
 
 

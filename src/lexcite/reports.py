@@ -21,7 +21,10 @@ lacking the variable), a GroupEmpty row is emitted instead of failing.
 
 Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
-another variable's interval.
+another variable's interval. Because each cell has its own stream, the
+cells are computed on two threads when the process may use two or more
+CPUs (numpy releases the GIL while it draws and averages); each row is
+stored at its cell's index, so the bytes do not depend on this.
 
 Each function that builds an array imports numpy itself, so that importing
 this module does not load numpy (see `lexcite.cli`).
@@ -30,7 +33,9 @@ this module does not load numpy (see `lexcite.cli`).
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Sequence
+import os
+import threading
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS, ProfileMatrix
@@ -145,7 +150,14 @@ def build_estimate_rows(
     level: float,
     seed: int,
 ) -> list[list[object]]:
+    """One bootstrap row per variable and group, in fixed row order.
+
+    Each cell draws from its own subseed stream, so the cells may run in any
+    order on any thread: when the process may use two or more CPUs, the
+    calling thread and one helper thread take cells in turn. The rows do not
+    depend on this."""
     rows: list[list[object]] = []
+    cells: list[tuple[int, np.ndarray, int]] = []  # (row index, values, subseed)
     for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
         samples = group_samples(matrix, codes, column)
         for group_index, group in enumerate(GROUP_ORDER):
@@ -154,11 +166,59 @@ def build_estimate_rows(
                 rows.append([column, group.value, None, None, None,
                              0, excluded, STATUS_GROUP_EMPTY])
                 continue
-            est = bootstrap_mean_ci(values, iterations=iterations, level=level,
-                                    seed=subseed(seed, var_index, group_index))
-            rows.append([column, group.value, est.point, est.ci_low,
-                         est.ci_high, len(values), excluded, STATUS_OK])
+            cells.append((len(rows), values, subseed(seed, var_index, group_index)))
+            rows.append([column, group.value, None, None, None,
+                         len(values), excluded, STATUS_OK])
+
+    def estimate(cell: tuple[int, np.ndarray, int]) -> None:
+        index, values, cell_seed = cell
+        est = bootstrap_mean_ci(values, iterations=iterations, level=level,
+                                seed=cell_seed)
+        rows[index][2:5] = [est.point, est.ci_low, est.ci_high]
+
+    _run_on_two_threads(cells, estimate)
     return rows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_on_two_threads(tasks: list[tuple], run: Callable[[tuple], None]) -> None:
+    """Call run once per task. The calling thread and, when the process may
+    use two or more CPUs and there are two or more tasks, one helper thread
+    take tasks in list order from one shared iterator. After the first
+    exception neither thread starts another task, and that exception is
+    raised here once the helper has ended."""
+    pending = iter(tasks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        try:
+            while not errors:
+                with lock:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                run(task)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    helper = None
+    if len(tasks) >= 2 and _usable_cpus() >= 2:
+        helper = threading.Thread(target=drain, name="lexcite-estimates")
+        helper.start()
+    try:
+        drain()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def build_regression_rows(

@@ -32,11 +32,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SERIES_EPS = 1e-12
-# Resample index blocks are capped so bootstrap memory stays bounded (2^18
-# int64 indices, 2 MB). The block size does not change the estimates:
+# Resample index blocks are capped so bootstrap memory stays bounded (2^15
+# int64 indices, 256 KB, plus the gathered values). Two blocks are in
+# flight at once, one per thread of reports.build_estimate_rows, and the
+# helper thread's malloc arena keeps what it freed, which in `run` adds to
+# the later regress peak; larger blocks raised that peak.
+# Much smaller blocks give back the threading gain to per-call overhead
+# that holds the GIL. The block size does not change the estimates:
 # Generator.integers yields the same stream however the draws are split
 # into calls, which test_chunking_invariant pins.
-_BOOTSTRAP_BLOCK_CELLS = 2 ** 18
+_BOOTSTRAP_BLOCK_CELLS = 2 ** 15
 
 N_VARIABLES = 12
 

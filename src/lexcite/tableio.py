@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .errors import FormatError
 
@@ -44,39 +46,66 @@ def write_table(
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
-def read_table(
-    path: str | Path,
-) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read back (metadata, header, rows); cells stay strings. A line ends
-    at "\r\n", "\n" or "\r"; line ends inside a quoted cell are kept."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+class Table(NamedTuple):
+    """A table read back. Cells stay strings; lines[i] is the line of the
+    file on which rows[i] starts."""
+
+    metadata: dict[str, str]
+    header: list[str]
+    rows: list[list[str]]
+    lines: list[int]
+
+
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, decoded once. Bytes that are not UTF-8 are
+    a FormatError naming the file and the line ("\r\n", "\n" or "\r" ends
+    a line)."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A byte put after the bytes before the bad one starts a line of
+        # its own exactly when they end with a line end.
+        lineno = len((data[:exc.start] + b"x").splitlines())
+        raise FormatError(lineno, f"{path.name}: not UTF-8: {exc}") from None
+
+
+def read_table(path: str | Path) -> Table:
+    """Read back a table in one pass. A line ends at "\r\n", "\n" or "\r";
+    line ends inside a quoted cell are kept, and blank lines are skipped."""
+    text = io.StringIO(read_utf8(Path(path)), newline="")
     metadata: dict[str, str] = {}
-    body_start = 0
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.rstrip("\r\n")
-        if not stripped.startswith("#"):
+    offset = 0  # metadata lines before the header
+    body: Iterable[str] = ()
+    for line in text:
+        if not line.startswith("#"):
+            body = itertools.chain([line], text)
             break
+        offset += 1
+        stripped = line.rstrip("\r\n")
         if "=" not in stripped:
-            raise FormatError(lineno, f"metadata line without '=': {stripped!r}")
+            raise FormatError(offset, f"metadata line without '=': {stripped!r}")
         key, _, value = stripped[1:].partition("=")
         if not key:
-            raise FormatError(lineno, "metadata line with empty key")
+            raise FormatError(offset, "metadata line with empty key")
         metadata[key] = value
-        body_start = lineno
-    reader = csv.reader(lines[body_start:])
+    reader = csv.reader(body)
     try:
         header = next(reader)
     except StopIteration:
-        raise FormatError(body_start + 1, "missing CSV header row") from None
-    rows = [row for row in reader if row]
-    for i, row in enumerate(rows):
+        raise FormatError(offset + 1, "missing CSV header row") from None
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    end = reader.line_num
+    for row in reader:
+        start, end = offset + end + 1, reader.line_num
+        if not row:
+            continue
         if len(row) != len(header):
-            raise FormatError(
-                body_start + 2 + i,
-                f"row has {len(row)} cells, header has {len(header)}",
-            )
-    return metadata, header, rows
+            raise FormatError(start, f"row has {len(row)} cells, header has {len(header)}")
+        rows.append(row)
+        lines.append(start)
+    return Table(metadata, header, rows, lines)
 
 
 def parse_finite(cell: str) -> float:

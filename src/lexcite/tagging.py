@@ -24,6 +24,7 @@ from typing import Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
 from .ingest import RawDocument
+from .tableio import read_utf8
 
 
 class LexClass(str, Enum):
@@ -188,15 +189,7 @@ def read_tagged(path: str | Path) -> TaggedDocument:
     the doc id when no "#doc=" line names one. Bytes that are not UTF-8 are a
     FormatError naming the file and the line."""
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # A byte put after the bytes before the bad one starts a line of
-        # its own exactly when they end with a line end.
-        lineno = len((data[:exc.start] + b"x").splitlines())
-        raise FormatError(lineno, f"{path.name}: not UTF-8: {exc}") from None
-    return import_tagged(text, doc_id=path.stem)
+    return import_tagged(read_utf8(path), doc_id=path.stem)
 
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:

@@ -427,9 +427,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     code1, code2 = run(out1), run(out2)
 
-    _, _, rejects = read_table(out1 / "rejects.csv")
+    rejects = read_table(out1 / "rejects.csv").rows
     corpus_lines = (out1 / "corpus.jsonl").read_text("utf-8").count("\n")
-    _, _, profile_rows = read_table(out1 / "profiles.csv")
+    profile_rows = read_table(out1 / "profiles.csv").rows
     mean_x1 = sum(float(r[1]) for r in profile_rows) / len(profile_rows)
 
     rel_files = sorted(p.relative_to(out1) for p in out1.rglob("*")

@@ -233,7 +233,7 @@ class TestIngest:
         out = tmp_path / "out"
         code = main(["ingest", "--input", str(src), "--out", str(out)])
         assert code == 0
-        _, _, rows = read_table(out / "rejects.csv")
+        rows = read_table(out / "rejects.csv").rows
         assert len(rows) == 1
         assert rows[0][0] == "bad.xml"
         assert rows[0][1] == "MalformedXml"
@@ -280,7 +280,7 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
         text = (out / "corpus.jsonl").read_text(encoding="utf-8")
         assert "Müller's cats sleep." in text
-        _, _, rejects = read_table(out / "rejects.csv")
+        rejects = read_table(out / "rejects.csv").rows
         assert rejects == []
 
     @pytest.mark.parametrize("data", [
@@ -295,7 +295,7 @@ class TestIngest:
                                       encoding="utf-8")
         out = tmp_path / "out"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
-        _, _, rejects = read_table(out / "rejects.csv")
+        rejects = read_table(out / "rejects.csv").rows
         assert [row[:2] for row in rejects] == [["bad.xml", "MalformedXml"]]
         corpus_text = (out / "corpus.jsonl").read_text(encoding="utf-8")
         assert corpus_text.count("\n") == 1
@@ -365,7 +365,7 @@ class TestImportTagged:
         assert exported.splitlines()[0] == "#doc=docA"
         assert "#clauses=1" in exported
         assert main(["profile", "--out", str(out)]) == 0
-        _, header, rows = read_table(out / "profiles.csv")
+        _, header, rows, _ = read_table(out / "profiles.csv")
         assert header[0] == "doc_id"
         assert rows[0][0] == "docA"
         assert float(rows[0][1]) == 3.0  # three word tokens; "." is not a word
@@ -459,6 +459,54 @@ class TestBadCells:
         self.assert_failed(out, capsys, "normalize", "")
 
 
+CITATION_HEADER = b"doc_id,year,domain,total_citations\r\n"
+
+
+class TestTableInputLines:
+    """A bad table input fails its stage through errors.json, naming the line
+    of the file that the bad row starts on."""
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"#k=1\r\n#k=2\r\n" + CITATION_HEADER + b"a,2010,ECO,1\r\nb,2010,ECO,zz\r\n", 5),
+        (CITATION_HEADER + b"\r\na,2010,ECO,1\r\nb,2010,ECO,zz\r\n", 4),
+        (CITATION_HEADER + b'a,2010,"ECO\r\nX",1\r\nb,2010,ECO,zz\r\n', 4),
+        (CITATION_HEADER + b'a,2010,ECO,1\r\nb,2010,"E\r\nCO",zz\r\n', 3),
+    ], ids=["repeated-key", "blank-line", "multi-line-cell", "multi-line-bad-row"])
+    def test_bad_cell_line(self, tmp_path, capsys, raw, line):
+        citations = tmp_path / "cit.csv"
+        citations.write_bytes(raw)
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == ("normalize", "b", "FormatError")
+        assert err["message"].startswith(f"line {line}: cit.csv: ")
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    def test_non_utf8_citations(self, tmp_path, capsys):
+        citations = tmp_path / "cit.csv"
+        citations.write_bytes(CITATION_HEADER + b"a,2010,ECO,1\r\nCaf\xe9,2010,ECO,2\r\n")
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["error"]) == ("normalize", "FormatError")
+        assert err["message"].startswith("line 3: cit.csv: not UTF-8")
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    def test_non_utf8_profiles(self, tmp_path, capsys):
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [["d1", *([2.0] * 12)], ["d2", *([3.0] * 12)]], {"k": "v"})
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 2.0, "High"], ["d2", 1.0, "Low"]])
+        path = tmp_path / "profiles.csv"
+        path.write_bytes(path.read_bytes().replace(b"d2", b"d\xe92"))
+        assert main(["compare", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("compare", "FormatError")
+        assert err["message"].startswith("line 4: profiles.csv: not UTF-8")
+        assert "error in compare stage" in capsys.readouterr().err
+        assert not (tmp_path / "estimates.csv").exists()
+
+
 class TestRepeatedKeys:
     """A key repeated in an input table fails the stage through errors.json,
     naming the line, before any output is written."""
@@ -476,7 +524,7 @@ class TestRepeatedKeys:
         # line 1 is the header, so the second "a" is on line 3
         self.assert_repeated(tmp_path, capsys, "group", "a",
                              "line 3: scores.csv: doc_id 'a' is repeated")
-        _, _, rows = read_table(tmp_path / "scores.csv")
+        rows = read_table(tmp_path / "scores.csv").rows
         assert [row[2] for row in rows] == ["", "", ""]
 
     def test_repeated_baseline_cell(self, tmp_path, capsys):
@@ -544,9 +592,9 @@ class TestNormalizeStage:
         out = tmp_path / "out"
         assert main(["normalize", "--out", str(out),
                      "--citations", str(citations)]) == 0
-        _, _, baseline_rows = read_table(out / "baselines.csv")
+        baseline_rows = read_table(out / "baselines.csv").rows
         assert baseline_rows == [["2010", "Eco", "6.0", "2"]]
-        _, _, score_rows = read_table(out / "scores.csv")
+        score_rows = read_table(out / "scores.csv").rows
         assert score_rows == [["a", repr(4 / 6), ""], ["b", repr(8 / 6), ""]]
 
     def test_external_baselines(self, tmp_path):
@@ -559,7 +607,7 @@ class TestNormalizeStage:
         assert main(["normalize", "--out", str(out),
                      "--citations", str(citations),
                      "--baselines", str(baselines)]) == 0
-        _, _, rows = read_table(out / "scores.csv")
+        rows = read_table(out / "scores.csv").rows
         assert rows == [["a", "2.0", ""]]
 
     def test_bad_citation_columns(self, tmp_path, capsys):
@@ -642,32 +690,32 @@ class TestFullRun:
                      "cdf.csv", "estimates.csv", "regression.csv"):
             assert (out / name).exists(), name
         assert not (out / "errors.json").exists()
-        _, _, profile_rows = read_table(out / "profiles.csv")
+        profile_rows = read_table(out / "profiles.csv").rows
         assert len(profile_rows) == 30
         assert len(list((out / "tagged").glob("*.tsv"))) == 30
 
     def test_group_sizes_and_report_shapes(self, tmp_path):
         out = tmp_path / "out"
         assert self.run_full(out) == 0
-        _, _, scores = read_table(out / "scores.csv")
+        scores = read_table(out / "scores.csv").rows
         groups = [r[2] for r in scores]
         assert groups.count("High") == 0
         assert groups.count("Medium") == 3
         assert groups.count("Low") == 27
-        _, _, comparison = read_table(out / "comparison.csv")
+        comparison = read_table(out / "comparison.csv").rows
         assert len(comparison) == 36
         statuses = [r[8] for r in comparison]
         assert statuses.count("GroupEmpty") == 24  # every pair touching High
         assert statuses.count("Ok") == 12
-        _, _, regression = read_table(out / "regression.csv")
+        regression = read_table(out / "regression.csv").rows
         assert len(regression) == 24
-        _, _, estimates = read_table(out / "estimates.csv")
+        estimates = read_table(out / "estimates.csv").rows
         assert len(estimates) == 36
 
     def test_metadata_headers_present(self, tmp_path):
         out = tmp_path / "out"
         assert self.run_full(out, seed="3") == 0
-        meta, _, _ = read_table(out / "comparison.csv")
+        meta = read_table(out / "comparison.csv").metadata
         assert meta["tool"] == "lexcite"
         assert meta["seed"] == "3"
         assert meta["iterations"] == "400"
@@ -694,8 +742,8 @@ class TestFullRun:
             (out2 / "estimates.csv").read_bytes()
         # seed feeds only the bootstrap; the KS table differs solely in
         # its recorded seed metadata
-        _, _, rows1 = read_table(out1 / "comparison.csv")
-        _, _, rows2 = read_table(out2 / "comparison.csv")
+        rows1 = read_table(out1 / "comparison.csv").rows
+        rows2 = read_table(out2 / "comparison.csv").rows
         assert rows1 == rows2
 
     def test_stagewise_equals_run(self, tmp_path):

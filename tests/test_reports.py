@@ -1,8 +1,14 @@
 """Report-row builders: fixed row order, GroupEmpty handling, subseeds."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 
 import pytest
+
+import lexcite.reports as reports_mod
 
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from lexcite.metrics import ProfileMatrix
@@ -210,6 +216,123 @@ class TestEstimateRows:
         a = build_estimate_rows(profiles, codes, 200, 0.95, 5)
         b = build_estimate_rows(profiles, codes, 200, 0.95, 5)
         assert a == b
+
+
+def set_cpus(monkeypatch, count):
+    """Make the process look as if it may run on `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestEstimateThreads:
+    """build_estimate_rows computes the cells on the calling thread and, with
+    two or more CPUs, one helper thread; the rows do not depend on this."""
+
+    def count_threads(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(reports_mod.threading, "Thread", Counted)
+        return started
+
+    def forbid_threads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(reports_mod.threading, "Thread", refuse)
+
+    def test_one_cpu_inline_equals_two_threads(self, monkeypatch):
+        profiles, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
+        set_cpus(monkeypatch, 1)
+        self.forbid_threads(monkeypatch)
+        inline = build_estimate_rows(profiles, codes, 300, 0.95, 3)
+        monkeypatch.undo()
+
+        # The first cell (x1, High) waits until another cell has finished,
+        # so the cells finish out of order whatever the timing.
+        set_cpus(monkeypatch, 2)
+        started = self.count_threads(monkeypatch)
+        first_seed = subseed(3, 1, 0)
+        finished = []
+        other_done = threading.Event()
+        original = reports_mod.bootstrap_mean_ci
+
+        def ordered(values, iterations, level, seed):
+            if seed == first_seed:
+                assert other_done.wait(timeout=30)
+            result = original(values, iterations=iterations, level=level, seed=seed)
+            finished.append(seed)
+            if seed != first_seed:
+                other_done.set()
+            return result
+
+        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", ordered)
+        threaded = build_estimate_rows(profiles, codes, 300, 0.95, 3)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert finished[0] != first_seed and len(finished) == 36
+        assert threaded == inline
+
+    def test_one_cell_runs_inline(self, monkeypatch):
+        # Only the Low group, and every variable but x1 Absent: one cell.
+        values = np.full((5, 12), np.nan)
+        values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        doc_ids = tuple(f"d{i}" for i in range(5))
+        matrix = ProfileMatrix(doc_ids, values)
+        codes = group_codes(matrix, [NormalizedScore(d, 1.0, ImpactGroup.LOW)
+                                     for d in doc_ids])
+        set_cpus(monkeypatch, 2)
+        self.forbid_threads(monkeypatch)
+        rows = build_estimate_rows(matrix, codes, 100, 0.95, 0)
+        assert [r[7] for r in rows].count(STATUS_OK) == 1
+
+    def test_each_cell_taken_once(self, monkeypatch):
+        """With thread switches as often as the interpreter allows, every
+        task still runs exactly once."""
+        set_cpus(monkeypatch, 2)
+        runs = [0] * 5000
+
+        def run(task):
+            runs[task[0]] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports_mod._run_on_two_threads([(i,) for i in range(len(runs))], run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] * len(runs)
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_cell_error_raised_in_caller(self, monkeypatch, raiser):
+        profiles, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
+        set_cpus(monkeypatch, 2)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        raised = threading.Event()
+        original = reports_mod.bootstrap_mean_ci
+
+        class CellFailed(Exception):
+            pass
+
+        def failing(values, **kwargs):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == (raiser == "helper"):
+                raised.set()
+                raise CellFailed(raiser)
+            # the other thread waits, so the raiser is sure to take a cell
+            assert raised.wait(timeout=30)
+            return original(values, **kwargs)
+
+        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing)
+        before = threading.active_count()
+        with pytest.raises(CellFailed, match=raiser):
+            build_estimate_rows(profiles, codes, 100, 0.95, 0)
+        assert threading.active_count() == before
+        assert hooked == []
 
 
 class TestRegressionRows:

@@ -176,18 +176,21 @@ class TestBootstrap:
 
     def test_chunking_invariant(self, monkeypatch):
         """Estimates do not depend on how the draws are split into blocks:
-        one row per block, the default 2^18 cells (two blocks here) and
-        2 M cells (one block), for odd and even n. Generator.integers must
-        give the same stream however the draws are split into calls."""
+        one row per block, the default block size (several blocks here),
+        2^18 cells (two blocks) and 2 M cells (one block), for odd and even
+        n. Generator.integers must give the same stream however the draws
+        are split into calls."""
         import lexcite.stats as stats_mod
 
+        default = stats_mod._BOOTSTRAP_BLOCK_CELLS
+        assert 64 < default < 5000 * 63 // 2
         for n in (63, 64):
             sample = np.random.default_rng(8).normal(size=n)
             results = []
-            for cells in (n, 2 ** 18, 2_000_000):
+            for cells in (n, default, 2 ** 18, 2_000_000):
                 monkeypatch.setattr(stats_mod, "_BOOTSTRAP_BLOCK_CELLS", cells)
                 results.append(bootstrap_mean_ci(sample, iterations=5000, seed=13))
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1] == results[2] == results[3]
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):

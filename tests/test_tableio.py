@@ -1,6 +1,7 @@
 """CSV table serialization: metadata block, CRLF, repr floats, round trips."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,11 +32,24 @@ def expected_cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def expected_lines(metadata, header, rows):
+    """The line each written row starts on: after the metadata lines, the
+    header and each row take one line plus one per line end in their cells."""
+    def height(row):
+        return 1 + sum(len(re.findall("\r\n|\r|\n", expected_cell(c))) for c in row)
+
+    line, lines = len(metadata) + 1 + height(header), []
+    for row in rows:
+        lines.append(line)
+        line += height(row)
+    return lines
+
+
 def round_trip(tmp_path, row):
     """Write one data row, then return its raw line and its cells read back."""
     path = tmp_path / "t.csv"
     write_table(path, [f"c{i}" for i in range(len(row))], [row])
-    _, _, rows = read_table(path)
+    rows = read_table(path).rows
     return path.read_bytes().split(b"\r\n")[1], rows[0]
 
 
@@ -68,8 +82,10 @@ class TestWriteRead:
             except ValueError:
                 assert not path.exists()
                 return
-            assert read_table(path) == (metadata, header,
-                                        [[expected_cell(c) for c in row] for row in rows])
+            table = read_table(path)
+            assert table[:3] == (metadata, header,
+                                 [[expected_cell(c) for c in row] for row in rows])
+            assert table.lines == expected_lines(metadata, header, rows)
 
     @pytest.mark.parametrize("header, metadata", [
         (["a"], {"k": "x\ry"}), (["a"], {"": "v"}), (["#a"], None),
@@ -82,7 +98,7 @@ class TestWriteRead:
     def test_lines_end_only_at_cr_or_lf(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [["x\ry"], ["u\r\nv"]], {"k": "x\x85\u2028y"})
-        assert read_table(path) == ({"k": "x\x85\u2028y"}, ["a"], [["x\ry"], ["u\r\nv"]])
+        assert read_table(path)[:3] == ({"k": "x\x85\u2028y"}, ["a"], [["x\ry"], ["u\r\nv"]])
 
     def test_crlf_everywhere(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -95,7 +111,7 @@ class TestWriteRead:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [[1]])
         assert path.read_bytes().startswith(b"a\r\n")
-        metadata, header, rows = read_table(path)
+        metadata, header, rows, _ = read_table(path)
         assert metadata == {}
         assert rows == [["1"]]
 
@@ -103,7 +119,7 @@ class TestWriteRead:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [["x,y"]])
         assert b'"x,y"' in path.read_bytes()
-        _, _, rows = read_table(path)
+        rows = read_table(path).rows
         assert rows == [["x,y"]]
 
     def test_byte_identical_rewrite(self, tmp_path):
@@ -117,7 +133,7 @@ class TestWriteRead:
         # only the first '=' separates key from value
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [[1]], metadata={"expr": "x=y"})
-        metadata, _, _ = read_table(path)
+        metadata = read_table(path).metadata
         assert metadata == {"expr": "x=y"}
 
     def test_metadata_key_with_equals_rejected(self, tmp_path):
@@ -155,6 +171,40 @@ class TestReadErrors:
         with pytest.raises(FormatError) as err:
             read_table(path)
         assert "cells" in str(err.value)
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"#k=1\r\n#k=2\r\na,b\r\n1,2\r\n3\r\n", 5),
+        (b"a,b\r\n\r\n1,2\r\n3\r\n", 4),
+        (b'a,b\r\n"x\r\ny",2\r\n3\r\n', 4),
+        (b'a,b\r\n1,2\r\n"x\ny\rz"\r\n', 3),
+    ], ids=["repeated-key", "blank-line", "multi-line-cell", "multi-line-bad-row"])
+    def test_ragged_row_names_its_first_line(self, tmp_path, raw, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            read_table(path)
+        assert err.value.line_number == line
+
+    def test_row_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'#k=1\r\n#k=2\na,b\r\n\r\n"x\r\ny",2\n3,4\r\r5,6')
+        table = read_table(path)
+        assert table.metadata == {"k": "2"}
+        assert table.rows == [["x\r\ny", "2"], ["3", "4"], ["5", "6"]]
+        assert table.lines == [5, 7, 9]
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"a\r\nCaf\xe9\r\n", 2),
+        (b"#k=\xff\na\n", 1),
+        (b'a\r\n"x\ry\xe9"\r\n', 3),
+    ], ids=["row", "metadata", "in-multi-line-cell"])
+    def test_not_utf8_names_line(self, tmp_path, raw, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            read_table(path)
+        assert err.value.line_number == line
+        assert str(err.value).startswith(f"line {line}: t.csv: not UTF-8")
 
 
 class TestParseOptionalFloat:
