@@ -16,8 +16,14 @@ at the tag stage):
 Option precedence is flags > LEXCITE_* environment variables > defaults;
 an unrecognized LEXCITE_* variable is an error rather than a silent no-op.
 Outputs carry no timestamps and all randomness flows from the recorded
-seed, so a rerun with identical inputs is byte-identical. On failure a
-machine-readable errors.json names the failing stage and document.
+seed, so a rerun with identical inputs is byte-identical.
+
+A configuration mistake, or an --out that cannot be created, prints one
+error line and exits 2. Otherwise main runs the stages in turn, and any
+LexciteError or OSError a stage raises ends the run with exit 1 and an
+errors.json written by main, the one place that knows which stage is
+running. Stages raise plain errors, wrapped in DocumentError where they
+know the input document.
 
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
@@ -80,20 +86,21 @@ from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
 STAGE_ORDER = ("ingest", "tag", "profile", "normalize", "group",
                "compare", "regress")
 
-_ENV_PREFIX = "LEXCITE_"
-_ENV_KEYS = {
-    "LEXCITE_INPUT": "input",
-    "LEXCITE_CITATIONS": "citations",
-    "LEXCITE_BASELINES": "baselines",
-    "LEXCITE_OUT": "out",
-    "LEXCITE_SEED": "seed",
-    "LEXCITE_ITERATIONS": "iterations",
-    "LEXCITE_LEVEL": "level",
-    "LEXCITE_ABBREV": "abbrev",
-    "LEXCITE_IMPORT_TAGGED": "import_tagged",
+# Every option a flag or a LEXCITE_<NAME> variable can set, and the type
+# that converts an environment value.
+_OPTIONS = {
+    "input": Path,
+    "citations": Path,
+    "baselines": Path,
+    "out": Path,
+    "seed": int,
+    "iterations": int,
+    "level": float,
+    "abbrev": Path,
+    "import_tagged": Path,
 }
-_INT_OPTIONS = {"seed", "iterations"}
-_FLOAT_OPTIONS = {"level"}
+_ENV_PREFIX = "LEXCITE_"
+_ENV_KEYS = {_ENV_PREFIX + option.upper(): option for option in _OPTIONS}
 
 # Conventions recorded in every output header so alternate readings of the
 # ambiguous definitions can be distinguished downstream.
@@ -149,12 +156,11 @@ class RunConfig:
         return meta
 
 
-class StageFailure(LexciteError):
-    """Wraps an error with the stage and document where it occurred."""
+class DocumentError(LexciteError):
+    """Wraps an error with the input document it occurred in."""
 
-    def __init__(self, stage: str, document: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
+    def __init__(self, document: str, cause: Exception):
+        super().__init__(f"{document}: {cause}")
         self.document = document
         self.cause = cause
 
@@ -175,31 +181,18 @@ def build_config(args: argparse.Namespace,
     """Merge CLI flags over environment variables over defaults."""
     env = _env_overrides(dict(os.environ) if environ is None else environ)
     merged: dict[str, object] = {}
-    for option in ("input", "citations", "baselines", "out", "seed",
-                   "iterations", "level", "abbrev", "import_tagged"):
-        flag_value = getattr(args, option, None)
-        if flag_value is not None:
-            merged[option] = flag_value
-        elif option in env:
-            raw = env[option]
+    for option, convert in _OPTIONS.items():
+        value = getattr(args, option, None)
+        if value is None and option in env:
             try:
-                if option in _INT_OPTIONS:
-                    merged[option] = int(raw)
-                elif option in _FLOAT_OPTIONS:
-                    merged[option] = float(raw)
-                else:
-                    merged[option] = raw
+                value = convert(env[option])
             except ValueError as exc:
-                raise ConfigError(f"bad value for LEXCITE_{option.upper()}: {raw!r}") from exc
+                raise ConfigError(f"bad value for LEXCITE_{option.upper()}: {env[option]!r}") from exc
+        if value is not None:
+            merged[option] = value
     if "out" not in merged:
         raise ConfigError("an output directory is required (--out or LEXCITE_OUT)")
-    config = RunConfig(out=Path(str(merged["out"])))
-    for option in ("input", "citations", "baselines", "abbrev", "import_tagged"):
-        if option in merged:
-            setattr(config, option, Path(str(merged[option])))
-    for option in ("seed", "iterations", "level"):
-        if option in merged:
-            setattr(config, option, merged[option])
+    config = RunConfig(**merged)
     if config.iterations < 1:
         raise ConfigError("iterations must be >= 1")
     if not 0.0 < config.level < 1.0:
@@ -211,38 +204,33 @@ def _safe_name(doc_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
 
 
-def _require(config: RunConfig, stage: str, option: str) -> Path:
+def _require(config: RunConfig, option: str) -> Path:
     value: Path | None = getattr(config, option)
     if value is None:
-        raise StageFailure(stage, "", ConfigError(
-            f"the {stage} stage needs --{option.replace('_', '-')}"))
+        raise ConfigError(f"--{option.replace('_', '-')} is required")
     if not value.exists():
-        raise StageFailure(stage, "", ConfigError(f"path not found: {value}"))
+        raise ConfigError(f"path not found: {value}")
     return value
 
 
-def _stage_file(config: RunConfig, stage: str, name: str) -> Path:
+def _stage_file(config: RunConfig, name: str) -> Path:
     path = config.out / name
     if not path.exists():
-        raise StageFailure(stage, "", ConfigError(
-            f"missing {name}; run the earlier stages into {config.out} first"))
+        raise ConfigError(f"missing {name}; run the earlier stages into {config.out} first")
     return path
 
 
 # ---------------------------------------------------------------- stages
 
 def stage_ingest(config: RunConfig) -> None:
-    input_dir = _require(config, "ingest", "input")
+    input_dir = _require(config, "input")
     if config.abbrev is None:
         table = AbbreviationTable()
     else:
-        try:
-            table = AbbreviationTable.from_file(_require(config, "ingest", "abbrev"))
-        except FormatError as exc:
-            raise StageFailure("ingest", "", exc)
+        table = AbbreviationTable.from_file(_require(config, "abbrev"))
     xml_files = sorted(input_dir.glob("*.xml"))
     if not xml_files:
-        raise StageFailure("ingest", "", ConfigError(f"no .xml files in {input_dir}"))
+        raise ConfigError(f"no .xml files in {input_dir}")
     docs: list[RawDocument] = []
     rejects: list[list[object]] = []
     for path in xml_files:
@@ -256,15 +244,11 @@ def stage_ingest(config: RunConfig) -> None:
                                 domain=doc.domain, journal=doc.journal,
                                 paragraphs=paragraphs))
     if not docs:
-        raise StageFailure("ingest", xml_files[0].name,
-                           ConfigError("every input file was rejected"))
-    config.out.mkdir(parents=True, exist_ok=True)
+        raise DocumentError(xml_files[0].name,
+                            ConfigError("every input file was rejected"))
     write_table(config.out / "rejects.csv", ["file", "error", "message"],
                 rejects, config.metadata())
-    try:
-        write_corpus(docs, config.out / "corpus.jsonl")
-    except LexciteError as exc:
-        raise StageFailure("ingest", "", exc)
+    write_corpus(docs, config.out / "corpus.jsonl")
 
 
 def stage_tag(config: RunConfig) -> None:
@@ -275,52 +259,48 @@ def stage_tag(config: RunConfig) -> None:
     def emit(doc_id: str, text: str) -> None:
         name = _safe_name(doc_id) + ".tsv"
         if name in written:
-            raise StageFailure("tag", doc_id, ConfigError(
+            raise DocumentError(doc_id, ConfigError(
                 f"doc ids {written[name]!r} and {doc_id!r} collide on file {name}"))
         written[name] = doc_id
         (tagged_dir / name).write_bytes(text.encode("utf-8"))
 
     if config.import_tagged is not None:
-        import_dir = _require(config, "tag", "import_tagged")
+        import_dir = _require(config, "import_tagged")
         files = sorted(import_dir.glob("*.tsv"))
         if not files:
-            raise StageFailure("tag", "", ConfigError(f"no .tsv files in {import_dir}"))
+            raise ConfigError(f"no .tsv files in {import_dir}")
         for path in files:
             try:
                 doc = read_tagged(path)
-            except LexciteError as exc:
-                raise StageFailure("tag", path.name, exc)
+            except (LexciteError, OSError) as exc:
+                raise DocumentError(path.name, exc)
             emit(doc.doc_id, export_tagged(doc))
         return
 
-    try:
-        corpus = read_corpus(_stage_file(config, "tag", "corpus.jsonl"))
-    except FormatError as exc:
-        raise StageFailure("tag", "", exc)
+    corpus = read_corpus(_stage_file(config, "corpus.jsonl"))
     tagger = LexiconTagger()
     for raw in corpus:
         try:
             doc = tag_document(raw, tagger)
         except LexciteError as exc:
-            raise StageFailure("tag", raw.doc_id, exc)
+            raise DocumentError(raw.doc_id, exc)
         emit(doc.doc_id, export_tagged(doc))
 
 
 def stage_profile(config: RunConfig) -> None:
     tagged_dir = config.out / "tagged"
     if not tagged_dir.is_dir():
-        raise StageFailure("profile", "", ConfigError(
-            f"missing tagged/; run the tag stage into {config.out} first"))
+        raise ConfigError(f"missing tagged/; run the tag stage into {config.out} first")
     files = sorted(tagged_dir.glob("*.tsv"))
     if not files:
-        raise StageFailure("profile", "", ConfigError(f"no .tsv files in {tagged_dir}"))
+        raise ConfigError(f"no .tsv files in {tagged_dir}")
     profiles: list[ComplexityProfile] = []
     for path in files:
         try:
             doc = read_tagged(path)
             profiles.append(complexity_profile(doc))
-        except LexciteError as exc:
-            raise StageFailure("profile", path.stem, exc)
+        except (LexciteError, OSError) as exc:
+            raise DocumentError(path.stem, exc)
     profiles.sort(key=lambda p: p.doc_id)
     write_table(config.out / "profiles.csv",
                 ["doc_id", *VARIABLE_COLUMNS],
@@ -328,20 +308,16 @@ def stage_profile(config: RunConfig) -> None:
                 config.metadata())
 
 
-def _read_rows(stage: str, path: Path, header: list[str], parse, key) -> list:
+def _read_rows(path: Path, header: list[str], parse, key) -> list:
     """The data rows of an input table, each through parse. A malformed
     table or a header other than `header` fails the stage. So does a cell
     that parse rejects with ValueError, or a row whose key (a tuple of its
     parsed leading columns, from key) repeats an earlier row's: each as a
     FormatError naming its line and, in a table keyed by doc_id, its
     document."""
-    try:
-        table = read_table(path)
-    except FormatError as exc:
-        raise StageFailure(stage, "", exc)
+    table = read_table(path)
     if table.header != header:
-        raise StageFailure(stage, "", ConfigError(
-            f"{path.name} columns {table.header} != {header}"))
+        raise ConfigError(f"{path.name} columns {table.header} != {header}")
     parsed = []
     seen: set[tuple] = set()
     for row, line in zip(table.rows, table.lines):
@@ -355,7 +331,7 @@ def _read_rows(stage: str, path: Path, header: list[str], parse, key) -> list:
             parsed.append(value)
         except ValueError as exc:
             document = row[0] if header[0] == "doc_id" else ""
-            raise StageFailure(stage, document, FormatError(
+            raise DocumentError(document, FormatError(
                 line, f"{path.name}: {exc}")) from None
     return parsed
 
@@ -376,11 +352,11 @@ def _score(row: list[str]) -> NormalizedScore:
 
 
 def stage_normalize(config: RunConfig) -> None:
-    records = _read_rows("normalize", _require(config, "normalize", "citations"),
+    records = _read_rows(_require(config, "citations"),
                          ["doc_id", "year", "domain", "total_citations"], _citation,
                          lambda rec: (rec.doc_id,))
     if config.baselines is not None:
-        baselines = _read_rows("normalize", _require(config, "normalize", "baselines"),
+        baselines = _read_rows(_require(config, "baselines"),
                                ["year", "domain", "adc", "n"], _baseline,
                                lambda b: (b.year, b.domain))
     else:
@@ -391,8 +367,7 @@ def stage_normalize(config: RunConfig) -> None:
         try:
             scores.append(normalize_citations(rec, lookup))
         except LexciteError as exc:
-            raise StageFailure("normalize", rec.doc_id, exc)
-    config.out.mkdir(parents=True, exist_ok=True)
+            raise DocumentError(rec.doc_id, exc)
     write_table(config.out / "baselines.csv", ["year", "domain", "adc", "n"],
                 [[b.year, b.domain, b.adc, b.n] for b in baselines],
                 config.metadata())
@@ -406,21 +381,21 @@ def _write_scores(config: RunConfig, scores: list[NormalizedScore]) -> None:
                 rows, config.metadata())
 
 
-def _read_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
-    return _read_rows(stage, _stage_file(config, stage, "scores.csv"),
+def _read_scores(config: RunConfig) -> list[NormalizedScore]:
+    return _read_rows(_stage_file(config, "scores.csv"),
                       ["doc_id", "nc", "group"], _score, lambda s: (s.doc_id,))
 
 
 def stage_group(config: RunConfig) -> None:
-    scores = _read_scores(config, "group")
+    scores = _read_scores(config)
     _write_scores(config, stratify(scores))
 
 
-def _read_profiles(config: RunConfig, stage: str) -> ProfileMatrix:
+def _read_profiles(config: RunConfig) -> ProfileMatrix:
     """profiles.csv as one matrix, in file row order; NaN marks Absent."""
     import numpy as np
 
-    rows = _read_rows(stage, _stage_file(config, stage, "profiles.csv"),
+    rows = _read_rows(_stage_file(config, "profiles.csv"),
                       ["doc_id", *VARIABLE_COLUMNS],
                       lambda row: (row[0], profile_cells(row)),
                       lambda parsed: parsed[:1])
@@ -429,27 +404,25 @@ def _read_profiles(config: RunConfig, stage: str) -> ProfileMatrix:
                          values.reshape(len(rows), len(VARIABLE_COLUMNS)))
 
 
-def _grouped_scores(config: RunConfig, stage: str) -> list[NormalizedScore]:
-    scores = _read_scores(config, stage)
+def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:
+    scores = _read_scores(config)
     if scores and all(s.group is None for s in scores):
-        raise StageFailure(stage, "", ConfigError(
-            "scores.csv has no groups; run the group stage first"))
+        raise ConfigError("scores.csv has no groups; run the group stage first")
     return scores
 
 
-def _joined_inputs(config: RunConfig, stage: str
-                   ) -> tuple[ProfileMatrix, list[NormalizedScore]]:
+def _joined_inputs(config: RunConfig) -> tuple[ProfileMatrix, list[NormalizedScore]]:
     """Profiles and grouped scores, which must share at least one doc id."""
-    matrix = _read_profiles(config, stage)
-    scores = _grouped_scores(config, stage)
+    matrix = _read_profiles(config)
+    scores = _grouped_scores(config)
     score_ids = {s.doc_id for s in scores}
     if not any(doc_id in score_ids for doc_id in matrix.doc_ids):
-        raise StageFailure(stage, "", JoinMismatch("profiles and scores share no doc_ids"))
+        raise JoinMismatch("profiles and scores share no doc_ids")
     return matrix, scores
 
 
 def stage_compare(config: RunConfig) -> None:
-    matrix, scores = _joined_inputs(config, "compare")
+    matrix, scores = _joined_inputs(config)
     codes = group_codes(matrix, scores)
     meta = config.metadata()
     write_table(config.out / "comparison.csv", COMPARISON_HEADER,
@@ -462,11 +435,8 @@ def stage_compare(config: RunConfig) -> None:
 
 
 def stage_regress(config: RunConfig) -> None:
-    matrix, scores = _joined_inputs(config, "regress")
-    try:
-        rows = build_regression_rows(matrix, scores)
-    except LexciteError as exc:
-        raise StageFailure("regress", "", exc)
+    matrix, scores = _joined_inputs(config)
+    rows = build_regression_rows(matrix, scores)
     write_table(config.out / "regression.csv", REGRESSION_HEADER, rows,
                 config.metadata())
 
@@ -480,13 +450,6 @@ _STAGE_FUNCS = {
     "compare": stage_compare,
     "regress": stage_regress,
 }
-
-
-def run_pipeline(config: RunConfig, stages: tuple[str, ...]) -> None:
-    config.out.mkdir(parents=True, exist_ok=True)
-    for stage in STAGE_ORDER:
-        if stage in stages:
-            _STAGE_FUNCS[stage](config)
 
 
 # ------------------------------------------------------------------ main
@@ -522,32 +485,26 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
-    except ConfigError as exc:
+        config.out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stages = STAGE_ORDER if args.command == "run" else (args.command,)
-    try:
-        run_pipeline(config, stages)
-    except StageFailure as exc:
-        report = {
-            "stage": exc.stage,
-            "document": exc.document,
-            "error": type(exc.cause).__name__,
-            "message": str(exc.cause),
-        }
-        config.out.mkdir(parents=True, exist_ok=True)
-        (config.out / "errors.json").write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"error in {exc.stage} stage: {exc.cause}", file=sys.stderr)
-        return 1
-    except LexciteError as exc:
-        config.out.mkdir(parents=True, exist_ok=True)
-        (config.out / "errors.json").write_text(
-            json.dumps({"stage": "unknown", "document": "",
-                        "error": type(exc).__name__, "message": str(exc)},
-                       indent=2) + "\n", encoding="utf-8")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for stage in STAGE_ORDER if args.command == "run" else (args.command,):
+        try:
+            _STAGE_FUNCS[stage](config)
+        except (LexciteError, OSError) as exc:
+            document, cause = ((exc.document, exc.cause) if isinstance(exc, DocumentError)
+                               else ("", exc))
+            report = {
+                "stage": stage,
+                "document": document,
+                "error": type(cause).__name__,
+                "message": str(cause),
+            }
+            (config.out / "errors.json").write_text(
+                json.dumps(report, indent=2) + "\n", encoding="utf-8")
+            print(f"error in {stage} stage: {cause}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -234,9 +235,8 @@ def document_from_json(line: str) -> RawDocument:
 def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
     """Write documents as line-delimited JSON in sorted doc_id order."""
     ordered = sorted(docs, key=lambda d: d.doc_id)
-    ids = [d.doc_id for d in ordered]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, n in Counter(d.doc_id for d in ordered).items() if n > 1)
+    if dupes:
         raise MissingMetadata(f"duplicate doc_id values: {dupes}")
     with open(path, "w", encoding="utf-8") as fh:
         for doc in ordered:

@@ -52,21 +52,6 @@ VARIABLE_FIELDS = {
     "x12": "adv_ratio",
 }
 
-VARIABLE_LABELS = {
-    "x1": "mean sentence length",
-    "x2": "sd sentence length",
-    "x3": "clause ratio",
-    "x4": "type-token ratio",
-    "x5": "noun length",
-    "x6": "verb length",
-    "x7": "adjective length",
-    "x8": "adverb length",
-    "x9": "noun ratio",
-    "x10": "verb ratio",
-    "x11": "adjective ratio",
-    "x12": "adverb ratio",
-}
-
 
 @dataclass
 class ComplexityProfile:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexcite
+from lexcite import cli
 from lexcite.cli import (
     DECISION_FLAGS,
     RunConfig,
@@ -23,7 +24,7 @@ from lexcite.cli import (
     build_parser,
     main,
 )
-from lexcite.errors import ConfigError
+from lexcite.errors import ConfigError, FormatError, LexciteError
 from lexcite.ingest import AbbreviationTable
 from lexcite.tableio import read_table, write_table
 
@@ -221,6 +222,111 @@ class TestStageGating:
         monkeypatch.setenv("LEXCITE_TYPO", "x")
         assert main(["profile", "--out", str(tmp_path)]) == 2
         assert "LEXCITE_TYPO" in capsys.readouterr().err
+
+
+class TestStageNamedByMain:
+    """main names the failing stage, whatever the stage raised."""
+
+    @pytest.fixture(params=["bare", "document"])
+    def failure(self, request):
+        if request.param == "bare":
+            return LexciteError("boom"), ("", "LexciteError", "boom")
+        return (cli.DocumentError("doc1", FormatError(2, "bad cell")),
+                ("doc1", "FormatError", "line 2: bad cell"))
+
+    @pytest.mark.parametrize("command", ["stage", "run"])
+    @pytest.mark.parametrize("stage", cli.STAGE_ORDER)
+    def test_failure_report(self, tmp_path, capsys, monkeypatch, failure, command, stage):
+        error, (document, name, message) = failure
+
+        def fail(config):
+            raise error
+
+        if command == "run":
+            # the stages before this one succeed and the ones after never run
+            for other in cli.STAGE_ORDER:
+                monkeypatch.setitem(cli._STAGE_FUNCS, other, lambda config: None)
+        monkeypatch.setitem(cli._STAGE_FUNCS, stage, fail)
+        argv = [stage if command == "stage" else "run", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert read_errors(tmp_path) == {"stage": stage, "document": document,
+                                         "error": name, "message": message}
+        assert capsys.readouterr().err == f"error in {stage} stage: {message}\n"
+
+
+class TestInputOutputErrors:
+    """An OSError fails its stage through errors.json like any other error,
+    and an --out that cannot be created is a usage error."""
+
+    def assert_failed(self, out, capsys, stage, document, error="IsADirectoryError"):
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == (stage, document, error)
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error in {stage} stage: ")
+        assert "Traceback" not in stderr
+
+    def test_profiles_csv_is_directory(self, tmp_path, capsys):
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 2.0, "High"], ["d2", 1.0, "Low"]])
+        (tmp_path / "profiles.csv").mkdir()
+        assert main(["compare", "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, "compare", "")
+        assert "profiles.csv" in read_errors(tmp_path)["message"]
+
+    def test_tagged_tsv_is_directory_in_profile(self, tmp_path, capsys):
+        tagged = tmp_path / "tagged"
+        tagged.mkdir()
+        (tagged / "docA.tsv").write_text("The\tDT\ncats\tNNS\n\n", encoding="utf-8")
+        (tagged / "docB.tsv").mkdir()
+        assert main(["profile", "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, "profile", "docB")
+        assert not (tmp_path / "profiles.csv").exists()
+
+    def test_imported_tsv_is_directory(self, tmp_path, capsys):
+        ext = tmp_path / "ext"
+        (ext / "docB.tsv").mkdir(parents=True)
+        out = tmp_path / "out"
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 1
+        self.assert_failed(out, capsys, "tag", "docB.tsv")
+
+    def test_tagged_tsv_is_directory_in_tag(self, tmp_path, capsys):
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": ["Fine."]}\n',
+            encoding="utf-8")
+        (tmp_path / "tagged" / "a.tsv").mkdir(parents=True)
+        assert main(["tag", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("tag", "IsADirectoryError")
+        assert "a.tsv" in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory", encoding="utf-8")
+        assert main(["run", "--out", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert str(out) in stderr
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    @pytest.mark.parametrize("case, code", [("profiles-dir", 1), ("out-file", 2)])
+    def test_module_run_prints_no_traceback(self, tmp_path, case, code):
+        out = tmp_path / "out"
+        if case == "profiles-dir":
+            (out / "profiles.csv").mkdir(parents=True)
+            (out / "scores.csv").write_text("doc_id,nc,group\r\nd1,1.0,Low\r\n",
+                                            encoding="utf-8")
+        else:
+            out.write_text("", encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "lexcite.cli", "compare", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("error in compare stage: " if code == 1 else "error: ")
 
 
 class TestIngest:
@@ -572,7 +678,7 @@ class TestProfileMatrixRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             write_table(out / "profiles.csv", PROFILE_HEADER, rows)
-            again = _read_profiles(RunConfig(out=out), "compare")
+            again = _read_profiles(RunConfig(out=out))
         assert again.doc_ids == doc_ids
         assert again.values.shape == (len(table), 12)
         assert np.array_equal(np.isnan(again.values), np.isnan(values))

@@ -254,6 +254,13 @@ class TestCorpusFile:
                                           paragraphs=["Three."])]
         with pytest.raises(MissingMetadata):
             write_corpus(docs, tmp_path / "corpus.jsonl")
+        # every repeated id is named once, in sorted order
+        docs += [RawDocument(doc_id=doc_id, year=2012, domain="d", paragraphs=["P."])
+                 for doc_id in ("c", "b", "a")]
+        with pytest.raises(MissingMetadata,
+                           match=r"^duplicate doc_id values: \['a', 'b'\]$"):
+            write_corpus(docs, tmp_path / "corpus.jsonl")
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     @pytest.mark.parametrize("line, message", [
         ('{"doc_id": "c", "year": 2012', "JSONDecodeError"),
