@@ -18,12 +18,16 @@ an unrecognized LEXCITE_* variable is an error rather than a silent no-op.
 Outputs carry no timestamps and all randomness flows from the recorded
 seed, so a rerun with identical inputs is byte-identical.
 
-A configuration mistake, or an --out that cannot be created, prints one
-error line and exits 2. Otherwise main runs the stages in turn, and any
-LexciteError or OSError a stage raises ends the run with exit 1 and an
-errors.json written by main, the one place that knows which stage is
-running. Stages raise plain errors, wrapped in DocumentError where they
+A configuration mistake (an empty path among them), or an --out that
+cannot be created, prints one error line and exits 2. Otherwise main
+removes any errors.json an earlier invocation left, then runs the stages in
+turn, and any LexciteError or OSError a stage raises ends the run with exit
+1 and an errors.json written by main, the one place that knows which stage
+is running. Stages raise plain errors, wrapped in DocumentError where they
 know the input document.
+
+Outputs depend only on the inputs, not on what --out held before: the tag
+stage owns tagged/, and removes every .tsv there that it did not write.
 
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
@@ -40,9 +44,10 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, FormatError, JoinMismatch, LexciteError
+from .errors import ConfigError, FormatError, LexciteError
 from .impact import (
     Baseline,
     CitationRecord,
@@ -78,16 +83,19 @@ from .reports import (
     build_comparison_rows,
     build_estimate_rows,
     build_regression_rows,
-    group_codes,
+    join_scores,
 )
 from .tableio import parse_finite, read_table, write_table
 from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STAGE_ORDER = ("ingest", "tag", "profile", "normalize", "group",
                "compare", "regress")
 
 # Every option a flag or a LEXCITE_<NAME> variable can set, and the type
-# that converts an environment value.
+# that converts its text.
 _OPTIONS = {
     "input": Path,
     "citations": Path,
@@ -178,18 +186,24 @@ def _env_overrides(environ: dict[str, str]) -> dict[str, str]:
 
 def build_config(args: argparse.Namespace,
                  environ: dict[str, str] | None = None) -> RunConfig:
-    """Merge CLI flags over environment variables over defaults."""
+    """Merge CLI flags over environment variables over defaults. A flag and
+    a variable are converted alike; an empty path is an error, never the
+    current directory."""
     env = _env_overrides(dict(os.environ) if environ is None else environ)
     merged: dict[str, object] = {}
     for option, convert in _OPTIONS.items():
-        value = getattr(args, option, None)
-        if value is None and option in env:
-            try:
-                value = convert(env[option])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for LEXCITE_{option.upper()}: {env[option]!r}") from exc
-        if value is not None:
-            merged[option] = value
+        text = getattr(args, option, None)
+        source = "--" + option.replace("_", "-")
+        if text is None and option in env:
+            text, source = env[option], _ENV_PREFIX + option.upper()
+        if text is None:
+            continue
+        if convert is Path and text == "":
+            raise ConfigError(f"{source} is an empty path")
+        try:
+            merged[option] = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {source}: {text!r}") from exc
     if "out" not in merged:
         raise ConfigError("an output directory is required (--out or LEXCITE_OUT)")
     config = RunConfig(**merged)
@@ -252,6 +266,10 @@ def stage_ingest(config: RunConfig) -> None:
 
 
 def stage_tag(config: RunConfig) -> None:
+    """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
+    built-in tagger or from the --import-tagged files. Once every document
+    is written, any other .tsv in tagged/ (left by an earlier run) is
+    removed, so that profile reads this run's documents only."""
     tagged_dir = config.out / "tagged"
     tagged_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, str] = {}
@@ -262,7 +280,10 @@ def stage_tag(config: RunConfig) -> None:
             raise DocumentError(doc_id, ConfigError(
                 f"doc ids {written[name]!r} and {doc_id!r} collide on file {name}"))
         written[name] = doc_id
-        (tagged_dir / name).write_bytes(text.encode("utf-8"))
+        try:
+            (tagged_dir / name).write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            raise DocumentError(doc_id, exc)
 
     if config.import_tagged is not None:
         import_dir = _require(config, "import_tagged")
@@ -275,16 +296,19 @@ def stage_tag(config: RunConfig) -> None:
             except (LexciteError, OSError) as exc:
                 raise DocumentError(path.name, exc)
             emit(doc.doc_id, export_tagged(doc))
-        return
+    else:
+        corpus = read_corpus(_stage_file(config, "corpus.jsonl"))
+        tagger = LexiconTagger()
+        for raw in corpus:
+            try:
+                doc = tag_document(raw, tagger)
+            except LexciteError as exc:
+                raise DocumentError(raw.doc_id, exc)
+            emit(doc.doc_id, export_tagged(doc))
 
-    corpus = read_corpus(_stage_file(config, "corpus.jsonl"))
-    tagger = LexiconTagger()
-    for raw in corpus:
-        try:
-            doc = tag_document(raw, tagger)
-        except LexciteError as exc:
-            raise DocumentError(raw.doc_id, exc)
-        emit(doc.doc_id, export_tagged(doc))
+    for path in tagged_dir.glob("*.tsv"):
+        if path.name not in written:
+            path.unlink()
 
 
 def stage_profile(config: RunConfig) -> None:
@@ -411,32 +435,26 @@ def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:
     return scores
 
 
-def _joined_inputs(config: RunConfig) -> tuple[ProfileMatrix, list[NormalizedScore]]:
-    """Profiles and grouped scores, which must share at least one doc id."""
-    matrix = _read_profiles(config)
-    scores = _grouped_scores(config)
-    score_ids = {s.doc_id for s in scores}
-    if not any(doc_id in score_ids for doc_id in matrix.doc_ids):
-        raise JoinMismatch("profiles and scores share no doc_ids")
-    return matrix, scores
+def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profiles joined to the grouped scores: values, nc and group
+    codes of the profile rows that have a score (`join_scores`)."""
+    return join_scores(_read_profiles(config), _grouped_scores(config))
 
 
 def stage_compare(config: RunConfig) -> None:
-    matrix, scores = _joined_inputs(config)
-    codes = group_codes(matrix, scores)
+    values, _, codes = _joined_inputs(config)
     meta = config.metadata()
     write_table(config.out / "comparison.csv", COMPARISON_HEADER,
-                build_comparison_rows(matrix, codes), meta)
+                build_comparison_rows(values, codes), meta)
     write_table(config.out / "cdf.csv", CDF_HEADER,
-                build_cdf_rows(matrix, codes), meta)
+                build_cdf_rows(values, codes), meta)
     write_table(config.out / "estimates.csv", ESTIMATES_HEADER,
-                build_estimate_rows(matrix, codes, config.iterations,
+                build_estimate_rows(values, codes, config.iterations,
                                     config.level, config.seed), meta)
 
 
 def stage_regress(config: RunConfig) -> None:
-    matrix, scores = _joined_inputs(config)
-    rows = build_regression_rows(matrix, scores)
+    rows = build_regression_rows(*_joined_inputs(config))
     write_table(config.out / "regression.csv", REGRESSION_HEADER, rows,
                 config.metadata())
 
@@ -455,15 +473,17 @@ _STAGE_FUNCS = {
 # ------------------------------------------------------------------ main
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", type=Path, help="directory of article XML files")
-    parser.add_argument("--citations", type=Path, help="citations CSV (doc_id, year, domain, total_citations)")
-    parser.add_argument("--baselines", type=Path, help="externally computed baselines CSV (year, domain, adc, n)")
-    parser.add_argument("--out", type=Path, help="output directory for all stage files")
-    parser.add_argument("--seed", type=int, help="root random seed (default 0)")
-    parser.add_argument("--iterations", type=int, help="bootstrap iterations (default 10000)")
-    parser.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    parser.add_argument("--abbrev", type=Path, help="abbreviation table TSV (key, expansion)")
-    parser.add_argument("--import-tagged", type=Path, dest="import_tagged",
+    # Values stay text here: build_config converts flags and LEXCITE_*
+    # variables alike, through _OPTIONS.
+    parser.add_argument("--input", help="directory of article XML files")
+    parser.add_argument("--citations", help="citations CSV (doc_id, year, domain, total_citations)")
+    parser.add_argument("--baselines", help="externally computed baselines CSV (year, domain, adc, n)")
+    parser.add_argument("--out", help="output directory for all stage files")
+    parser.add_argument("--seed", help="root random seed (default 0)")
+    parser.add_argument("--iterations", help="bootstrap iterations (default 10000)")
+    parser.add_argument("--level", help="confidence level (default 0.95)")
+    parser.add_argument("--abbrev", help="abbreviation table TSV (key, expansion)")
+    parser.add_argument("--import-tagged", dest="import_tagged",
                         help="directory of externally tagged .tsv files to use instead of the built-in tagger")
 
 
@@ -486,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         config.out.mkdir(parents=True, exist_ok=True)
+        (config.out / "errors.json").unlink(missing_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,14 +84,6 @@ class ProfileMatrix:
     doc_ids: tuple[str, ...]
     values: np.ndarray  # shape (len(doc_ids), 12), float64
 
-    def __len__(self) -> int:
-        return len(self.doc_ids)
-
-    def subset(self, mask: np.ndarray) -> "ProfileMatrix":
-        """The rows where mask is true, in the same order."""
-        return ProfileMatrix(tuple(d for d, keep in zip(self.doc_ids, mask) if keep),
-                             self.values[mask])
-
 
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
     """Assemble all 12 variables for one document in one pass over it.

@@ -11,10 +11,14 @@ pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts all/High/
 Medium/Low.
 
 Each stage reads profiles.csv once, as a `ProfileMatrix` with NaN marking
-Absent, and computes each document's group code once (`group_codes`).
-`group_samples` then takes boolean-mask slices of one matrix column, which
-keep file row order, so the bootstrap sees its sample in the same order on
-every run. Documents whose value for a variable is Absent are excluded
+Absent, and joins it to the scores once (`join_scores`): the rows that have
+a score, in file row order, as their n x 12 values, their nc and their
+group codes. Every builder takes those arrays. `group_samples` takes
+boolean-mask slices of one values column and the regression cohorts are
+boolean masks over the rows, so both keep file row order and the bootstrap
+sees its sample in the same order on every run. A profile without a score
+counts nowhere; a score without a group counts in the "all" regression
+cohort only. Documents whose value for a variable is Absent are excluded
 from that variable's rows and counted in the n_excluded column. When the
 effective sample for a group is empty (an empty stratum, or every document
 lacking the variable), a GroupEmpty row is emitted instead of failing.
@@ -37,6 +41,7 @@ import os
 import threading
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS, ProfileMatrix
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
@@ -77,20 +82,31 @@ def subseed(seed: int, var_index: int, group_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def group_codes(matrix: ProfileMatrix,
-                scores: Sequence[NormalizedScore]) -> np.ndarray:
-    """Per matrix row: the index of its document's group in GROUP_ORDER, or
-    -1 when the document has no score or no group."""
+def join_scores(
+    matrix: ProfileMatrix,
+    scores: Sequence[NormalizedScore],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profile rows that have a score, in file row order: their n x 12
+    values (NaN marks Absent), their nc, and their group codes (the index of
+    the group in GROUP_ORDER, or -1 when the score has no group).
+
+    Raises JoinMismatch when no row has a score."""
     import numpy as np
 
     index = {group: i for i, group in enumerate(GROUP_ORDER)}
-    code_of = {s.doc_id: index[s.group] for s in scores if s.group is not None}
-    return np.array([code_of.get(doc_id, -1) for doc_id in matrix.doc_ids],
-                    dtype=np.int8)
+    score_of = {s.doc_id: s for s in scores}
+    rows = [i for i, doc_id in enumerate(matrix.doc_ids) if doc_id in score_of]
+    if not rows:
+        raise JoinMismatch("profiles and scores share no doc_ids")
+    joined = [score_of[matrix.doc_ids[i]] for i in rows]
+    return (matrix.values[rows],
+            np.array([s.nc for s in joined], dtype=float),
+            np.array([-1 if s.group is None else index[s.group] for s in joined],
+                     dtype=np.int8))
 
 
 def group_samples(
-    matrix: ProfileMatrix,
+    values: np.ndarray,
     codes: np.ndarray,
     column: str,
 ) -> dict[ImpactGroup, tuple[np.ndarray, int]]:
@@ -98,22 +114,22 @@ def group_samples(
     Absent-drop count."""
     import numpy as np
 
-    values = matrix.values[:, VARIABLE_COLUMNS.index(column)]
+    column_values = values[:, VARIABLE_COLUMNS.index(column)]
     out: dict[ImpactGroup, tuple[np.ndarray, int]] = {}
     for code, group in enumerate(GROUP_ORDER):
-        members = values[codes == code]
+        members = column_values[codes == code]
         absent = np.isnan(members)
         out[group] = (members[~absent], int(np.count_nonzero(absent)))
     return out
 
 
 def build_comparison_rows(
-    matrix: ProfileMatrix,
+    values: np.ndarray,
     codes: np.ndarray,
 ) -> list[list[object]]:
     rows: list[list[object]] = []
     for column in VARIABLE_COLUMNS:
-        samples = group_samples(matrix, codes, column)
+        samples = group_samples(values, codes, column)
         for ga, gb in GROUP_PAIRS:
             pair = f"{ga.value}-{gb.value}"
             (va, ea), (vb, eb) = samples[ga], samples[gb]
@@ -128,23 +144,23 @@ def build_comparison_rows(
 
 
 def build_cdf_rows(
-    matrix: ProfileMatrix,
+    values: np.ndarray,
     codes: np.ndarray,
 ) -> list[list[object]]:
     rows: list[list[object]] = []
     for column in VARIABLE_COLUMNS:
-        samples = group_samples(matrix, codes, column)
+        samples = group_samples(values, codes, column)
         for group in GROUP_ORDER:
-            values, _ = samples[group]
-            if len(values) == 0:
+            sample, _ = samples[group]
+            if len(sample) == 0:
                 continue
-            for x, f in ecdf_steps(values):
+            for x, f in ecdf_steps(sample):
                 rows.append([column, group.value, x, f])
     return rows
 
 
 def build_estimate_rows(
-    matrix: ProfileMatrix,
+    values: np.ndarray,
     codes: np.ndarray,
     iterations: int,
     level: float,
@@ -157,22 +173,22 @@ def build_estimate_rows(
     calling thread and one helper thread take cells in turn. The rows do not
     depend on this."""
     rows: list[list[object]] = []
-    cells: list[tuple[int, np.ndarray, int]] = []  # (row index, values, subseed)
+    cells: list[tuple[int, np.ndarray, int]] = []  # (row index, sample, subseed)
     for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
-        samples = group_samples(matrix, codes, column)
+        samples = group_samples(values, codes, column)
         for group_index, group in enumerate(GROUP_ORDER):
-            values, excluded = samples[group]
-            if len(values) == 0:
+            sample, excluded = samples[group]
+            if len(sample) == 0:
                 rows.append([column, group.value, None, None, None,
                              0, excluded, STATUS_GROUP_EMPTY])
                 continue
-            cells.append((len(rows), values, subseed(seed, var_index, group_index)))
+            cells.append((len(rows), sample, subseed(seed, var_index, group_index)))
             rows.append([column, group.value, None, None, None,
-                         len(values), excluded, STATUS_OK])
+                         len(sample), excluded, STATUS_OK])
 
     def estimate(cell: tuple[int, np.ndarray, int]) -> None:
-        index, values, cell_seed = cell
-        est = bootstrap_mean_ci(values, iterations=iterations, level=level,
+        index, sample, cell_seed = cell
+        est = bootstrap_mean_ci(sample, iterations=iterations, level=level,
                                 seed=cell_seed)
         rows[index][2:5] = [est.point, est.ci_low, est.ci_high]
 
@@ -222,22 +238,24 @@ def _run_on_two_threads(tasks: list[tuple], run: Callable[[tuple], None]) -> Non
 
 
 def build_regression_rows(
-    matrix: ProfileMatrix,
-    scores: Sequence[NormalizedScore],
+    values: np.ndarray,
+    nc: np.ndarray,
+    codes: np.ndarray,
 ) -> list[list[object]]:
     """One row per model and cohort; '-' marks a NonEstimable fit."""
-    codes = group_codes(matrix, scores)
-    cohorts = {"all": matrix}
+    import numpy as np
+
+    cohorts = {"all": np.ones(len(codes), dtype=bool)}
     for code, group in enumerate(GROUP_ORDER):
-        cohorts[group.value] = matrix.subset(codes == code)
+        cohorts[group.value] = codes == code
     rows: list[list[object]] = []
     for model_id in MODEL_IDS:
         for cohort in COHORT_ORDER:
             members = cohorts[cohort]
-            if len(members) == 0:
+            if not members.any():
                 rows.append([model_id, cohort, "-", 0, 0])
                 continue
-            fit = fit_model(members, scores, model_id)
+            fit = fit_model(values[members], nc[members], model_id)
             r2 = "-" if fit.r_squared is None else fit.r_squared
             rows.append([model_id, cohort, r2, fit.n_used,
                          fit.n_dropped_zero_nc + fit.n_dropped_absent])

@@ -1,10 +1,10 @@
 """Statistical battery: ECDFs, two-sample KS tests, bootstrap point
 estimation, and the six polynomial regression model families.
 
-Regressions read the profiles as one `ProfileMatrix` (n x 12 float64, NaN
-marking Absent): the join with the scores, the Absent-row drop and the
-zero-score drop of the log models are boolean masks over its rows, which
-keep file row order.
+Regressions fit arrays that are already joined (`reports.join_scores`):
+n x 12 float64 values with NaN marking Absent, and the n scores of the same
+rows. The Absent-row drop and the zero-score drop of the log models are
+boolean masks over those rows, which keep file row order.
 
 The KS p-value uses the asymptotic series p = 2 * sum_{k>=1} (-1)^(k-1)
 exp(-2 k^2 lambda^2) with lambda = D * sqrt(n1*n2/(n1+n2)), truncated once
@@ -24,9 +24,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DegenerateResponseWarning, EmptySample, JoinMismatch, NoRowsRemaining
-from .impact import NormalizedScore
-from .metrics import ProfileMatrix
+from .errors import DegenerateResponseWarning, EmptySample, NoRowsRemaining
 
 if TYPE_CHECKING:
     import numpy as np
@@ -211,37 +209,24 @@ def _standardize(base: np.ndarray) -> np.ndarray:
     return (base - mean) / sd
 
 
-def fit_model(
-    matrix: ProfileMatrix,
-    scores: Sequence[NormalizedScore],
-    model_id: int,
-) -> ModelFit:
+def fit_model(values: np.ndarray, nc: np.ndarray, model_id: int) -> ModelFit:
     """Fit one model family by least squares with rank detection.
 
+    Row i of values (n x 12, NaN marking Absent) is fitted against nc[i].
     Models 1 and 2 regress the normalized citation score itself; models 3,
     4, and 6 regress its natural log, dropping zero-score rows and counting
     them; model 5 fits the exponential-response form by least squares of
-    the score against the linear columns. Rows without a score are left
-    out; rows with an Absent value are dropped and counted. Designs with
-    fewer rows than columns, or rank-deficient designs, come back
-    NonEstimable with no R-squared.
+    the score against the linear columns. Rows with an Absent value are
+    dropped and counted. Designs with fewer rows than columns, or
+    rank-deficient designs, come back NonEstimable with no R-squared.
     """
     import numpy as np
 
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id}")
-    score_map = {s.doc_id: s.nc for s in scores}
-    joined = [i for i, doc_id in enumerate(matrix.doc_ids) if doc_id in score_map]
-    if len(matrix) and not joined:
-        raise JoinMismatch("profiles and scores share no doc_ids")
-    if not joined:
-        raise NoRowsRemaining("no profiles to fit")
-
-    base = matrix.values[joined]
-    nc = np.array([score_map[matrix.doc_ids[i]] for i in joined], dtype=float)
-    keep = ~np.isnan(base).any(axis=1)
+    keep = ~np.isnan(values).any(axis=1)
     n_complete = int(np.count_nonzero(keep))
-    n_dropped_absent = len(joined) - n_complete
+    n_dropped_absent = len(values) - n_complete
 
     n_dropped_zero = 0
     if model_id in _LOG_RESPONSE_MODELS:
@@ -252,7 +237,7 @@ def fit_model(
 
     nc = nc[keep]
     y = np.log(nc) if model_id in _LOG_RESPONSE_MODELS else nc
-    design = _expand_design(_standardize(base[keep]), model_id)
+    design = _expand_design(_standardize(values[keep]), model_id)
     n_rows, n_cols = design.shape
 
     fit = ModelFit(

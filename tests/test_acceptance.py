@@ -37,7 +37,7 @@ from lexcite.impact import (
     stratify,
 )
 from lexcite.metrics import ProfileMatrix, complexity_profile
-from lexcite.reports import build_comparison_rows, build_regression_rows, group_codes
+from lexcite.reports import build_comparison_rows, build_regression_rows, join_scores
 from lexcite.stats import bootstrap_mean_ci, fit_model, ks_two_sample
 from lexcite.tableio import read_table
 from lexcite.tagging import import_tagged
@@ -291,7 +291,7 @@ def test_criterion_5_regression_behavior():
     coef = rng.uniform(-1.5, 1.5, 12)
     scores = [NormalizedScore(doc_id=doc_id, nc=float(40 + coef @ x))
               for doc_id, x in zip(profiles.doc_ids, profiles.values)]
-    planted = fit_model(profiles, scores, 5)
+    planted = fit_model(*join_scores(profiles, scores)[:2], 5)
     planted_ok = (planted.status == "Estimable"
                   and planted.r_squared >= 1 - 1e-9)
 
@@ -300,7 +300,8 @@ def test_criterion_5_regression_behavior():
         profs = rand_profiles(rng, 120)
         scrs = [NormalizedScore(doc_id=doc_id, nc=float(v))
                 for doc_id, v in zip(profs.doc_ids, rng.lognormal(0, 1, 120))]
-        r = {m: fit_model(profs, scrs, m).r_squared for m in (1, 2, 3, 4, 5, 6)}
+        values, nc, _ = join_scores(profs, scrs)
+        r = {m: fit_model(values, nc, m).r_squared for m in (1, 2, 3, 4, 5, 6)}
         if not (r[1] >= r[2] - 1e-9 and r[2] >= r[5] - 1e-9
                 and r[3] >= r[4] - 1e-9 and r[4] >= r[6] - 1e-9):
             violations += 1
@@ -309,8 +310,8 @@ def test_criterion_5_regression_behavior():
     small_scores = [NormalizedScore(doc_id=doc_id, nc=float(v))
                     for doc_id, v in zip(small_profiles.doc_ids,
                                          rng.lognormal(0, 1, 17))]
-    small = fit_model(small_profiles, small_scores, 1)
-    rows = build_regression_rows(small_profiles, stratify(small_scores))
+    small = fit_model(*join_scores(small_profiles, small_scores)[:2], 1)
+    rows = build_regression_rows(*join_scores(small_profiles, stratify(small_scores)))
     dash_ok = (small.status == "NonEstimable" and small.r_squared is None
                and [r[2] for r in rows if r[0] == 1 and r[1] == "all"] == ["-"])
 
@@ -389,8 +390,8 @@ def test_criterion_7_false_positive_control():
     profiles = ProfileMatrix(tuple(f"D{i:05d}" for i in range(n_docs)), values)
     scores = stratify([NormalizedScore(doc_id=f"D{i:05d}", nc=float(nc[i]))
                        for i in range(n_docs)])
-    codes = group_codes(profiles, scores)
-    null_rows = build_comparison_rows(profiles, codes)
+    joined, _, codes = join_scores(profiles, scores)
+    null_rows = build_comparison_rows(joined, codes)
     flagged = sum(1 for r in null_rows if r[4] != "")
 
     high_ids = {s.doc_id for s in scores if s.group is ImpactGroup.HIGH}
@@ -398,7 +399,7 @@ def test_criterion_7_false_positive_control():
     for i, doc_id in enumerate(profiles.doc_ids):
         if doc_id in high_ids:
             shifted_values[i, 0] += 5.0  # x1, mean sentence length
-    shifted = ProfileMatrix(profiles.doc_ids, shifted_values)
+    shifted, _, _ = join_scores(ProfileMatrix(profiles.doc_ids, shifted_values), scores)
     planted_rows = build_comparison_rows(shifted, codes)
     planted = next(r for r in planted_rows
                    if r[0] == "x1" and r[1] == "High-Low")
@@ -424,8 +425,16 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
                      "--citations", str(MINICORPUS / "citations.csv"),
                      "--out", str(out), "--seed", "0"])
 
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    code1, code2 = run(out1), run(out2)
+    # the third run goes into an --out that an earlier run left dirty: a
+    # tagged file of a document that is no longer an input, and an
+    # errors.json of a failed invocation
+    out1, out2, dirty = tmp_path / "one", tmp_path / "two", tmp_path / "dirty"
+    (dirty / "tagged").mkdir(parents=True)
+    (dirty / "tagged" / "STALE.0001.tsv").write_text(
+        "#doc=STALE.0001\nThe\tDT\ncats\tNNS\nsleep\tVBP\n.\t.\n\n",
+        encoding="utf-8")
+    (dirty / "errors.json").write_text('{"stage": "group"}\n', encoding="utf-8")
+    code1, code2, code3 = run(out1), run(out2), run(dirty)
 
     rejects = read_table(out1 / "rejects.csv").rows
     corpus_lines = (out1 / "corpus.jsonl").read_text("utf-8").count("\n")
@@ -434,17 +443,18 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
 
     rel_files = sorted(p.relative_to(out1) for p in out1.rglob("*")
                        if p.is_file())
-    identical = (
-        rel_files == sorted(p.relative_to(out2) for p in out2.rglob("*")
+    identical = all(
+        rel_files == sorted(p.relative_to(out) for p in out.rglob("*")
                             if p.is_file())
-        and all((out1 / rel).read_bytes() == (out2 / rel).read_bytes()
-                for rel in rel_files))
+        and all((out1 / rel).read_bytes() == (out / rel).read_bytes()
+                for rel in rel_files)
+        for out in (out2, dirty))
 
-    ok = (code1 == 0 and code2 == 0 and not rejects and corpus_lines == 30
-          and len(profile_rows) == 30 and 15.0 <= mean_x1 <= 40.0
-          and identical)
+    ok = (code1 == 0 and code2 == 0 and code3 == 0 and not rejects
+          and corpus_lines == 30 and len(profile_rows) == 30
+          and 15.0 <= mean_x1 <= 40.0 and identical)
     report(8, "end-to-end determinism", ok,
-           f"exit codes ({code1},{code2}), {corpus_lines} articles ingested, "
-           f"0 rejects expected (got {len(rejects)}), mean sentence length "
-           f"{mean_x1:.2f} in [15,40], rerun byte-identical: {identical} "
-           f"({len(rel_files)} files)")
+           f"exit codes ({code1},{code2},{code3}), {corpus_lines} articles "
+           f"ingested, 0 rejects expected (got {len(rejects)}), mean sentence "
+           f"length {mean_x1:.2f} in [15,40], rerun and rerun into a dirty "
+           f"--out byte-identical: {identical} ({len(rel_files)} files)")

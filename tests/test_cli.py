@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from lexcite.cli import (
     build_parser,
     main,
 )
-from lexcite.errors import ConfigError, FormatError, LexciteError
+from lexcite.errors import ConfigError, FormatError, GroupEmptyWarning, LexciteError
 from lexcite.ingest import AbbreviationTable
 from lexcite.tableio import read_table, write_table
 
@@ -223,6 +224,39 @@ class TestStageGating:
         assert main(["profile", "--out", str(tmp_path)]) == 2
         assert "LEXCITE_TYPO" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("option", [option for option, convert in cli._OPTIONS.items()
+                                        if convert is Path])
+    def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, option, via):
+        # an empty path is not the current directory: nothing is written there
+        monkeypatch.chdir(tmp_path)
+        argv = ["group"]
+        if option != "out":
+            argv += ["--out", str(tmp_path / "out")]
+        if via == "flag":
+            name = "--" + option.replace("_", "-")
+            argv += [name, ""]
+        else:
+            name = "LEXCITE_" + option.upper()
+            monkeypatch.setenv(name, "")
+        assert main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert name in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_errors_json_removed(self, tmp_path):
+        # errors.json describes the latest invocation only
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", "abc", ""]])
+        assert main(["group", "--out", str(tmp_path)]) == 1
+        assert read_errors(tmp_path)["stage"] == "group"
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 1.0, ""], ["d2", 2.0, ""]])
+        with pytest.warns(GroupEmptyWarning):
+            assert main(["group", "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "errors.json").exists()
+
 
 class TestStageNamedByMain:
     """main names the failing stage, whatever the stage raised."""
@@ -297,6 +331,7 @@ class TestInputOutputErrors:
         assert main(["tag", "--out", str(tmp_path)]) == 1
         err = read_errors(tmp_path)
         assert (err["stage"], err["error"]) == ("tag", "IsADirectoryError")
+        assert err["document"] == "a"
         assert "a.tsv" in err["message"]
         assert "Traceback" not in capsys.readouterr().err
 
@@ -502,6 +537,82 @@ class TestImportTagged:
         assert (err["stage"], err["document"], err["error"]) == (stage, document, "FormatError")
         assert err["message"].startswith("line 3: docC.tsv: not UTF-8")
         assert f"error in {stage} stage" in capsys.readouterr().err
+
+
+class TestTagOwnsTaggedDir:
+    """After a successful tag, tagged/ holds only the files it wrote, so a
+    rerun into the same --out reads no document of an earlier run."""
+
+    @pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
+    def test_deleted_article_leaves_profiles(self, tmp_path):
+        src = tmp_path / "xml"
+        shutil.copytree(MINICORPUS, src)
+        deleted = "GEN.2011.0002"
+
+        def run(out):
+            return main(["run", "--input", str(src), "--citations",
+                         str(src / "citations.csv"), "--out", str(out),
+                         "--iterations", "50"])
+
+        dirty, clean = tmp_path / "dirty", tmp_path / "clean"
+        assert run(dirty) == 0
+        (src / f"{deleted}.xml").unlink()
+        assert run(dirty) == 0
+        assert run(clean) == 0
+        doc_ids = [row[0] for row in read_table(dirty / "profiles.csv").rows]
+        assert len(doc_ids) == 29 and deleted not in doc_ids
+        assert (dirty / "profiles.csv").read_bytes() == (clean / "profiles.csv").read_bytes()
+        assert (sorted(p.name for p in (dirty / "tagged").iterdir())
+                == sorted(p.name for p in (clean / "tagged").iterdir()))
+
+    def test_import_tagged_replaces_earlier_files(self, tmp_path):
+        ext, out = tmp_path / "ext", tmp_path / "out"
+        ext.mkdir()
+        for name in ("docA", "docB"):
+            (ext / f"{name}.tsv").write_text("The\tDT\ncats\tNNS\n\n", encoding="utf-8")
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
+        (ext / "docB.tsv").unlink()
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
+        assert sorted(p.name for p in (out / "tagged").iterdir()) == ["docA.tsv"]
+        assert main(["profile", "--out", str(out)]) == 0
+        assert [row[0] for row in read_table(out / "profiles.csv").rows] == ["docA"]
+
+
+class TestJoinInStages:
+    """compare and regress use the profile rows that have a score: a score
+    without a group counts in the "all" cohort only, and a profile without a
+    score counts nowhere."""
+
+    def test_partial_scores(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n_high, n_medium, n_low, n_ungrouped, n_unscored = 3, 5, 20, 4, 6
+        groups = (["High"] * n_high + ["Medium"] * n_medium + ["Low"] * n_low
+                  + [""] * n_ungrouped)
+        n_profiles = len(groups) + n_unscored
+        # profile rows in file order interleave the unscored documents
+        doc_ids = [f"d{i:02d}" for i in range(n_profiles)]
+        unscored = set(doc_ids[::n_profiles // n_unscored][:n_unscored])
+        scored = [d for d in doc_ids if d not in unscored]
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [[d, *rng.uniform(1, 9, 12)] for d in doc_ids])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [[d, float(rng.lognormal(0, 1)), g] for d, g in zip(scored, groups)])
+        common = ["--out", str(tmp_path), "--iterations", "50"]
+        assert main(["compare", *common]) == 0
+        assert main(["regress", *common]) == 0
+
+        sizes = {"High": n_high, "Medium": n_medium, "Low": n_low}
+        for row in read_table(tmp_path / "comparison.csv").rows:
+            first, second = row[1].split("-")
+            assert (int(row[5]), int(row[6])) == (sizes[first], sizes[second])
+        for row in read_table(tmp_path / "estimates.csv").rows:
+            assert int(row[5]) == sizes[row[1]]
+        n_used = {(int(r[0]), r[1]): int(r[3])
+                  for r in read_table(tmp_path / "regression.csv").rows}
+        for model_id in range(1, 7):
+            assert n_used[model_id, "all"] == len(scored)
+            for group, size in sizes.items():
+                assert n_used[model_id, group] == size
 
 
 PROFILE_HEADER = ["doc_id", *[f"x{i}" for i in range(1, 13)]]
@@ -864,3 +975,77 @@ class TestFullRun:
         for name in ("profiles.csv", "scores.csv", "comparison.csv",
                      "estimates.csv", "regression.csv"):
             assert (full / name).read_bytes() == (staged / name).read_bytes()
+
+
+# ------------------------------------------------------- mutated inputs
+
+def _fuzz_stage(name: str, root: Path, out: Path) -> tuple[Path, list[str]]:
+    """Write one valid input of one stage (inputs of later stages go into
+    out, where the stage reads them) and return its path and the argv that
+    runs the stage into out."""
+    out.mkdir()
+    if name == "article":
+        (root / "a.xml").write_text(ARTICLE.format(doc_id="10.1/a"), encoding="utf-8")
+        return root / "a.xml", ["ingest", "--input", str(root)]
+    if name == "citations":
+        path = root / "citations.csv"
+        path.write_text("doc_id,year,domain,total_citations\r\n"
+                        "a,2010,Eco,3\r\nb,2010,Eco,0\r\nc,2011,Gen,7\r\n",
+                        encoding="utf-8")
+        return path, ["normalize", "--citations", str(path)]
+    if name == "corpus":
+        path = out / "corpus.jsonl"
+        path.write_text('{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": '
+                        '["The cats sleep. The cat sat quietly because it was tired."]}\n',
+                        encoding="utf-8")
+        return path, ["tag"]
+    if name == "tagged":
+        path = out / "tagged" / "a.tsv"
+        path.parent.mkdir()
+        path.write_text("#doc=a\n#clauses=2\nThe\tDT\nold\tJJ\ncat\tNN\n"
+                        "sat\tVBD\nquietly\tRB\n.\t.\n\n", encoding="utf-8")
+        return path, ["profile"]
+    rng = np.random.default_rng(0)
+    doc_ids = [f"d{i:02d}" for i in range(12)]
+    write_table(out / "scores.csv", ["doc_id", "nc", "group"],
+                [[d, float(rng.lognormal(0, 1)), "Medium" if i < 3 else "Low"]
+                 for i, d in enumerate(doc_ids)])
+    if name == "scores":
+        return out / "scores.csv", ["group"]
+    write_table(out / "profiles.csv", PROFILE_HEADER,
+                [[d, *rng.uniform(1, 9, 12)] for d in doc_ids])
+    return out / "profiles.csv", ["compare", "--iterations", "20"]
+
+
+def _mutate(data: bytes, edits: list[tuple[str, int, int]]) -> bytes:
+    buf = bytearray(data)
+    for kind, position, byte in edits:
+        if kind == "insert":
+            buf.insert(position % (len(buf) + 1), byte)
+        elif buf and kind == "replace":
+            buf[position % len(buf)] = byte
+        elif buf:
+            del buf[position % len(buf)]
+    return bytes(buf)
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("name", ["article", "citations", "corpus", "tagged",
+                                  "scores", "profiles"])
+@settings(max_examples=50, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                                st.integers(0, 4095),
+                                # printable ASCII half the time, so that more
+                                # mutants decode and reach the parsers
+                                st.one_of(st.integers(0x20, 0x7E), st.integers(0, 255))),
+                      min_size=1, max_size=8))
+def test_mutated_input_follows_error_contract(name, edits):
+    """A stage fed a byte-mutated input never raises: main returns 0, or 1
+    with an errors.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path, argv = _fuzz_stage(name, Path(tmp), out)
+        path.write_bytes(_mutate(path.read_bytes(), edits))
+        code = main([*argv, "--out", str(out)])
+        assert code in (0, 1)
+        assert (out / "errors.json").exists() == (code == 1)

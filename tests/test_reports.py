@@ -10,6 +10,7 @@ import pytest
 
 import lexcite.reports as reports_mod
 
+from lexcite.errors import JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from lexcite.metrics import ProfileMatrix
 from lexcite.reports import (
@@ -21,8 +22,8 @@ from lexcite.reports import (
     build_comparison_rows,
     build_estimate_rows,
     build_regression_rows,
-    group_codes,
     group_samples,
+    join_scores,
     stars_text,
     subseed,
 )
@@ -49,9 +50,9 @@ def make_corpus(rng, sizes=(6, 8, 10)):
 
 
 def codes_of(rng, sizes=(6, 8, 10)):
-    """make_corpus's matrix and the group code of each of its rows."""
-    matrix, scores = make_corpus(rng, sizes)
-    return matrix, group_codes(matrix, scores)
+    """make_corpus's joined values and the group code of each of their rows."""
+    values, _, codes = join_scores(*make_corpus(rng, sizes))
+    return values, codes
 
 
 class TestHelpers:
@@ -74,15 +75,15 @@ class TestHelpers:
 
     def test_group_samples_partitions(self):
         rng = np.random.default_rng(0)
-        profiles, codes = codes_of(rng)
-        samples = group_samples(profiles, codes, "x1")
+        values, codes = codes_of(rng)
+        samples = group_samples(values, codes, "x1")
         assert [len(samples[g][0]) for g in GROUP_ORDER] == [6, 8, 10]
 
     def test_group_samples_counts_absent(self):
         rng = np.random.default_rng(1)
-        profiles, codes = codes_of(rng)
-        profiles.values[0, X8] = np.nan  # doc in High
-        samples = group_samples(profiles, codes, "x8")
+        values, codes = codes_of(rng)
+        values[0, X8] = np.nan  # doc in High
+        samples = group_samples(values, codes, "x8")
         values, excluded = samples[ImpactGroup.HIGH]
         assert len(values) == 5
         assert excluded == 1
@@ -92,7 +93,8 @@ class TestHelpers:
         profiles, scores = make_corpus(rng)
         scores[0] = NormalizedScore(doc_id=scores[0].doc_id, nc=scores[0].nc,
                                     group=None)
-        samples = group_samples(profiles, group_codes(profiles, scores), "x1")
+        values, _, codes = join_scores(profiles, scores)
+        samples = group_samples(values, codes, "x1")
         assert len(samples[ImpactGroup.HIGH][0]) == 5
 
     def test_group_samples_keep_row_order(self):
@@ -108,19 +110,42 @@ class TestHelpers:
                   ImpactGroup.LOW]  # d11 has no score
         scores = [NormalizedScore(doc_id=d, nc=1.0, group=g)
                   for d, g in zip(doc_ids, groups)][::-1]
-        matrix = ProfileMatrix(doc_ids, values)
-        samples = group_samples(matrix, group_codes(matrix, scores), "x1")
+        values, _, codes = join_scores(ProfileMatrix(doc_ids, values), scores)
+        samples = group_samples(values, codes, "x1")
         assert samples[ImpactGroup.HIGH][0].tolist() == [12.0, 7.0, 4.0]
         assert samples[ImpactGroup.MEDIUM][0].tolist() == [9.0, 2.0]
         assert samples[ImpactGroup.LOW][0].tolist() == [5.0, 3.0, 8.0, 10.0]
         assert samples[ImpactGroup.LOW][1] == 1
 
 
+class TestJoin:
+    def test_scored_rows_in_file_order(self):
+        values = np.arange(48, dtype=float).reshape(4, 12)
+        values[2, X8] = np.nan
+        matrix = ProfileMatrix(("d0", "d1", "d2", "d3"), values)
+        scores = [NormalizedScore("d3", 3.0, ImpactGroup.LOW),
+                  NormalizedScore("e9", 9.0, ImpactGroup.MEDIUM),  # no profile
+                  NormalizedScore("d2", 2.0, None),
+                  NormalizedScore("d0", 0.5, ImpactGroup.HIGH)]  # d1: no score
+        joined, nc, codes = join_scores(matrix, scores)
+        np.testing.assert_array_equal(joined, values[[0, 2, 3]])
+        assert nc.tolist() == [0.5, 2.0, 3.0]
+        assert codes.tolist() == [0, -1, 2]
+
+    def test_join_mismatch(self):
+        rng = np.random.default_rng(10)
+        matrix = ProfileMatrix(tuple(f"d{i:04d}" for i in range(5)),
+                               rng.uniform(0.5, 10, (5, 12)))
+        scores = [NormalizedScore(doc_id="other", nc=1.0)]
+        with pytest.raises(JoinMismatch):
+            join_scores(matrix, scores)
+
+
 class TestComparisonRows:
     def test_row_order_and_count(self):
         rng = np.random.default_rng(3)
-        profiles, codes = codes_of(rng)
-        rows = build_comparison_rows(profiles, codes)
+        values, codes = codes_of(rng)
+        rows = build_comparison_rows(values, codes)
         assert len(rows) == 36
         assert [r[0] for r in rows[:3]] == ["x1", "x1", "x1"]
         assert [r[1] for r in rows[:3]] == ["High-Medium", "High-Low",
@@ -130,15 +155,15 @@ class TestComparisonRows:
 
     def test_sample_sizes_reported(self):
         rng = np.random.default_rng(4)
-        profiles, codes = codes_of(rng, sizes=(3, 5, 7))
-        rows = build_comparison_rows(profiles, codes)
+        values, codes = codes_of(rng, sizes=(3, 5, 7))
+        rows = build_comparison_rows(values, codes)
         high_medium = rows[0]
         assert (high_medium[5], high_medium[6]) == (3, 5)
 
     def test_group_empty_row(self):
         rng = np.random.default_rng(5)
-        profiles, codes = codes_of(rng, sizes=(0, 5, 7))
-        rows = build_comparison_rows(profiles, codes)
+        values, codes = codes_of(rng, sizes=(0, 5, 7))
+        rows = build_comparison_rows(values, codes)
         assert rows[0][1] == "High-Medium"
         assert rows[0][8] == STATUS_GROUP_EMPTY
         assert rows[0][2] is None and rows[0][3] is None and rows[0][4] == ""
@@ -146,9 +171,9 @@ class TestComparisonRows:
 
     def test_all_absent_variable_is_group_empty(self):
         rng = np.random.default_rng(6)
-        profiles, codes = codes_of(rng, sizes=(2, 2, 2))
-        profiles.values[:2, X8] = np.nan  # High docs lack x8
-        rows = build_comparison_rows(profiles, codes)
+        values, codes = codes_of(rng, sizes=(2, 2, 2))
+        values[:2, X8] = np.nan  # High docs lack x8
+        rows = build_comparison_rows(values, codes)
         x8_rows = [r for r in rows if r[0] == "x8"]
         assert x8_rows[0][8] == STATUS_GROUP_EMPTY  # High-Medium
         assert x8_rows[0][7] == 2  # both High docs excluded
@@ -158,8 +183,8 @@ class TestComparisonRows:
 class TestCdfRows:
     def test_heights_and_order(self):
         rng = np.random.default_rng(7)
-        profiles, codes = codes_of(rng, sizes=(2, 2, 2))
-        rows = build_cdf_rows(profiles, codes)
+        values, codes = codes_of(rng, sizes=(2, 2, 2))
+        rows = build_cdf_rows(values, codes)
         assert [r[0] for r in rows[:2]] == ["x1", "x1"]
         assert rows[0][1] == "High"
         by_key = {}
@@ -172,16 +197,16 @@ class TestCdfRows:
 
     def test_empty_group_skipped(self):
         rng = np.random.default_rng(8)
-        profiles, codes = codes_of(rng, sizes=(0, 2, 2))
-        rows = build_cdf_rows(profiles, codes)
+        values, codes = codes_of(rng, sizes=(0, 2, 2))
+        rows = build_cdf_rows(values, codes)
         assert all(r[1] != "High" for r in rows)
 
 
 class TestEstimateRows:
     def test_order_and_status(self):
         rng = np.random.default_rng(9)
-        profiles, codes = codes_of(rng, sizes=(3, 3, 3))
-        rows = build_estimate_rows(profiles, codes, iterations=200,
+        values, codes = codes_of(rng, sizes=(3, 3, 3))
+        rows = build_estimate_rows(values, codes, iterations=200,
                                    level=0.95, seed=0)
         assert len(rows) == 36
         assert [r[1] for r in rows[:3]] == ["High", "Medium", "Low"]
@@ -191,8 +216,8 @@ class TestEstimateRows:
 
     def test_empty_group_row(self):
         rng = np.random.default_rng(10)
-        profiles, codes = codes_of(rng, sizes=(0, 3, 3))
-        rows = build_estimate_rows(profiles, codes, iterations=100,
+        values, codes = codes_of(rng, sizes=(0, 3, 3))
+        rows = build_estimate_rows(values, codes, iterations=100,
                                    level=0.95, seed=0)
         assert rows[0][1] == "High"
         assert rows[0][7] == STATUS_GROUP_EMPTY
@@ -201,20 +226,20 @@ class TestEstimateRows:
     def test_seed_isolation_per_variable(self):
         """Changing one variable's data must not shift another's interval."""
         rng = np.random.default_rng(11)
-        profiles, codes = codes_of(rng, sizes=(4, 4, 4))
-        before = build_estimate_rows(profiles, codes, iterations=300,
+        values, codes = codes_of(rng, sizes=(4, 4, 4))
+        before = build_estimate_rows(values, codes, iterations=300,
                                      level=0.95, seed=7)
-        profiles.values[:, X1] += 100.0
-        after = build_estimate_rows(profiles, codes, iterations=300,
+        values[:, X1] += 100.0
+        after = build_estimate_rows(values, codes, iterations=300,
                                     level=0.95, seed=7)
         assert before[0] != after[0]  # x1 rows moved
         assert before[3:] == after[3:]  # x2..x12 rows byte-for-byte stable
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
-        profiles, codes = codes_of(rng, sizes=(3, 3, 3))
-        a = build_estimate_rows(profiles, codes, 200, 0.95, 5)
-        b = build_estimate_rows(profiles, codes, 200, 0.95, 5)
+        values, codes = codes_of(rng, sizes=(3, 3, 3))
+        a = build_estimate_rows(values, codes, 200, 0.95, 5)
+        b = build_estimate_rows(values, codes, 200, 0.95, 5)
         assert a == b
 
 
@@ -246,10 +271,10 @@ class TestEstimateThreads:
         monkeypatch.setattr(reports_mod.threading, "Thread", refuse)
 
     def test_one_cpu_inline_equals_two_threads(self, monkeypatch):
-        profiles, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
+        values, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
         set_cpus(monkeypatch, 1)
         self.forbid_threads(monkeypatch)
-        inline = build_estimate_rows(profiles, codes, 300, 0.95, 3)
+        inline = build_estimate_rows(values, codes, 300, 0.95, 3)
         monkeypatch.undo()
 
         # The first cell (x1, High) waits until another cell has finished,
@@ -271,7 +296,7 @@ class TestEstimateThreads:
             return result
 
         monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", ordered)
-        threaded = build_estimate_rows(profiles, codes, 300, 0.95, 3)
+        threaded = build_estimate_rows(values, codes, 300, 0.95, 3)
         assert len(started) == 1 and not started[0].is_alive()
         assert finished[0] != first_seed and len(finished) == 36
         assert threaded == inline
@@ -281,12 +306,12 @@ class TestEstimateThreads:
         values = np.full((5, 12), np.nan)
         values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
         doc_ids = tuple(f"d{i}" for i in range(5))
-        matrix = ProfileMatrix(doc_ids, values)
-        codes = group_codes(matrix, [NormalizedScore(d, 1.0, ImpactGroup.LOW)
-                                     for d in doc_ids])
+        values, _, codes = join_scores(ProfileMatrix(doc_ids, values),
+                                       [NormalizedScore(d, 1.0, ImpactGroup.LOW)
+                                        for d in doc_ids])
         set_cpus(monkeypatch, 2)
         self.forbid_threads(monkeypatch)
-        rows = build_estimate_rows(matrix, codes, 100, 0.95, 0)
+        rows = build_estimate_rows(values, codes, 100, 0.95, 0)
         assert [r[7] for r in rows].count(STATUS_OK) == 1
 
     def test_each_cell_taken_once(self, monkeypatch):
@@ -308,7 +333,7 @@ class TestEstimateThreads:
 
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
     def test_cell_error_raised_in_caller(self, monkeypatch, raiser):
-        profiles, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
+        values, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
         set_cpus(monkeypatch, 2)
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -330,7 +355,7 @@ class TestEstimateThreads:
         monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing)
         before = threading.active_count()
         with pytest.raises(CellFailed, match=raiser):
-            build_estimate_rows(profiles, codes, 100, 0.95, 0)
+            build_estimate_rows(values, codes, 100, 0.95, 0)
         assert threading.active_count() == before
         assert hooked == []
 
@@ -339,7 +364,7 @@ class TestRegressionRows:
     def test_order_and_shape(self):
         rng = np.random.default_rng(13)
         profiles, scores = make_corpus(rng, sizes=(40, 40, 40))
-        rows = build_regression_rows(profiles, scores)
+        rows = build_regression_rows(*join_scores(profiles, scores))
         assert len(rows) == 24
         assert [r[0] for r in rows[:4]] == [1, 1, 1, 1]
         assert [r[1] for r in rows[:4]] == list(COHORT_ORDER)
@@ -348,7 +373,7 @@ class TestRegressionRows:
     def test_small_cohorts_non_estimable(self):
         rng = np.random.default_rng(14)
         profiles, scores = make_corpus(rng, sizes=(5, 9, 120))
-        rows = build_regression_rows(profiles, scores)
+        rows = build_regression_rows(*join_scores(profiles, scores))
         m1 = {r[1]: r for r in rows if r[0] == 1}
         assert m1["High"][2] == "-"  # 5 rows < 91 columns
         assert m1["Low"][2] != "-"
@@ -359,7 +384,7 @@ class TestRegressionRows:
     def test_empty_cohort_row(self):
         rng = np.random.default_rng(15)
         profiles, scores = make_corpus(rng, sizes=(0, 20, 120))
-        rows = build_regression_rows(profiles, scores)
+        rows = build_regression_rows(*join_scores(profiles, scores))
         high_rows = [r for r in rows if r[1] == "High"]
         assert all(r[2] == "-" and r[3] == 0 and r[4] == 0 for r in high_rows)
 
@@ -369,7 +394,7 @@ class TestRegressionRows:
         for i in range(4):
             scores[i] = NormalizedScore(doc_id=scores[i].doc_id, nc=0.0,
                                         group=scores[i].group)
-        rows = build_regression_rows(profiles, scores)
+        rows = build_regression_rows(*join_scores(profiles, scores))
         by_model = {r[0]: r for r in rows if r[1] == "all"}
         assert by_model[5][4] == 0
         assert by_model[6][4] == 4

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lexcite.errors import DegenerateResponseWarning, EmptySample, JoinMismatch, NoRowsRemaining
+from lexcite.errors import DegenerateResponseWarning, EmptySample, NoRowsRemaining
 from lexcite.impact import NormalizedScore
 from lexcite.metrics import ProfileMatrix
+from lexcite.reports import join_scores
 from lexcite.stats import (
     bootstrap_mean_ci,
     ecdf_steps,
@@ -20,10 +21,9 @@ from lexcite.stats import (
 X5, X6, X8 = 4, 5, 7  # matrix columns of noun, verb and adverb length
 
 
-def rand_profiles(rng, n):
+def rand_values(rng, n):
     """n profiles of 12 values each, drawn row by row."""
-    return ProfileMatrix(tuple(f"d{i:04d}" for i in range(n)),
-                         np.array([rng.uniform(0.5, 10, 12) for _ in range(n)]))
+    return np.array([rng.uniform(0.5, 10, 12) for _ in range(n)])
 
 
 class TestEcdf:
@@ -206,50 +206,52 @@ class TestRSquared:
 
     def test_perfect(self):
         rng = np.random.default_rng(20)
-        profiles = rand_profiles(rng, 30)
-        nc = 3.0 + profiles.values @ rng.uniform(-1, 1, 12)
-        fit = fit_model(profiles, make_scores(profiles, nc), 5)
+        values = rand_values(rng, 30)
+        nc = 3.0 + values @ rng.uniform(-1, 1, 12)
+        fit = fit_model(values, nc, 5)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_prediction(self):
         # a response orthogonal to every predictor is fitted by its mean
         rng = np.random.default_rng(21)
-        profiles = rand_profiles(rng, 30)
-        design = np.column_stack([np.ones(30), profiles.values])
+        values = rand_values(rng, 30)
+        design = np.column_stack([np.ones(30), values])
         noise = rng.normal(0, 1, 30)
         residual = noise - design @ np.linalg.lstsq(design, noise, rcond=None)[0]
-        fit = fit_model(profiles, make_scores(profiles, 5.0 + residual), 5)
+        fit = fit_model(values, 5.0 + residual, 5)
         assert fit.status == "Estimable"
         assert fit.r_squared == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value(self):
         # the same R-squared as a plain least-squares fit on the raw columns
         rng = np.random.default_rng(22)
-        profiles = rand_profiles(rng, 40)
+        values = rand_values(rng, 40)
         y = rng.lognormal(0, 1, 40)
-        design = np.column_stack([np.ones(40), profiles.values])
+        design = np.column_stack([np.ones(40), values])
         yhat = design @ np.linalg.lstsq(design, y, rcond=None)[0]
         expected = 1.0 - np.sum((y - yhat) ** 2) / np.sum((y - y.mean()) ** 2)
-        fit = fit_model(profiles, make_scores(profiles, y), 5)
+        fit = fit_model(values, y, 5)
         assert fit.r_squared == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
         # profiles without a score are left out of the fit, uncounted
         rng = np.random.default_rng(23)
-        profiles = rand_profiles(rng, 30)
-        scores = make_scores(profiles, rng.lognormal(0, 1, 30))[:20]
-        fit = fit_model(profiles, scores, 5)
-        alone = fit_model(ProfileMatrix(profiles.doc_ids[:20], profiles.values[:20]),
-                          scores, 5)
+        values = rand_values(rng, 30)
+        doc_ids = tuple(f"d{i:04d}" for i in range(30))
+        scores = [NormalizedScore(doc_id=doc_id, nc=float(v))
+                  for doc_id, v in zip(doc_ids, rng.lognormal(0, 1, 30))][:20]
+        joined, nc, _ = join_scores(ProfileMatrix(doc_ids, values), scores)
+        fit = fit_model(joined, nc, 5)
+        alone = fit_model(values[:20], nc, 5)
         assert (fit.n_used, fit.n_dropped_absent) == (20, 0)
         assert fit.r_squared == alone.r_squared
 
     def test_degenerate_response(self):
         # a constant log response (every score 1) warns and reports 0
         rng = np.random.default_rng(24)
-        profiles = rand_profiles(rng, 20)
+        values = rand_values(rng, 20)
         with pytest.warns(DegenerateResponseWarning):
-            fit = fit_model(profiles, make_scores(profiles, [1.0] * 20), 6)
+            fit = fit_model(values, np.full(20, 1.0), 6)
         assert (fit.status, fit.r_squared) == ("Estimable", 0.0)
 
     @pytest.mark.parametrize("score", [3.0, 0.7, 2.5])
@@ -258,9 +260,9 @@ class TestRSquared:
         # the mean of equal floats (or of their logs) can miss them by an
         # ulp; the response is still constant, so R-squared is 0, not noise
         rng = np.random.default_rng(20)
-        profiles = rand_profiles(rng, 30)
+        values = rand_values(rng, 30)
         with pytest.warns(DegenerateResponseWarning):
-            fit = fit_model(profiles, make_scores(profiles, [score] * 30), model_id)
+            fit = fit_model(values, np.full(30, score), model_id)
         assert (fit.status, fit.r_squared) == ("Estimable", 0.0)
 
 
@@ -272,139 +274,123 @@ class TestDesignMatrix:
                                    (5, 13), (6, 13)):
             for n_rows, status in ((expected - 1, "NonEstimable"),
                                    (expected, "Estimable")):
-                profiles = rand_profiles(rng, n_rows)
-                scores = make_scores(profiles, rng.lognormal(0, 1, n_rows))
-                fit = fit_model(profiles, scores, model_id)
+                values = rand_values(rng, n_rows)
+                nc = rng.lognormal(0, 1, n_rows)
+                fit = fit_model(values, nc, model_id)
                 assert (fit.status, fit.n_used) == (status, n_rows)
 
     def test_absent_rows_dropped(self):
         rng = np.random.default_rng(2)
-        profiles = rand_profiles(rng, 20)
-        profiles.values[1, X8] = np.nan
-        fit = fit_model(profiles, make_scores(profiles, rng.lognormal(0, 1, 20)), 5)
+        values = rand_values(rng, 20)
+        values[1, X8] = np.nan
+        fit = fit_model(values, rng.lognormal(0, 1, 20), 5)
         assert fit.n_used == 19
         assert fit.n_dropped_absent == 1
 
     def test_all_absent_raises(self):
         rng = np.random.default_rng(3)
-        profiles = rand_profiles(rng, 2)
-        profiles.values[:, X5] = np.nan
+        values = rand_values(rng, 2)
+        values[:, X5] = np.nan
         with pytest.raises(NoRowsRemaining):
-            fit_model(profiles, make_scores(profiles, [1.0, 2.0]), 5)
+            fit_model(values, np.array([1.0, 2.0]), 5)
 
     def test_standardize_preserves_span(self):
         # an affine rescaling of the predictors leaves the fit unchanged
         rng = np.random.default_rng(4)
-        profiles = rand_profiles(rng, 40)
-        scores = make_scores(profiles, rng.lognormal(0, 1, 40))
-        rescaled = ProfileMatrix(profiles.doc_ids, profiles.values * 3.0 + 7.0)
-        raw = fit_model(profiles, scores, 2)
-        std = fit_model(rescaled, scores, 2)
+        values = rand_values(rng, 40)
+        nc = rng.lognormal(0, 1, 40)
+        rescaled = values * 3.0 + 7.0
+        raw = fit_model(values, nc, 2)
+        std = fit_model(rescaled, nc, 2)
         assert raw.r_squared == pytest.approx(std.r_squared, abs=1e-9)
 
     def test_bad_model_id(self):
         rng = np.random.default_rng(5)
-        profiles = rand_profiles(rng, 20)
+        values = rand_values(rng, 20)
         with pytest.raises(ValueError):
-            fit_model(profiles, make_scores(profiles, [1.0] * 20), 7)
-
-
-def make_scores(profiles, nc_values):
-    return [NormalizedScore(doc_id=doc_id, nc=float(v))
-            for doc_id, v in zip(profiles.doc_ids, nc_values)]
+            fit_model(values, np.full(20, 1.0), 7)
 
 
 class TestFitModel:
     def test_planted_linear_m5(self):
         rng = np.random.default_rng(5150)
-        profiles = rand_profiles(rng, 60)
+        values = rand_values(rng, 60)
         coef = rng.uniform(-1.5, 1.5, 12)
-        scores = [NormalizedScore(doc_id=doc_id, nc=float(40 + coef @ x))
-                  for doc_id, x in zip(profiles.doc_ids, profiles.values)]
-        fit = fit_model(profiles, scores, 5)
+        nc = np.array([float(40 + coef @ x) for x in values])
+        fit = fit_model(values, nc, 5)
         assert fit.status == "Estimable"
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_quadratic_m1(self):
         rng = np.random.default_rng(99)
-        profiles = rand_profiles(rng, 120)
-        scores = []
-        for doc_id, x in zip(profiles.doc_ids, profiles.values):
-            nc = 50 + 0.3 * x[0] ** 2 + 0.5 * x[1] * x[2] - 1.2 * x[3]
-            scores.append(NormalizedScore(doc_id=doc_id, nc=float(nc)))
-        fit = fit_model(profiles, scores, 1)
+        values = rand_values(rng, 120)
+        nc = np.array([50 + 0.3 * x[0] ** 2 + 0.5 * x[1] * x[2] - 1.2 * x[3]
+                       for x in values])
+        fit = fit_model(values, nc, 1)
         assert fit.status == "Estimable"
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_non_estimable_underdetermined(self):
         rng = np.random.default_rng(6)
-        profiles = rand_profiles(rng, 17)
-        scores = make_scores(profiles, rng.lognormal(0, 1, 17))
-        fit = fit_model(profiles, scores, 1)
+        values = rand_values(rng, 17)
+        nc = rng.lognormal(0, 1, 17)
+        fit = fit_model(values, nc, 1)
         assert fit.status == "NonEstimable"
         assert fit.r_squared is None
         assert fit.n_used == 17
 
     def test_non_estimable_rank_deficient(self):
         rng = np.random.default_rng(7)
-        profiles = rand_profiles(rng, 40)
-        profiles.values[:, X6] = profiles.values[:, X5]  # duplicate a predictor
-        scores = make_scores(profiles, rng.lognormal(0, 1, 40))
-        fit = fit_model(profiles, scores, 5)
+        values = rand_values(rng, 40)
+        values[:, X6] = values[:, X5]  # duplicate a predictor
+        nc = rng.lognormal(0, 1, 40)
+        fit = fit_model(values, nc, 5)
         assert fit.status == "NonEstimable"
         assert fit.r_squared is None
 
     def test_log_models_drop_zero_nc(self):
         rng = np.random.default_rng(8)
-        profiles = rand_profiles(rng, 40)
+        values = rand_values(rng, 40)
         nc = rng.lognormal(0, 1, 40)
         nc[:5] = 0.0
-        scores = make_scores(profiles, nc)
-        fit = fit_model(profiles, scores, 6)
+        fit = fit_model(values, nc, 6)
         assert fit.n_dropped_zero_nc == 5
         assert fit.n_used == 35
-        linear_fit = fit_model(profiles, scores, 5)
+        linear_fit = fit_model(values, nc, 5)
         assert linear_fit.n_dropped_zero_nc == 0
         assert linear_fit.n_used == 40
 
     def test_absent_rows_counted(self):
         rng = np.random.default_rng(9)
-        profiles = rand_profiles(rng, 30)
-        profiles.values[0:2, X8] = np.nan
-        scores = make_scores(profiles, rng.lognormal(0, 1, 30))
-        fit = fit_model(profiles, scores, 5)
+        values = rand_values(rng, 30)
+        values[0:2, X8] = np.nan
+        nc = rng.lognormal(0, 1, 30)
+        fit = fit_model(values, nc, 5)
         assert fit.n_dropped_absent == 2
         assert fit.n_used == 28
 
-    def test_join_mismatch(self):
-        rng = np.random.default_rng(10)
-        profiles = rand_profiles(rng, 5)
-        scores = [NormalizedScore(doc_id="other", nc=1.0)]
-        with pytest.raises(JoinMismatch):
-            fit_model(profiles, scores, 5)
-
     def test_all_rows_zero_nc_for_log_model(self):
         rng = np.random.default_rng(11)
-        profiles = rand_profiles(rng, 5)
-        scores = make_scores(profiles, [0.0] * 5)
+        values = rand_values(rng, 5)
+        nc = np.full(5, 0.0)
         with pytest.raises(NoRowsRemaining):
-            fit_model(profiles, scores, 3)
+            fit_model(values, nc, 3)
 
     def test_constant_response_warns_r2_zero(self):
         rng = np.random.default_rng(12)
-        profiles = rand_profiles(rng, 20)
-        scores = make_scores(profiles, [2.5] * 20)
+        values = rand_values(rng, 20)
+        nc = np.full(20, 2.5)
         with pytest.warns(DegenerateResponseWarning):
-            fit = fit_model(profiles, scores, 5)
+            fit = fit_model(values, nc, 5)
         assert fit.r_squared == 0.0
         assert fit.status == "Estimable"
 
     def test_nesting_inequalities(self):
         rng = np.random.default_rng(5150)
         for _ in range(20):
-            profiles = rand_profiles(rng, 120)
-            scores = make_scores(profiles, rng.lognormal(0, 1, 120))
-            r = {m: fit_model(profiles, scores, m).r_squared
+            values = rand_values(rng, 120)
+            nc = rng.lognormal(0, 1, 120)
+            r = {m: fit_model(values, nc, m).r_squared
                  for m in (1, 2, 3, 4, 6)}
             assert r[1] >= r[2] - 1e-9
             assert r[3] >= r[4] - 1e-9
@@ -412,9 +398,9 @@ class TestFitModel:
 
     def test_r2_clamped(self):
         rng = np.random.default_rng(13)
-        profiles = rand_profiles(rng, 50)
-        scores = make_scores(profiles, rng.lognormal(0, 1, 50))
+        values = rand_values(rng, 50)
+        nc = rng.lognormal(0, 1, 50)
         for model_id in (1, 2, 3, 4, 5, 6):
-            fit = fit_model(profiles, scores, model_id)
+            fit = fit_model(values, nc, model_id)
             if fit.r_squared is not None:
                 assert 0.0 <= fit.r_squared <= 1.0
