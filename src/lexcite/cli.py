@@ -319,12 +319,17 @@ def stage_profile(config: RunConfig) -> None:
     if not files:
         raise ConfigError(f"no .tsv files in {tagged_dir}")
     profiles: list[ComplexityProfile] = []
+    file_of: dict[str, str] = {}
     for path in files:
         try:
             doc = read_tagged(path)
             profiles.append(complexity_profile(doc))
         except (LexciteError, OSError) as exc:
             raise DocumentError(path.stem, exc)
+        if doc.doc_id in file_of:
+            raise DocumentError(doc.doc_id, ConfigError(
+                f"files {file_of[doc.doc_id]} and {path.name} name one document"))
+        file_of[doc.doc_id] = path.name
     profiles.sort(key=lambda p: p.doc_id)
     write_table(config.out / "profiles.csv",
                 ["doc_id", *VARIABLE_COLUMNS],

@@ -22,7 +22,7 @@ class TaggerLengthMismatch(LexciteError):
 
 
 class FormatError(LexciteError):
-    """Tagged-token column input violates the line format."""
+    """A line of a table, TSV or JSONL input breaks its format."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -49,10 +49,6 @@ class ZeroBaselineNonzeroCitations(LexciteError):
 
 class EmptySample(LexciteError):
     """Statistical operation received an empty sample."""
-
-
-class NoRowsRemaining(LexciteError):
-    """All rows were excluded before model fitting."""
 
 
 class JoinMismatch(LexciteError):

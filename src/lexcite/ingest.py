@@ -211,25 +211,26 @@ def parse_jats(source: str | bytes) -> RawDocument:
 
 def document_to_json(doc: RawDocument) -> str:
     """Serialize one document as a JSON line with fixed field order."""
-    record = {
-        "doc_id": doc.doc_id,
-        "year": doc.year,
-        "domain": doc.domain,
-        "journal": doc.journal,
-        "paragraphs": doc.paragraphs,
-    }
-    return json.dumps(record, ensure_ascii=False)
+    return json.dumps({field: getattr(doc, field) for field in CORPUS_FIELDS},
+                      ensure_ascii=False)
 
 
 def document_from_json(line: str) -> RawDocument:
+    """The document in one corpus line: a JSON object with exactly the
+    CORPUS_FIELDS, where doc_id, domain and journal are strings, year is an
+    integer and paragraphs is a list of strings. Any other line is a
+    ValueError."""
     record = json.loads(line)
-    return RawDocument(
-        doc_id=record["doc_id"],
-        year=record["year"],
-        domain=record.get("domain", ""),
-        paragraphs=record["paragraphs"],
-        journal=record.get("journal", ""),
-    )
+    if not isinstance(record, dict) or set(record) != set(CORPUS_FIELDS):
+        raise ValueError(f"want an object with the fields {', '.join(CORPUS_FIELDS)}")
+    paragraphs = record["paragraphs"]
+    if not (all(isinstance(record[field], str) for field in ("doc_id", "domain", "journal"))
+            and type(record["year"]) is int
+            and isinstance(paragraphs, list)
+            and all(isinstance(p, str) for p in paragraphs)):
+        raise ValueError("want string doc_id, domain and journal, integer year "
+                         "and a list of string paragraphs")
+    return RawDocument(**record)
 
 
 def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
@@ -246,8 +247,8 @@ def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
 
 def read_corpus(path: str | Path) -> list[RawDocument]:
     """The documents of a corpus file. A line that is not a UTF-8 document
-    record (bad bytes, bad JSON, a missing field, a year out of range) is a
-    FormatError naming the line."""
+    record (bad bytes, bad or too deeply nested JSON, a missing, extra or
+    mistyped field, a year out of range) is a FormatError naming the line."""
     path = Path(path)
     docs = []
     with open(path, "rb") as fh:
@@ -256,7 +257,7 @@ def read_corpus(path: str | Path) -> list[RawDocument]:
                 line = raw.decode("utf-8")
                 if line.strip():
                     docs.append(document_from_json(line))
-            except (ValueError, KeyError, TypeError, MissingMetadata) as exc:
+            except (ValueError, RecursionError, MissingMetadata) as exc:
                 raise FormatError(lineno, f"{path.name}: not a document record: "
                                           f"{type(exc).__name__}: {exc}") from None
     return docs

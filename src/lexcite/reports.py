@@ -4,7 +4,8 @@ Four tables are produced. comparison.csv holds one KS row per variable and
 group pair; cdf.csv holds the ECDF step points per variable and group;
 estimates.csv holds the bootstrap mean and confidence interval per variable
 and group; regression.csv holds one row per model and cohort with the
-R-squared or "-" when the fit is not estimable.
+R-squared, or "-" where `stats.fit_model`, run on every cohort, finds the
+fit NonEstimable.
 
 Row order is fixed everywhere: variables x1..x12, groups High/Medium/Low,
 pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts all/High/
@@ -252,9 +253,6 @@ def build_regression_rows(
     for model_id in MODEL_IDS:
         for cohort in COHORT_ORDER:
             members = cohorts[cohort]
-            if not members.any():
-                rows.append([model_id, cohort, "-", 0, 0])
-                continue
             fit = fit_model(values[members], nc[members], model_id)
             r2 = "-" if fit.r_squared is None else fit.r_squared
             rows.append([model_id, cohort, r2, fit.n_used,

@@ -10,8 +10,8 @@ The KS p-value uses the asymptotic series p = 2 * sum_{k>=1} (-1)^(k-1)
 exp(-2 k^2 lambda^2) with lambda = D * sqrt(n1*n2/(n1+n2)), truncated once
 terms fall below 1e-12 and clamped to [0, 1]. Bootstrap intervals are
 percentile (nearest-rank) with a recorded seed. Regressions are ordinary
-least squares with SVD rank detection; designs wider than the row count or
-rank-deficient designs are reported NonEstimable instead of being forced.
+least squares with SVD rank detection; `fit_model` alone decides which fits
+are NonEstimable, for every finite input, instead of forcing a number.
 
 Each function that computes with arrays imports numpy itself, so that
 importing this module does not load numpy (see `lexcite.cli`).
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DegenerateResponseWarning, EmptySample, NoRowsRemaining
+from .errors import DegenerateResponseWarning, EmptySample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,8 +217,9 @@ def fit_model(values: np.ndarray, nc: np.ndarray, model_id: int) -> ModelFit:
     4, and 6 regress its natural log, dropping zero-score rows and counting
     them; model 5 fits the exponential-response form by least squares of
     the score against the linear columns. Rows with an Absent value are
-    dropped and counted. Designs with fewer rows than columns, or
-    rank-deficient designs, come back NonEstimable with no R-squared.
+    dropped and counted. No row left, fewer rows than design columns, a
+    rank-deficient design, or arithmetic that leaves the finite range gives
+    a NonEstimable fit with no R-squared; finite inputs never raise.
     """
     import numpy as np
 
@@ -232,23 +233,24 @@ def fit_model(values: np.ndarray, nc: np.ndarray, model_id: int) -> ModelFit:
     if model_id in _LOG_RESPONSE_MODELS:
         keep &= nc > 0
         n_dropped_zero = n_complete - int(np.count_nonzero(keep))
-    if not keep.any():
-        raise NoRowsRemaining("all rows excluded before fitting")
-
     nc = nc[keep]
     y = np.log(nc) if model_id in _LOG_RESPONSE_MODELS else nc
-    design = _expand_design(_standardize(values[keep]), model_id)
-    n_rows, n_cols = design.shape
 
     fit = ModelFit(
         model_id=model_id,
         r_squared=None,
-        n_used=n_rows,
+        n_used=len(y),
         n_dropped_zero_nc=n_dropped_zero,
         n_dropped_absent=n_dropped_absent,
         status="NonEstimable",
     )
-    if n_rows < n_cols:
+    if not fit.n_used:
+        return fit
+    # Overflow is checked in the results; numpy's warnings would repeat it.
+    with np.errstate(all="ignore"):
+        design = _expand_design(_standardize(values[keep]), model_id)
+    n_rows, n_cols = design.shape
+    if n_rows < n_cols or not np.isfinite(design).all():
         return fit
     # rcond=None scales the singular-value cutoff by machine epsilon times
     # max(n_rows, n_cols), the documented rank-deficiency threshold.
@@ -264,9 +266,12 @@ def fit_model(values: np.ndarray, nc: np.ndarray, model_id: int) -> ModelFit:
                       DegenerateResponseWarning)
         r2 = 0.0
     else:
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum((y - design @ beta) ** 2)) / ss_tot
-        r2 = min(max(r2, 0.0), 1.0)
+        with np.errstate(all="ignore"):
+            ss_tot = float(np.sum((y - y.mean()) ** 2))
+            ss_res = float(np.sum((y - design @ beta) ** 2))
+        if not (0.0 < ss_tot < math.inf and math.isfinite(ss_res)):
+            return fit
+        r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
 
     fit.status = "Estimable"
     fit.r_squared = r2

@@ -182,7 +182,7 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
 # with a TAB is always a token line, so a token may start with "#". A line
 # ends at "\n", "\r\n" or "\r", as bytes.splitlines splits; str.splitlines
 # would also split at "\v", "\f", "\x1c"-"\x1e", "\x85", U+2028 and U+2029,
-# which a token may hold.
+# which a token may hold. The ID of a "#doc=" line may not be empty.
 
 def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
@@ -231,6 +231,8 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             tags.append(tag)
         elif line.startswith("#doc="):
             doc_id = line[len("#doc="):].strip()
+            if not doc_id:
+                raise FormatError(lineno, "#doc= names no document")
         elif line.startswith("#clauses="):
             value = line[len("#clauses="):].strip()
             if not value.isdigit():

@@ -203,7 +203,7 @@ class TestStageGating:
         assert not (tmp_path / "comparison.csv").exists()
         assert not (tmp_path / "regression.csv").exists()
 
-    def test_regress_fit_error_names_stage(self, tmp_path):
+    def test_regress_all_absent_is_non_estimable(self, tmp_path):
         # every profile has an Absent x8, so no row is left to fit
         write_table(tmp_path / "profiles.csv",
                     ["doc_id", *[f"x{i}" for i in range(1, 13)]],
@@ -211,9 +211,13 @@ class TestStageGating:
                      for i in range(5)])
         write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
                     [[f"d{i}", 1.0 + i, "Low"] for i in range(5)])
-        assert main(["regress", "--out", str(tmp_path)]) == 1
-        err = read_errors(tmp_path)
-        assert (err["stage"], err["error"]) == ("regress", "NoRowsRemaining")
+        assert main(["regress", "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "errors.json").exists()
+        rows = read_table(tmp_path / "regression.csv").rows
+        assert len(rows) == 24
+        for _, cohort, r2, n_used, n_dropped in rows:
+            dropped = "5" if cohort in ("all", "Low") else "0"
+            assert (r2, n_used, n_dropped) == ("-", "0", dropped)
 
     def test_missing_out_is_usage_error(self, capsys):
         assert main(["run"]) == 2
@@ -325,7 +329,8 @@ class TestInputOutputErrors:
 
     def test_tagged_tsv_is_directory_in_tag(self, tmp_path, capsys):
         (tmp_path / "corpus.jsonl").write_text(
-            '{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": ["Fine."]}\n',
+            '{"doc_id": "a", "year": 2010, "domain": "x", "journal": "",'
+            ' "paragraphs": ["Fine."]}\n',
             encoding="utf-8")
         (tmp_path / "tagged" / "a.tsv").mkdir(parents=True)
         assert main(["tag", "--out", str(tmp_path)]) == 1
@@ -480,17 +485,35 @@ class TestIngest:
 class TestTagStage:
     @pytest.mark.parametrize("line", [
         b'{"doc_id": "b", "year": 2010, "paragraphs": ["Cut',
-        b'{"doc_id": "b", "year": 1066, "domain": "x", "paragraphs": ["Old."]}',
-        b'{"doc_id": "b", "year": 2010, "domain": "x", "paragraphs": ["Caf\xe9."]}',
+        b'{"doc_id": "b", "year": 1066, "domain": "x", "journal": "", "paragraphs": ["Old."]}',
+        b'{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["Caf\xe9."]}',
     ], ids=["malformed-json", "year-out-of-range", "not-utf-8"])
     def test_bad_corpus_line_fails_tag(self, tmp_path, capsys, line):
-        good = b'{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": ["Fine."]}'
+        good = b'{"doc_id": "a", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["Fine."]}'
         (tmp_path / "corpus.jsonl").write_bytes(good + b"\n" + line + b"\n")
         assert main(["tag", "--out", str(tmp_path)]) == 1
         err = read_errors(tmp_path)
         assert (err["stage"], err["error"]) == ("tag", "FormatError")
         assert err["message"].startswith("line 2: corpus.jsonl: ")
         assert "error in tag stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        '{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": [1]}',
+        '{"doc_id": 5, "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A cat sat."]}',
+        '{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": "A cat sat."}',
+        '{"doc_id": "b", "year": 2010, "journal": "", "paragraphs": ["A cat sat."]}',
+        '{"doc_id": "b", "year": 2010, "domain": "x", "paragraphs": ["A cat sat."]}',
+        "[" * 100_000,
+    ], ids=["paragraph-not-text", "doc-id-not-text", "paragraphs-not-list",
+            "no-domain", "no-journal", "nested-too-deep"])
+    def test_record_checked_at_boundary(self, tmp_path, capsys, record):
+        (tmp_path / "corpus.jsonl").write_text(record + "\n", encoding="utf-8")
+        assert main(["tag", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("tag", "FormatError")
+        assert err["message"].startswith("line 1: corpus.jsonl: ")
+        assert not list((tmp_path / "tagged").glob("*.tsv"))
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestImportTagged:
@@ -537,6 +560,20 @@ class TestImportTagged:
         assert (err["stage"], err["document"], err["error"]) == (stage, document, "FormatError")
         assert err["message"].startswith("line 3: docC.tsv: not UTF-8")
         assert f"error in {stage} stage" in capsys.readouterr().err
+
+
+    def test_profile_rejects_repeated_doc_id(self, tmp_path, capsys):
+        tagged = tmp_path / "tagged"
+        tagged.mkdir()
+        for name in ("a", "b"):
+            (tagged / f"{name}.tsv").write_text("#doc=X\nThe\tDT\ncats\tNNS\n\n",
+                                                encoding="utf-8")
+        assert main(["profile", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["document"], err["error"]) == ("profile", "X", "ConfigError")
+        assert "a.tsv" in err["message"] and "b.tsv" in err["message"]
+        assert not (tmp_path / "profiles.csv").exists()
+        assert "error in profile stage" in capsys.readouterr().err
 
 
 class TestTagOwnsTaggedDir:
@@ -616,6 +653,39 @@ class TestJoinInStages:
 
 
 PROFILE_HEADER = ["doc_id", *[f"x{i}" for i in range(1, 13)]]
+
+
+class TestRegressAnswersEveryCell:
+    """regress writes all 24 rows for any finite input: a cell it cannot
+    fit reads "-", and one odd cohort does not fail the stage."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["high-lacks-x8", "huge-cells", "huge-nc"])
+    def test_finite_inputs(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(11)
+        groups = ["High"] * 3 + ["Low"] * 37
+        values = rng.uniform(1, 9, (40, 12)).tolist()
+        nc = rng.lognormal(0, 1, 40)
+        if case == "high-lacks-x8":
+            for row in values[:3]:
+                row[7] = None
+        elif case == "huge-cells":
+            values = [[1e308] * 12 for _ in groups]
+        else:
+            nc = rng.uniform(0, 1e300, 40)
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [[f"d{i:02d}", *row] for i, row in enumerate(values)])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [[f"d{i:02d}", float(nc[i]), g] for i, g in enumerate(groups)])
+        assert main(["regress", "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "errors.json").exists()
+        assert capsys.readouterr().err == ""
+        rows = read_table(tmp_path / "regression.csv").rows
+        assert len(rows) == 24
+        for _, cohort, r2, n_used, n_dropped in rows:
+            assert r2 == "-" or 0.0 <= float(r2) <= 1.0
+            if case == "high-lacks-x8" and cohort == "High":
+                assert (r2, n_used, n_dropped) == ("-", "0", "3")
 
 
 class TestBadCells:
@@ -995,7 +1065,7 @@ def _fuzz_stage(name: str, root: Path, out: Path) -> tuple[Path, list[str]]:
         return path, ["normalize", "--citations", str(path)]
     if name == "corpus":
         path = out / "corpus.jsonl"
-        path.write_text('{"doc_id": "a", "year": 2010, "domain": "x", "paragraphs": '
+        path.write_text('{"doc_id": "a", "year": 2010, "domain": "x", "journal": "", "paragraphs": '
                         '["The cats sleep. The cat sat quietly because it was tired."]}\n',
                         encoding="utf-8")
         return path, ["tag"]

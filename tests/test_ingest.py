@@ -264,8 +264,10 @@ class TestCorpusFile:
 
     @pytest.mark.parametrize("line, message", [
         ('{"doc_id": "c", "year": 2012', "JSONDecodeError"),
-        ('{"doc_id": "c", "year": 3000, "paragraphs": ["P."]}', "year 3000 outside"),
-        ('{"doc_id": "c", "paragraphs": ["P."]}', "KeyError: 'year'"),
+        ('{"doc_id": "c", "year": 3000, "domain": "d", "journal": "", "paragraphs": ["P."]}',
+         "year 3000 outside"),
+        ('{"doc_id": "c", "domain": "d", "journal": "", "paragraphs": ["P."]}',
+         "ValueError: want an object with the fields doc_id, year,"),
     ], ids=["malformed-json", "year-out-of-range", "missing-year"])
     def test_bad_line_names_line(self, tmp_path, line, message):
         path = tmp_path / "corpus.jsonl"

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lexcite.errors import DegenerateResponseWarning, EmptySample, NoRowsRemaining
+from lexcite.errors import DegenerateResponseWarning, EmptySample
 from lexcite.impact import NormalizedScore
 from lexcite.metrics import ProfileMatrix
 from lexcite.reports import join_scores
 from lexcite.stats import (
+    MODEL_IDS,
     bootstrap_mean_ci,
     ecdf_steps,
     fit_model,
@@ -287,12 +291,13 @@ class TestDesignMatrix:
         assert fit.n_used == 19
         assert fit.n_dropped_absent == 1
 
-    def test_all_absent_raises(self):
+    def test_all_absent_is_non_estimable(self):
         rng = np.random.default_rng(3)
         values = rand_values(rng, 2)
         values[:, X5] = np.nan
-        with pytest.raises(NoRowsRemaining):
-            fit_model(values, np.array([1.0, 2.0]), 5)
+        fit = fit_model(values, np.array([1.0, 2.0]), 5)
+        assert (fit.status, fit.r_squared) == ("NonEstimable", None)
+        assert (fit.n_used, fit.n_dropped_zero_nc, fit.n_dropped_absent) == (0, 0, 2)
 
     def test_standardize_preserves_span(self):
         # an affine rescaling of the predictors leaves the fit unchanged
@@ -373,8 +378,9 @@ class TestFitModel:
         rng = np.random.default_rng(11)
         values = rand_values(rng, 5)
         nc = np.full(5, 0.0)
-        with pytest.raises(NoRowsRemaining):
-            fit_model(values, nc, 3)
+        fit = fit_model(values, nc, 3)
+        assert (fit.status, fit.r_squared) == ("NonEstimable", None)
+        assert (fit.n_used, fit.n_dropped_zero_nc, fit.n_dropped_absent) == (0, 5, 0)
 
     def test_constant_response_warns_r2_zero(self):
         rng = np.random.default_rng(12)
@@ -404,3 +410,31 @@ class TestFitModel:
             fit = fit_model(values, nc, model_id)
             if fit.r_squared is not None:
                 assert 0.0 <= fit.r_squared <= 1.0
+
+
+@st.composite
+def fit_inputs(draw):
+    """n x 12 finite values, n from 0 to 40, with some NaN (Absent) cells
+    and some constant columns, and n finite scores nc >= 0."""
+    n = draw(st.integers(0, 40))
+    cell = st.floats(-1e308, 1e308) | st.floats(0.5, 10.0) | st.just(np.nan)
+    values = draw(hnp.arrays(np.float64, (n, 12), elements=cell))
+    for column in draw(st.sets(st.integers(0, 11), max_size=12)):
+        values[:, column] = draw(st.floats(-1e308, 1e308))
+    nc = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e308)
+                         | st.floats(0.0, 10.0)))
+    return values, nc
+
+
+class TestFitModelTotal:
+    @settings(max_examples=50, deadline=None)
+    @given(fit_inputs())
+    def test_answers_every_finite_input(self, inputs):
+        values, nc = inputs
+        for model_id in MODEL_IDS:
+            fit = fit_model(values, nc, model_id)
+            assert (fit.r_squared is None) == (fit.status == "NonEstimable")
+            if fit.r_squared is not None:
+                assert 0.0 <= fit.r_squared <= 1.0
+            assert (fit.n_used + fit.n_dropped_zero_nc + fit.n_dropped_absent
+                    == len(values))

@@ -231,6 +231,12 @@ class TestColumnFormat:
         doc = import_tagged("#doc=ABC\nhi\tUH\n")
         assert doc.doc_id == "ABC"
 
+    @pytest.mark.parametrize("directive", ["#doc=", "#doc=  "])
+    def test_empty_doc_directive(self, directive):
+        with pytest.raises(FormatError) as err:
+            import_tagged(f"hi\tUH\n\n{directive}\n", doc_id="fallback")
+        assert err.value.line_number == 3
+
     def test_doc_id_parameter_fallback(self):
         assert import_tagged("hi\tUH\n", doc_id="fallback").doc_id == "fallback"
 
