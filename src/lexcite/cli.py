@@ -42,9 +42,10 @@ import json
 import os
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .errors import ConfigError, FormatError, LexciteError
@@ -85,7 +86,7 @@ from .reports import (
     build_regression_rows,
     join_scores,
 )
-from .tableio import parse_finite, read_table, write_table
+from .tableio import parse_finite, read_table, readable_name, write_table
 from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
 
 if TYPE_CHECKING:
@@ -251,14 +252,14 @@ def stage_ingest(config: RunConfig) -> None:
         try:
             doc = parse_jats(path.read_bytes())
         except LexciteError as exc:
-            rejects.append([path.name, type(exc).__name__, str(exc)])
+            rejects.append([readable_name(path.name), type(exc).__name__, str(exc)])
             continue
         paragraphs = [normalize_abbreviations(p, table) for p in doc.paragraphs]
         docs.append(RawDocument(doc_id=doc.doc_id, year=doc.year,
                                 domain=doc.domain, journal=doc.journal,
                                 paragraphs=paragraphs))
     if not docs:
-        raise DocumentError(xml_files[0].name,
+        raise DocumentError(readable_name(xml_files[0].name),
                             ConfigError("every input file was rejected"))
     write_table(config.out / "rejects.csv", ["file", "error", "message"],
                 rejects, config.metadata())
@@ -294,7 +295,7 @@ def stage_tag(config: RunConfig) -> None:
             try:
                 doc = read_tagged(path)
             except (LexciteError, OSError) as exc:
-                raise DocumentError(path.name, exc)
+                raise DocumentError(readable_name(path.name), exc)
             emit(doc.doc_id, export_tagged(doc))
     else:
         corpus = read_corpus(_stage_file(config, "corpus.jsonl"))
@@ -325,7 +326,7 @@ def stage_profile(config: RunConfig) -> None:
             doc = read_tagged(path)
             profiles.append(complexity_profile(doc))
         except (LexciteError, OSError) as exc:
-            raise DocumentError(path.stem, exc)
+            raise DocumentError(readable_name(path.stem), exc)
         if doc.doc_id in file_of:
             raise DocumentError(doc.doc_id, ConfigError(
                 f"files {file_of[doc.doc_id]} and {path.name} name one document"))
@@ -333,36 +334,34 @@ def stage_profile(config: RunConfig) -> None:
     profiles.sort(key=lambda p: p.doc_id)
     write_table(config.out / "profiles.csv",
                 ["doc_id", *VARIABLE_COLUMNS],
-                [profile_to_row(p) for p in profiles],
+                (profile_to_row(p) for p in profiles),
                 config.metadata())
 
 
-def _read_rows(path: Path, header: list[str], parse, key) -> list:
-    """The data rows of an input table, each through parse. A malformed
-    table or a header other than `header` fails the stage. So does a cell
-    that parse rejects with ValueError, or a row whose key (a tuple of its
-    parsed leading columns, from key) repeats an earlier row's: each as a
-    FormatError naming its line and, in a table keyed by doc_id, its
-    document."""
+def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
+    """Yield the data rows of an input table, each through parse, as they
+    are read. A malformed table or a header other than `header` fails the
+    stage. So does a cell that parse rejects with ValueError, or a row whose
+    key (a tuple of its parsed leading columns, from key) repeats an earlier
+    row's: each as a FormatError naming its line and, in a table keyed by
+    doc_id, its document."""
     table = read_table(path)
     if table.header != header:
-        raise ConfigError(f"{path.name} columns {table.header} != {header}")
-    parsed = []
+        raise ConfigError(f"{readable_name(path.name)} columns {table.header} != {header}")
     seen: set[tuple] = set()
-    for row, line in zip(table.rows, table.lines):
+    for line, row in table.rows:
         try:
             value = parse(row)
             row_key = key(value)
             if row_key in seen:
                 shown = row_key[0] if len(row_key) == 1 else row_key
                 raise ValueError(f"{', '.join(header[:len(row_key)])} {shown!r} is repeated")
-            seen.add(row_key)
-            parsed.append(value)
         except ValueError as exc:
             document = row[0] if header[0] == "doc_id" else ""
             raise DocumentError(document, FormatError(
-                line, f"{path.name}: {exc}")) from None
-    return parsed
+                line, f"{readable_name(path.name)}: {exc}")) from None
+        seen.add(row_key)
+        yield value
 
 
 def _citation(row: list[str]) -> CitationRecord:
@@ -381,13 +380,13 @@ def _score(row: list[str]) -> NormalizedScore:
 
 
 def stage_normalize(config: RunConfig) -> None:
-    records = _read_rows(_require(config, "citations"),
-                         ["doc_id", "year", "domain", "total_citations"], _citation,
-                         lambda rec: (rec.doc_id,))
+    records = list(_read_rows(_require(config, "citations"),
+                              ["doc_id", "year", "domain", "total_citations"], _citation,
+                              lambda rec: (rec.doc_id,)))
     if config.baselines is not None:
-        baselines = _read_rows(_require(config, "baselines"),
-                               ["year", "domain", "adc", "n"], _baseline,
-                               lambda b: (b.year, b.domain))
+        baselines = list(_read_rows(_require(config, "baselines"),
+                                    ["year", "domain", "adc", "n"], _baseline,
+                                    lambda b: (b.year, b.domain)))
     else:
         baselines = compute_baselines(records)
     lookup = baseline_map(baselines)
@@ -398,21 +397,21 @@ def stage_normalize(config: RunConfig) -> None:
         except LexciteError as exc:
             raise DocumentError(rec.doc_id, exc)
     write_table(config.out / "baselines.csv", ["year", "domain", "adc", "n"],
-                [[b.year, b.domain, b.adc, b.n] for b in baselines],
+                ([b.year, b.domain, b.adc, b.n] for b in baselines),
                 config.metadata())
     _write_scores(config, scores)
 
 
 def _write_scores(config: RunConfig, scores: list[NormalizedScore]) -> None:
-    rows = [[s.doc_id, s.nc, "" if s.group is None else s.group.value]
-            for s in scores]
+    rows = ([s.doc_id, s.nc, "" if s.group is None else s.group.value]
+            for s in scores)
     write_table(config.out / "scores.csv", ["doc_id", "nc", "group"],
                 rows, config.metadata())
 
 
 def _read_scores(config: RunConfig) -> list[NormalizedScore]:
-    return _read_rows(_stage_file(config, "scores.csv"),
-                      ["doc_id", "nc", "group"], _score, lambda s: (s.doc_id,))
+    return list(_read_rows(_stage_file(config, "scores.csv"),
+                           ["doc_id", "nc", "group"], _score, lambda s: (s.doc_id,)))
 
 
 def stage_group(config: RunConfig) -> None:
@@ -421,16 +420,20 @@ def stage_group(config: RunConfig) -> None:
 
 
 def _read_profiles(config: RunConfig) -> ProfileMatrix:
-    """profiles.csv as one matrix, in file row order; NaN marks Absent."""
+    """profiles.csv as one matrix, in file row order; NaN marks Absent. The
+    values go into one flat buffer as the rows are read."""
     import numpy as np
 
-    rows = _read_rows(_stage_file(config, "profiles.csv"),
-                      ["doc_id", *VARIABLE_COLUMNS],
-                      lambda row: (row[0], profile_cells(row)),
-                      lambda parsed: parsed[:1])
-    values = np.array([cells for _, cells in rows], dtype=float)
-    return ProfileMatrix(tuple(doc_id for doc_id, _ in rows),
-                         values.reshape(len(rows), len(VARIABLE_COLUMNS)))
+    doc_ids: list[str] = []
+    values = array("d")
+    for doc_id, cells in _read_rows(_stage_file(config, "profiles.csv"),
+                                    ["doc_id", *VARIABLE_COLUMNS],
+                                    lambda row: (row[0], profile_cells(row)),
+                                    lambda parsed: parsed[:1]):
+        doc_ids.append(doc_id)
+        values.extend(cells)
+    return ProfileMatrix(tuple(doc_ids), np.frombuffer(values, dtype=float).reshape(
+        len(doc_ids), len(VARIABLE_COLUMNS)))
 
 
 def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:

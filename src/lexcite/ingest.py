@@ -218,8 +218,9 @@ def document_to_json(doc: RawDocument) -> str:
 def document_from_json(line: str) -> RawDocument:
     """The document in one corpus line: a JSON object with exactly the
     CORPUS_FIELDS, where doc_id, domain and journal are strings, year is an
-    integer and paragraphs is a list of strings. Any other line is a
-    ValueError."""
+    integer and paragraphs is a list of strings, and every string is text
+    that encodes as UTF-8 (a JSON escape can name a lone surrogate). Any
+    other line is a ValueError."""
     record = json.loads(line)
     if not isinstance(record, dict) or set(record) != set(CORPUS_FIELDS):
         raise ValueError(f"want an object with the fields {', '.join(CORPUS_FIELDS)}")
@@ -230,6 +231,11 @@ def document_from_json(line: str) -> RawDocument:
             and all(isinstance(p, str) for p in paragraphs)):
         raise ValueError("want string doc_id, domain and journal, integer year "
                          "and a list of string paragraphs")
+    try:
+        for text in (record["doc_id"], record["domain"], record["journal"], *paragraphs):
+            text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"want UTF-8 text in every string: {exc.reason}") from None
     return RawDocument(**record)
 
 

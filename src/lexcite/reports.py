@@ -9,7 +9,10 @@ fit NonEstimable.
 
 Row order is fixed everywhere: variables x1..x12, groups High/Medium/Low,
 pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts all/High/
-Medium/Low.
+Medium/Low. cdf.csv has a row per distinct value of each variable in each
+group, about 12 per document, so `build_cdf_rows` yields its rows and
+`tableio.write_table` writes each one as it is made; the other builders
+return their few dozen rows as lists.
 
 Each stage reads profiles.csv once, as a `ProfileMatrix` with NaN marking
 Absent, and joins it to the scores once (`join_scores`): the rows that have
@@ -40,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
@@ -147,17 +150,18 @@ def build_comparison_rows(
 def build_cdf_rows(
     values: np.ndarray,
     codes: np.ndarray,
-) -> list[list[object]]:
-    rows: list[list[object]] = []
+) -> Iterator[tuple[str, str, float, float]]:
+    """Yield the ECDF step rows one at a time, in row order, so that the
+    writer never holds them all."""
     for column in VARIABLE_COLUMNS:
         samples = group_samples(values, codes, column)
         for group in GROUP_ORDER:
             sample, _ = samples[group]
             if len(sample) == 0:
                 continue
+            name = group.value
             for x, f in ecdf_steps(sample):
-                rows.append([column, group.value, x, f])
-    return rows
+                yield column, name, x, f
 
 
 def build_estimate_rows(

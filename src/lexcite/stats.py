@@ -19,6 +19,7 @@ importing this module does not load numpy (see `lexcite.cli`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,9 +89,10 @@ def ecdf_steps(sample: Sequence[float]) -> list[tuple[float, float]]:
         raise EmptySample("ecdf of empty sample")
     data = np.sort(np.asarray(sample, dtype=float))
     values = np.unique(data)
-    # right-continuous step height after each distinct value
+    # right-continuous step height after each distinct value; dividing the
+    # counts by n in numpy is the same IEEE division as float(c) / n
     counts = np.searchsorted(data, values, side="right")
-    return [(float(v), float(c) / len(data)) for v, c in zip(values, counts)]
+    return list(zip(values.tolist(), (counts / len(data)).tolist()))
 
 
 def stars_for_p(p: float) -> int:
@@ -182,19 +184,23 @@ def bootstrap_mean_ci(
 
 
 def _expand_design(base: np.ndarray, model_id: int) -> np.ndarray:
+    """The design matrix of a model family, filled in place: the intercept,
+    the 12 linear columns, the 12 squares (models 1-4), then the 66 pairwise
+    products in (i, j) order (models 1 and 3)."""
     import numpy as np
 
-    n = base.shape[0]
-    cols = [np.ones(n), *(base[:, i] for i in range(N_VARIABLES))]
-    if model_id in _QUADRATIC_MODELS or model_id in _SQUARES_MODELS:
-        cols += [base[:, i] ** 2 for i in range(N_VARIABLES)]
-    if model_id in _QUADRATIC_MODELS:
-        cols += [
-            base[:, i] * base[:, j]
-            for i in range(N_VARIABLES)
-            for j in range(i + 1, N_VARIABLES)
-        ]
-    return np.column_stack(cols)
+    squares = model_id in _QUADRATIC_MODELS or model_id in _SQUARES_MODELS
+    pairs = (list(itertools.combinations(range(N_VARIABLES), 2))
+             if model_id in _QUADRATIC_MODELS else [])
+    first_pair = 1 + N_VARIABLES * (2 if squares else 1)
+    design = np.empty((base.shape[0], first_pair + len(pairs)))
+    design[:, 0] = 1.0
+    design[:, 1:1 + N_VARIABLES] = base
+    if squares:
+        np.square(base, out=design[:, 1 + N_VARIABLES:first_pair])
+    for col, (i, j) in enumerate(pairs, start=first_pair):
+        np.multiply(base[:, i], base[:, j], out=design[:, col])
+    return design
 
 
 def _standardize(base: np.ndarray) -> np.ndarray:

@@ -8,16 +8,22 @@ back to the same float), None as an empty cell and anything else with str.
 Cells read back as strings; the stage that reads a table parses them.
 Nothing time-dependent goes into the metadata, so a rerun with identical
 inputs produces byte-identical files.
+
+Tables stream both ways, so memory does not grow with a table's text. A
+table is written row by row, as its rows are made, to a temporary file
+beside its path that replaces the path once complete. It is read back a
+line at a time: the metadata and header at once, the rows as the caller
+asks for them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
+import os
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
 
@@ -25,35 +31,50 @@ from .errors import FormatError
 def write_table(
     path: str | Path,
     header: list[str],
-    rows: list[list[object]],
+    rows: Iterable[Sequence[object]],
     metadata: dict[str, str] | None = None,
 ) -> None:
-    """Write a metadata block, header row, and data rows to path. A
-    metadata key or value, or a header, that would not read back is a
-    ValueError."""
-    buf = io.StringIO()
-    if metadata:
-        for key, value in metadata.items():
-            line = f"{key}={value}"
-            if not key or "=" in key or "\r" in line or "\n" in line:
-                raise ValueError(f"metadata key/value not representable: {key!r}")
-            buf.write(f"#{line}\r\n")
+    """Write a metadata block, header row, and data rows to path, taking the
+    rows from any iterable as they are written. A metadata key or value, or
+    a header, that would not read back is a ValueError. On any error,
+    whether raised by rows or by the write, path keeps its old bytes and no
+    temporary file is left."""
+    path, metadata = Path(path), metadata or {}
+    for key, value in metadata.items():
+        line = f"{key}={value}"
+        if not key or "=" in key or "\r" in line or "\n" in line:
+            raise ValueError(f"metadata key/value not representable: {key!r}")
     if header and header[0].startswith("#"):
         raise ValueError(f"header {header[0]!r} would read back as a metadata line")
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            for key, value in metadata.items():
+                fh.write(f"#{key}={value}\r\n")
+            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 class Table(NamedTuple):
-    """A table read back. Cells stay strings; lines[i] is the line of the
-    file on which rows[i] starts."""
+    """A table being read back. rows yields (line, cells) for each data row
+    as it is read, where line is the line of the file on which the row
+    starts; cells stay strings. rows can be read once."""
 
     metadata: dict[str, str]
     header: list[str]
-    rows: list[list[str]]
-    lines: list[int]
+    rows: Iterator[tuple[int, list[str]]]
+
+
+def readable_name(name: str) -> str:
+    """A file name as text that encodes. The bytes of a name that are not
+    UTF-8, which Python holds as lone surrogates, show as backslash
+    escapes."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
 
 
 def read_utf8(path: Path) -> str:
@@ -67,45 +88,61 @@ def read_utf8(path: Path) -> str:
         # A byte put after the bytes before the bad one starts a line of
         # its own exactly when they end with a line end.
         lineno = len((data[:exc.start] + b"x").splitlines())
-        raise FormatError(lineno, f"{path.name}: not UTF-8: {exc}") from None
+        raise FormatError(lineno, f"{readable_name(path.name)}: not UTF-8: {exc}") from None
 
 
 def read_table(path: str | Path) -> Table:
-    """Read back a table in one pass. A line ends at "\r\n", "\n" or "\r";
-    line ends inside a quoted cell are kept, and blank lines are skipped."""
-    text = io.StringIO(read_utf8(Path(path)), newline="")
-    metadata: dict[str, str] = {}
-    offset = 0  # metadata lines before the header
-    body: Iterable[str] = ()
-    for line in text:
-        if not line.startswith("#"):
-            body = itertools.chain([line], text)
-            break
-        offset += 1
-        stripped = line.rstrip("\r\n")
-        if "=" not in stripped:
-            raise FormatError(offset, f"metadata line without '=': {stripped!r}")
-        key, _, value = stripped[1:].partition("=")
-        if not key:
-            raise FormatError(offset, "metadata line with empty key")
-        metadata[key] = value
-    reader = csv.reader(body)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(offset + 1, "missing CSV header row") from None
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    end = reader.line_num
-    for row in reader:
-        start, end = offset + end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FormatError(start, f"row has {len(row)} cells, header has {len(header)}")
-        rows.append(row)
-        lines.append(start)
-    return Table(metadata, header, rows, lines)
+    """Read back a table in one pass: its metadata and header now, its rows
+    lazily. A line ends at "\r\n", "\n" or "\r"; line ends inside a quoted
+    cell are kept, and blank lines are skipped. A malformed line is a
+    FormatError naming it, raised when the line is read."""
+    lines = _read_lines(Path(path))
+    metadata, header = next(lines)
+    return Table(metadata, header, lines)
+
+
+def _read_lines(path: Path) -> Iterator:
+    """Yield (metadata, header) first, then (line, cells) per data row. The
+    file is open while the rows are being read."""
+    with open(path, encoding="utf-8", newline="") as text:
+        try:
+            metadata: dict[str, str] = {}
+            offset = 0  # metadata lines before the header
+            body: Iterable[str] = ()
+            for line in text:
+                if not line.startswith("#"):
+                    body = itertools.chain([line], text)
+                    break
+                offset += 1
+                stripped = line.rstrip("\r\n")
+                if "=" not in stripped:
+                    raise FormatError(offset, f"metadata line without '=': {stripped!r}")
+                key, _, value = stripped[1:].partition("=")
+                if not key:
+                    raise FormatError(offset, "metadata line with empty key")
+                metadata[key] = value
+            reader = csv.reader(body)
+            header = None
+            end = 0  # reader lines before the current row
+            try:
+                for row in reader:
+                    start, end = offset + end + 1, reader.line_num
+                    if header is None:
+                        header = row
+                        yield metadata, header
+                    elif row and len(row) != len(header):
+                        raise FormatError(
+                            start, f"row has {len(row)} cells, header has {len(header)}")
+                    elif row:
+                        yield start, row
+            except csv.Error as exc:  # a cell over the csv module's size limit
+                raise FormatError(offset + end + 1,
+                                  f"{readable_name(path.name)}: {exc}") from None
+            if header is None:
+                raise FormatError(offset + 1, "missing CSV header row")
+        except UnicodeDecodeError:
+            read_utf8(path)  # raises the FormatError naming the line
+            raise
 
 
 def parse_finite(cell: str) -> float:

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
 from .ingest import RawDocument
-from .tableio import read_utf8
+from .tableio import read_utf8, readable_name
 
 
 class LexClass(str, Enum):
@@ -187,9 +187,16 @@ def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> Tagg
 def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
     the doc id when no "#doc=" line names one. Bytes that are not UTF-8 are a
-    FormatError naming the file and the line."""
+    FormatError naming the file and the line; so is a file with no "#doc="
+    line whose stem is not UTF-8, as line 1, where that line would go."""
     path = Path(path)
-    return import_tagged(read_utf8(path), doc_id=path.stem)
+    doc = import_tagged(read_utf8(path), doc_id=path.stem)
+    try:
+        doc.doc_id.encode("utf-8")  # only a stem can fail: the text decoded
+    except UnicodeEncodeError:
+        raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and the "
+                             "file name is not UTF-8") from None
+    return doc
 
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:

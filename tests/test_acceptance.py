@@ -436,9 +436,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     (dirty / "errors.json").write_text('{"stage": "group"}\n', encoding="utf-8")
     code1, code2, code3 = run(out1), run(out2), run(dirty)
 
-    rejects = read_table(out1 / "rejects.csv").rows
+    rejects = [cells for _, cells in read_table(out1 / "rejects.csv").rows]
     corpus_lines = (out1 / "corpus.jsonl").read_text("utf-8").count("\n")
-    profile_rows = read_table(out1 / "profiles.csv").rows
+    profile_rows = [cells for _, cells in read_table(out1 / "profiles.csv").rows]
     mean_x1 = sum(float(r[1]) for r in profile_rows) / len(profile_rows)
 
     rel_files = sorted(p.relative_to(out1) for p in out1.rglob("*")

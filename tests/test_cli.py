@@ -46,6 +46,22 @@ ARTICLE = """<article>
 </article>"""
 
 
+def table_rows(path: Path) -> list[list[str]]:
+    """The cells of each data row of a table."""
+    return [cells for _, cells in read_table(path).rows]
+
+
+def non_utf8_name(directory: Path, raw: bytes, data: bytes) -> Path:
+    """Write data to a file whose name is the bytes raw, which are not UTF-8;
+    skip the test where the file system refuses such a name."""
+    try:
+        path = directory / os.fsdecode(raw)
+        path.write_bytes(data)
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    return path
+
+
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     for key in list(os.environ):
@@ -213,7 +229,7 @@ class TestStageGating:
                     [[f"d{i}", 1.0 + i, "Low"] for i in range(5)])
         assert main(["regress", "--out", str(tmp_path)]) == 0
         assert not (tmp_path / "errors.json").exists()
-        rows = read_table(tmp_path / "regression.csv").rows
+        rows = table_rows(tmp_path / "regression.csv")
         assert len(rows) == 24
         for _, cohort, r2, n_used, n_dropped in rows:
             dropped = "5" if cohort in ("all", "Low") else "0"
@@ -379,7 +395,7 @@ class TestIngest:
         out = tmp_path / "out"
         code = main(["ingest", "--input", str(src), "--out", str(out)])
         assert code == 0
-        rows = read_table(out / "rejects.csv").rows
+        rows = table_rows(out / "rejects.csv")
         assert len(rows) == 1
         assert rows[0][0] == "bad.xml"
         assert rows[0][1] == "MalformedXml"
@@ -426,7 +442,7 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
         text = (out / "corpus.jsonl").read_text(encoding="utf-8")
         assert "Müller's cats sleep." in text
-        rejects = read_table(out / "rejects.csv").rows
+        rejects = table_rows(out / "rejects.csv")
         assert rejects == []
 
     @pytest.mark.parametrize("data", [
@@ -441,11 +457,23 @@ class TestIngest:
                                       encoding="utf-8")
         out = tmp_path / "out"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
-        rejects = read_table(out / "rejects.csv").rows
+        rejects = table_rows(out / "rejects.csv")
         assert [row[:2] for row in rejects] == [["bad.xml", "MalformedXml"]]
         corpus_text = (out / "corpus.jsonl").read_text(encoding="utf-8")
         assert corpus_text.count("\n") == 1
         assert "10.1/ok" in corpus_text
+
+    def test_reject_with_non_utf8_file_name(self, tmp_path, capsys):
+        src = tmp_path / "xml"
+        src.mkdir()
+        non_utf8_name(src, b"bad\xff.xml", b"<article><unclosed>")
+        (src / "good.xml").write_text(ARTICLE.format(doc_id="10.1/ok"),
+                                      encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        rejects = table_rows(out / "rejects.csv")
+        assert [row[:2] for row in rejects] == [["bad\\xff.xml", "MalformedXml"]]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_abbreviation_table_applied(self, tmp_path):
         src = tmp_path / "xml"
@@ -504,8 +532,11 @@ class TestTagStage:
         '{"doc_id": "b", "year": 2010, "journal": "", "paragraphs": ["A cat sat."]}',
         '{"doc_id": "b", "year": 2010, "domain": "x", "paragraphs": ["A cat sat."]}',
         "[" * 100_000,
+        '{"doc_id": "a\\ud800", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
+        '{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A\\udfff."]}',
     ], ids=["paragraph-not-text", "doc-id-not-text", "paragraphs-not-list",
-            "no-domain", "no-journal", "nested-too-deep"])
+            "no-domain", "no-journal", "nested-too-deep", "doc-id-surrogate",
+            "paragraph-surrogate"])
     def test_record_checked_at_boundary(self, tmp_path, capsys, record):
         (tmp_path / "corpus.jsonl").write_text(record + "\n", encoding="utf-8")
         assert main(["tag", "--out", str(tmp_path)]) == 1
@@ -529,8 +560,8 @@ class TestImportTagged:
         assert exported.splitlines()[0] == "#doc=docA"
         assert "#clauses=1" in exported
         assert main(["profile", "--out", str(out)]) == 0
-        _, header, rows, _ = read_table(out / "profiles.csv")
-        assert header[0] == "doc_id"
+        assert read_table(out / "profiles.csv").header[0] == "doc_id"
+        rows = table_rows(out / "profiles.csv")
         assert rows[0][0] == "docA"
         assert float(rows[0][1]) == 3.0  # three word tokens; "." is not a word
 
@@ -561,6 +592,26 @@ class TestImportTagged:
         assert err["message"].startswith("line 3: docC.tsv: not UTF-8")
         assert f"error in {stage} stage" in capsys.readouterr().err
 
+    def test_non_utf8_file_name_without_doc_line(self, tmp_path, capsys):
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        non_utf8_name(ext, b"x\xff.tsv", b"The\tDT\ncats\tNNS\n\n")
+        out = tmp_path / "out"
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == ("tag", "x\\xff.tsv",
+                                                                "FormatError")
+        assert err["message"] == ("line 1: x\\xff.tsv: no #doc= line, and the file "
+                                  "name is not UTF-8")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_file_name_with_doc_line(self, tmp_path):
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        non_utf8_name(ext, b"x\xff.tsv", b"#doc=docX\nThe\tDT\ncats\tNNS\n\n")
+        out = tmp_path / "out"
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
+        assert [p.name for p in (out / "tagged").iterdir()] == ["docX.tsv"]
 
     def test_profile_rejects_repeated_doc_id(self, tmp_path, capsys):
         tagged = tmp_path / "tagged"
@@ -596,7 +647,7 @@ class TestTagOwnsTaggedDir:
         (src / f"{deleted}.xml").unlink()
         assert run(dirty) == 0
         assert run(clean) == 0
-        doc_ids = [row[0] for row in read_table(dirty / "profiles.csv").rows]
+        doc_ids = [row[0] for row in table_rows(dirty / "profiles.csv")]
         assert len(doc_ids) == 29 and deleted not in doc_ids
         assert (dirty / "profiles.csv").read_bytes() == (clean / "profiles.csv").read_bytes()
         assert (sorted(p.name for p in (dirty / "tagged").iterdir())
@@ -612,7 +663,7 @@ class TestTagOwnsTaggedDir:
         assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
         assert sorted(p.name for p in (out / "tagged").iterdir()) == ["docA.tsv"]
         assert main(["profile", "--out", str(out)]) == 0
-        assert [row[0] for row in read_table(out / "profiles.csv").rows] == ["docA"]
+        assert [row[0] for row in table_rows(out / "profiles.csv")] == ["docA"]
 
 
 class TestJoinInStages:
@@ -639,13 +690,13 @@ class TestJoinInStages:
         assert main(["regress", *common]) == 0
 
         sizes = {"High": n_high, "Medium": n_medium, "Low": n_low}
-        for row in read_table(tmp_path / "comparison.csv").rows:
+        for row in table_rows(tmp_path / "comparison.csv"):
             first, second = row[1].split("-")
             assert (int(row[5]), int(row[6])) == (sizes[first], sizes[second])
-        for row in read_table(tmp_path / "estimates.csv").rows:
+        for row in table_rows(tmp_path / "estimates.csv"):
             assert int(row[5]) == sizes[row[1]]
         n_used = {(int(r[0]), r[1]): int(r[3])
-                  for r in read_table(tmp_path / "regression.csv").rows}
+                  for r in table_rows(tmp_path / "regression.csv")}
         for model_id in range(1, 7):
             assert n_used[model_id, "all"] == len(scored)
             for group, size in sizes.items():
@@ -680,7 +731,7 @@ class TestRegressAnswersEveryCell:
         assert main(["regress", "--out", str(tmp_path)]) == 0
         assert not (tmp_path / "errors.json").exists()
         assert capsys.readouterr().err == ""
-        rows = read_table(tmp_path / "regression.csv").rows
+        rows = table_rows(tmp_path / "regression.csv")
         assert len(rows) == 24
         for _, cohort, r2, n_used, n_dropped in rows:
             assert r2 == "-" or 0.0 <= float(r2) <= 1.0
@@ -811,7 +862,7 @@ class TestRepeatedKeys:
         # line 1 is the header, so the second "a" is on line 3
         self.assert_repeated(tmp_path, capsys, "group", "a",
                              "line 3: scores.csv: doc_id 'a' is repeated")
-        rows = read_table(tmp_path / "scores.csv").rows
+        rows = table_rows(tmp_path / "scores.csv")
         assert [row[2] for row in rows] == ["", "", ""]
 
     def test_repeated_baseline_cell(self, tmp_path, capsys):
@@ -879,9 +930,9 @@ class TestNormalizeStage:
         out = tmp_path / "out"
         assert main(["normalize", "--out", str(out),
                      "--citations", str(citations)]) == 0
-        baseline_rows = read_table(out / "baselines.csv").rows
+        baseline_rows = table_rows(out / "baselines.csv")
         assert baseline_rows == [["2010", "Eco", "6.0", "2"]]
-        score_rows = read_table(out / "scores.csv").rows
+        score_rows = table_rows(out / "scores.csv")
         assert score_rows == [["a", repr(4 / 6), ""], ["b", repr(8 / 6), ""]]
 
     def test_external_baselines(self, tmp_path):
@@ -894,7 +945,7 @@ class TestNormalizeStage:
         assert main(["normalize", "--out", str(out),
                      "--citations", str(citations),
                      "--baselines", str(baselines)]) == 0
-        rows = read_table(out / "scores.csv").rows
+        rows = table_rows(out / "scores.csv")
         assert rows == [["a", "2.0", ""]]
 
     def test_bad_citation_columns(self, tmp_path, capsys):
@@ -977,26 +1028,26 @@ class TestFullRun:
                      "cdf.csv", "estimates.csv", "regression.csv"):
             assert (out / name).exists(), name
         assert not (out / "errors.json").exists()
-        profile_rows = read_table(out / "profiles.csv").rows
+        profile_rows = table_rows(out / "profiles.csv")
         assert len(profile_rows) == 30
         assert len(list((out / "tagged").glob("*.tsv"))) == 30
 
     def test_group_sizes_and_report_shapes(self, tmp_path):
         out = tmp_path / "out"
         assert self.run_full(out) == 0
-        scores = read_table(out / "scores.csv").rows
+        scores = table_rows(out / "scores.csv")
         groups = [r[2] for r in scores]
         assert groups.count("High") == 0
         assert groups.count("Medium") == 3
         assert groups.count("Low") == 27
-        comparison = read_table(out / "comparison.csv").rows
+        comparison = table_rows(out / "comparison.csv")
         assert len(comparison) == 36
         statuses = [r[8] for r in comparison]
         assert statuses.count("GroupEmpty") == 24  # every pair touching High
         assert statuses.count("Ok") == 12
-        regression = read_table(out / "regression.csv").rows
+        regression = table_rows(out / "regression.csv")
         assert len(regression) == 24
-        estimates = read_table(out / "estimates.csv").rows
+        estimates = table_rows(out / "estimates.csv")
         assert len(estimates) == 36
 
     def test_metadata_headers_present(self, tmp_path):
@@ -1029,8 +1080,8 @@ class TestFullRun:
             (out2 / "estimates.csv").read_bytes()
         # seed feeds only the bootstrap; the KS table differs solely in
         # its recorded seed metadata
-        rows1 = read_table(out1 / "comparison.csv").rows
-        rows2 = read_table(out2 / "comparison.csv").rows
+        rows1 = table_rows(out1 / "comparison.csv")
+        rows2 = table_rows(out2 / "comparison.csv")
         assert rows1 == rows2
 
     def test_stagewise_equals_run(self, tmp_path):

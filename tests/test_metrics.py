@@ -121,7 +121,7 @@ class TestRowRoundTrip:
         assert len(row) == 1 + len(VARIABLE_COLUMNS)
         assert row[8] is None
         write_table(tmp_path / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], [row])
-        rows = read_table(tmp_path / "profiles.csv").rows
+        rows = [cells for _, cells in read_table(tmp_path / "profiles.csv").rows]
         assert rows[0][0] == p.doc_id
         again = profile_cells(rows[0])
         assert [None if math.isnan(v) else v for v in again] == p.values()

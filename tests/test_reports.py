@@ -1,8 +1,10 @@
 """Report-row builders: fixed row order, GroupEmpty handling, subseeds."""
 
+import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 
@@ -10,10 +12,12 @@ import pytest
 
 import lexcite.reports as reports_mod
 
+from lexcite.cli import RunConfig, _joined_inputs
 from lexcite.errors import JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
-from lexcite.metrics import ProfileMatrix
+from lexcite.metrics import VARIABLE_COLUMNS, ProfileMatrix
 from lexcite.reports import (
+    CDF_HEADER,
     COHORT_ORDER,
     GROUP_PAIRS,
     STATUS_GROUP_EMPTY,
@@ -27,6 +31,8 @@ from lexcite.reports import (
     stars_text,
     subseed,
 )
+from lexcite.stats import ecdf_steps
+from lexcite.tableio import write_table
 
 X1, X8 = 0, 7  # matrix columns of mean sentence length and adverb length
 
@@ -184,7 +190,7 @@ class TestCdfRows:
     def test_heights_and_order(self):
         rng = np.random.default_rng(7)
         values, codes = codes_of(rng, sizes=(2, 2, 2))
-        rows = build_cdf_rows(values, codes)
+        rows = list(build_cdf_rows(values, codes))
         assert [r[0] for r in rows[:2]] == ["x1", "x1"]
         assert rows[0][1] == "High"
         by_key = {}
@@ -198,7 +204,7 @@ class TestCdfRows:
     def test_empty_group_skipped(self):
         rng = np.random.default_rng(8)
         values, codes = codes_of(rng, sizes=(0, 2, 2))
-        rows = build_cdf_rows(values, codes)
+        rows = list(build_cdf_rows(values, codes))
         assert all(r[1] != "High" for r in rows)
 
 
@@ -403,3 +409,56 @@ class TestRegressionRows:
     def test_group_pairs_constant(self):
         assert [f"{a.value}-{b.value}" for a, b in GROUP_PAIRS] == \
             ["High-Medium", "High-Low", "Medium-Low"]
+
+
+def traced_peak(run):
+    """run's result and the peak of the memory it allocated, numpy's arrays
+    included, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """Tables stream: reading and joining a 10 k-row profiles.csv and
+    scores.csv, and writing the cdf.csv of their 12 x 10 k values, peak at a
+    fraction of what holding a table's text or rows would take."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stream")
+        rng = np.random.default_rng(11)
+        values = rng.lognormal(size=(self.N, 12))
+        values[::50, X8] = np.nan  # 2% Absent adverb lengths
+        doc_ids = [f"doc{i:05d}" for i in range(self.N)]
+        write_table(out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
+                    ([doc_id, *(None if math.isnan(v) else v for v in row)]
+                     for doc_id, row in zip(doc_ids, values.tolist())),
+                    {"tool": "lexcite"})
+        rank = rng.permutation(self.N)  # 1% High, 9% Medium, the rest Low
+        groups = np.where(rank < self.N // 100, "High",
+                          np.where(rank < self.N // 10, "Medium", "Low"))
+        write_table(out / "scores.csv", ["doc_id", "nc", "group"],
+                    ([doc_id, nc, group] for doc_id, nc, group in
+                     zip(doc_ids, rng.exponential(size=self.N).tolist(), groups.tolist())),
+                    {"tool": "lexcite"})
+        return RunConfig(out=out)
+
+    def test_read_and_join_below_three_times_the_file(self, config):
+        (values, nc, codes), peak = traced_peak(lambda: _joined_inputs(config))
+        assert values.shape == (self.N, 12) and len(nc) == len(codes) == self.N
+        assert peak < 3 * (config.out / "profiles.csv").stat().st_size
+
+    def test_cdf_write_below_half_the_file(self, config):
+        values, _, codes = _joined_inputs(config)
+        ecdf_steps([1.0])  # numpy loads what np.unique needs on its first call
+        path = config.out / "cdf.csv"
+        _, peak = traced_peak(lambda: write_table(
+            path, CDF_HEADER, build_cdf_rows(values, codes), config.metadata()))
+        assert path.stat().st_size > 4_000_000  # about 12 x 10 k step rows
+        assert peak < 0.5 * path.stat().st_size

@@ -14,6 +14,7 @@ from lexcite.metrics import ProfileMatrix
 from lexcite.reports import join_scores
 from lexcite.stats import (
     MODEL_IDS,
+    _expand_design,
     bootstrap_mean_ci,
     ecdf_steps,
     fit_model,
@@ -50,6 +51,20 @@ class TestEcdf:
     def test_steps(self):
         steps = ecdf_steps([2, 1, 2])
         assert steps == [(1.0, pytest.approx(1 / 3)), (2.0, 1.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 1 / 3, 0.1, 7.0, 1e300]),
+                    min_size=1, max_size=60),
+           st.lists(st.floats(allow_nan=False), max_size=20))
+    def test_heights_are_the_scalar_division(self, ties, others):
+        # counts / n in numpy is float(count) / n in Python, bit for bit
+        sample = ties + others
+        data = np.sort(np.asarray(sample, dtype=float))
+        values = np.unique(data)
+        counts = np.searchsorted(data, values, side="right")
+        want = [(float(v), float(c) / len(data)) for v, c in zip(values, counts)]
+        got = ecdf_steps(sample)
+        assert [(x.hex(), f.hex()) for x, f in got] == [(x.hex(), f.hex()) for x, f in want]
 
     def test_steps_reach_one(self):
         rng = np.random.default_rng(5)
@@ -308,6 +323,23 @@ class TestDesignMatrix:
         raw = fit_model(values, nc, 2)
         std = fit_model(rescaled, nc, 2)
         assert raw.r_squared == pytest.approx(std.r_squared, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(0, 30), st.just(12)),
+                      elements=st.floats(-1e200, 1e200)),
+           st.sampled_from(MODEL_IDS))
+    def test_design_filled_in_place_is_column_stack(self, base, model_id):
+        # the columns, their order and their bits are those of stacking them
+        with np.errstate(all="ignore"):
+            cols = [np.ones(len(base)), *base.T]
+            if model_id in (1, 2, 3, 4):
+                cols += [base[:, i] ** 2 for i in range(12)]
+            if model_id in (1, 3):
+                cols += [base[:, i] * base[:, j] for i in range(12) for j in range(i + 1, 12)]
+            want = np.column_stack(cols)
+            got = _expand_design(base, model_id)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_bad_model_id(self):
         rng = np.random.default_rng(5)

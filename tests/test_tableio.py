@@ -45,11 +45,20 @@ def expected_lines(metadata, header, rows):
     return lines
 
 
+def read_back(path):
+    """(metadata, header, rows, lines) of a table, with its lazily read rows
+    and their lines as lists."""
+    table = read_table(path)
+    pairs = list(table.rows)
+    return (table.metadata, table.header,
+            [cells for _, cells in pairs], [line for line, _ in pairs])
+
+
 def round_trip(tmp_path, row):
     """Write one data row, then return its raw line and its cells read back."""
     path = tmp_path / "t.csv"
     write_table(path, [f"c{i}" for i in range(len(row))], [row])
-    rows = read_table(path).rows
+    rows = read_back(path)[2]
     return path.read_bytes().split(b"\r\n")[1], rows[0]
 
 
@@ -82,10 +91,10 @@ class TestWriteRead:
             except ValueError:
                 assert not path.exists()
                 return
-            table = read_table(path)
+            table = read_back(path)
             assert table[:3] == (metadata, header,
                                  [[expected_cell(c) for c in row] for row in rows])
-            assert table.lines == expected_lines(metadata, header, rows)
+            assert table[3] == expected_lines(metadata, header, rows)
 
     @pytest.mark.parametrize("header, metadata", [
         (["a"], {"k": "x\ry"}), (["a"], {"": "v"}), (["#a"], None),
@@ -98,7 +107,7 @@ class TestWriteRead:
     def test_lines_end_only_at_cr_or_lf(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [["x\ry"], ["u\r\nv"]], {"k": "x\x85\u2028y"})
-        assert read_table(path)[:3] == ({"k": "x\x85\u2028y"}, ["a"], [["x\ry"], ["u\r\nv"]])
+        assert read_back(path)[:3] == ({"k": "x\x85\u2028y"}, ["a"], [["x\ry"], ["u\r\nv"]])
 
     def test_crlf_everywhere(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -111,7 +120,7 @@ class TestWriteRead:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [[1]])
         assert path.read_bytes().startswith(b"a\r\n")
-        metadata, header, rows, _ = read_table(path)
+        metadata, header, rows, _ = read_back(path)
         assert metadata == {}
         assert rows == [["1"]]
 
@@ -119,8 +128,24 @@ class TestWriteRead:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [["x,y"]])
         assert b'"x,y"' in path.read_bytes()
-        rows = read_table(path).rows
+        rows = read_back(path)[2]
         assert rows == [["x,y"]]
+
+    def test_failed_write_keeps_old_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a"], [[1], [2]], {"k": "v"})
+        old = path.read_bytes()
+
+        def rows():
+            for i in range(10_000):
+                if i == 5_000:
+                    raise RuntimeError("row source failed")
+                yield [i]
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_table(path, ["a"], rows(), {"k": "w"})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_byte_identical_rewrite(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -150,26 +175,26 @@ class TestReadErrors:
         path = tmp_path / "t.csv"
         path.write_bytes(b"#noequals\r\na\r\n1\r\n")
         with pytest.raises(FormatError) as err:
-            read_table(path)
+            read_back(path)
         assert err.value.line_number == 1
 
     def test_empty_metadata_key(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"#=v\r\na\r\n")
         with pytest.raises(FormatError):
-            read_table(path)
+            read_back(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"#k=v\r\n")
         with pytest.raises(FormatError):
-            read_table(path)
+            read_back(path)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b\r\n1,2\r\n3\r\n")
         with pytest.raises(FormatError) as err:
-            read_table(path)
+            read_back(path)
         assert "cells" in str(err.value)
 
     @pytest.mark.parametrize("raw, line", [
@@ -182,16 +207,24 @@ class TestReadErrors:
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
         with pytest.raises(FormatError) as err:
-            read_table(path)
+            read_back(path)
         assert err.value.line_number == line
+
+    def test_cell_over_csv_size_limit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'#k=v\r\na,b\r\n1,2\r\n"' + b"x" * 200_000 + b'",3\r\n')
+        with pytest.raises(FormatError) as err:
+            read_back(path)
+        assert err.value.line_number == 4
+        assert "t.csv: field larger than field limit" in str(err.value)
 
     def test_row_lines(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b'#k=1\r\n#k=2\na,b\r\n\r\n"x\r\ny",2\n3,4\r\r5,6')
-        table = read_table(path)
-        assert table.metadata == {"k": "2"}
-        assert table.rows == [["x\r\ny", "2"], ["3", "4"], ["5", "6"]]
-        assert table.lines == [5, 7, 9]
+        metadata, _, rows, lines = read_back(path)
+        assert metadata == {"k": "2"}
+        assert rows == [["x\r\ny", "2"], ["3", "4"], ["5", "6"]]
+        assert lines == [5, 7, 9]
 
     @pytest.mark.parametrize("raw, line", [
         (b"a\r\nCaf\xe9\r\n", 2),
@@ -202,7 +235,7 @@ class TestReadErrors:
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
         with pytest.raises(FormatError) as err:
-            read_table(path)
+            read_back(path)
         assert err.value.line_number == line
         assert str(err.value).startswith(f"line {line}: t.csv: not UTF-8")
 
