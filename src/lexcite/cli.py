@@ -31,7 +31,9 @@ stage owns tagged/, and removes every .tsv there that it did not write.
 
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
-stage never loads numpy, and a one-stage process does not pay for it.
+stage never loads numpy, and a one-stage process does not pay for it. In
+the same way only ingest loads the XML parser, and only the built-in
+tagger's lexicon loads importlib.resources.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ import os
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, FormatError, LexciteError
@@ -128,8 +129,7 @@ DECISION_FLAGS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved options for one invocation."""
 
     out: Path
@@ -254,15 +254,14 @@ def stage_ingest(config: RunConfig) -> None:
         except LexciteError as exc:
             rejects.append([readable_name(path.name), type(exc).__name__, str(exc)])
             continue
-        paragraphs = [normalize_abbreviations(p, table) for p in doc.paragraphs]
-        docs.append(RawDocument(doc_id=doc.doc_id, year=doc.year,
-                                domain=doc.domain, journal=doc.journal,
-                                paragraphs=paragraphs))
+        docs.append(doc._replace(paragraphs=[normalize_abbreviations(p, table)
+                                             for p in doc.paragraphs]))
+    # Written first, so that the reasons are kept when no file is accepted.
+    write_table(config.out / "rejects.csv", ["file", "error", "message"],
+                rejects, config.metadata())
     if not docs:
         raise DocumentError(readable_name(xml_files[0].name),
                             ConfigError("every input file was rejected"))
-    write_table(config.out / "rejects.csv", ["file", "error", "message"],
-                rejects, config.metadata())
     write_corpus(docs, config.out / "corpus.jsonl")
 
 
@@ -270,8 +269,16 @@ def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
     built-in tagger or from the --import-tagged files. Once every document
     is written, any other .tsv in tagged/ (left by an earlier run) is
-    removed, so that profile reads this run's documents only."""
+    removed, so that profile reads this run's documents only. So tagged/
+    itself cannot be the import directory: that is a ConfigError, raised
+    before anything is written."""
     tagged_dir = config.out / "tagged"
+    import_dir = None
+    if config.import_tagged is not None:
+        import_dir = _require(config, "import_tagged")
+        if tagged_dir.is_dir() and os.path.samefile(import_dir, tagged_dir):
+            raise ConfigError(f"--import-tagged {import_dir} is the tagged/ directory "
+                              "of --out, which this stage rewrites")
     tagged_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, str] = {}
 
@@ -286,8 +293,7 @@ def stage_tag(config: RunConfig) -> None:
         except OSError as exc:
             raise DocumentError(doc_id, exc)
 
-    if config.import_tagged is not None:
-        import_dir = _require(config, "import_tagged")
+    if import_dir is not None:
         files = sorted(import_dir.glob("*.tsv"))
         if not files:
             raise ConfigError(f"no .tsv files in {import_dir}")

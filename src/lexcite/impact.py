@@ -9,8 +9,8 @@ are then ranked by that score and split into the top 1% (High), the next 9%
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import GroupEmptyWarning, MissingBaseline, ZeroBaselineNonzeroCitations
 
@@ -24,20 +24,27 @@ class ImpactGroup(str, Enum):
 GROUP_ORDER = (ImpactGroup.HIGH, ImpactGroup.MEDIUM, ImpactGroup.LOW)
 
 
-@dataclass(frozen=True)
-class CitationRecord:
+class _CitationFields(NamedTuple):
     doc_id: str
     year: int
     domain: str
     total_citations: int
 
-    def __post_init__(self):
-        if self.total_citations < 0:
-            raise ValueError(f"negative citations for {self.doc_id!r}")
+
+class CitationRecord(_CitationFields):
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, year: int, domain: str, total_citations: int):
+        if total_citations < 0:
+            raise ValueError(f"negative citations for {doc_id!r}")
+        return super().__new__(cls, doc_id, year, domain, total_citations)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(NamedTuple):
     """Mean citations (adc) over the n papers in one year x domain cell."""
 
     year: int
@@ -46,8 +53,7 @@ class Baseline:
     n: int
 
 
-@dataclass
-class NormalizedScore:
+class NormalizedScore(NamedTuple):
     doc_id: str
     nc: float
     group: ImpactGroup | None = None

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
-from xml.etree import ElementTree
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import FormatError, MalformedXml, MissingMetadata
+
+if TYPE_CHECKING:
+    from xml.etree import ElementTree
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -36,23 +37,33 @@ DEFAULT_ABBREVIATIONS = {
 }
 
 
-@dataclass
-class RawDocument:
-    """One ingested article: metadata plus ordered body paragraphs."""
-
+class _RawDocumentFields(NamedTuple):
     doc_id: str
     year: int
     domain: str
     paragraphs: list[str]
     journal: str = ""
 
-    def __post_init__(self):
-        if not self.doc_id:
+
+class RawDocument(_RawDocumentFields):
+    """One ingested article: metadata plus ordered body paragraphs. The
+    paragraphs are kept stripped, without the empty ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, year: int, domain: str, paragraphs: list[str],
+                journal: str = ""):
+        if not doc_id:
             raise MissingMetadata("no doc_id element found")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise MissingMetadata(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}] "
-                                  f"for {self.doc_id!r}")
-        self.paragraphs = [p.strip() for p in self.paragraphs if p.strip()]
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            raise MissingMetadata(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] "
+                                  f"for {doc_id!r}")
+        return super().__new__(cls, doc_id, year, domain,
+                               [p.strip() for p in paragraphs if p.strip()], journal)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 class AbbreviationTable:
@@ -188,6 +199,9 @@ def parse_jats(source: str | bytes) -> RawDocument:
     doc id, a publication year, or any paragraph content are rejected
     rather than defaulted.
     """
+    # Imported here, so that a stage that parses no XML does not load it.
+    from xml.etree import ElementTree
+
     try:
         root = ElementTree.fromstring(source)
     # expat raises LookupError for an unknown declared encoding and

@@ -23,8 +23,7 @@ in file row order plus an n x 12 float64 array, with NaN marking Absent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDocument
 from .tableio import parse_finite
@@ -53,8 +52,7 @@ VARIABLE_FIELDS = {
 }
 
 
-@dataclass
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """All 12 variables for one article. None marks an Absent sophistication
     value (the lexical class had no tokens)."""
 
@@ -76,13 +74,16 @@ class ComplexityProfile:
         return [getattr(self, VARIABLE_FIELDS[c]) for c in VARIABLE_COLUMNS]
 
 
-@dataclass(frozen=True, eq=False)
 class ProfileMatrix:
     """The profile table as one array: row i holds x1..x12 of doc_ids[i],
-    in file row order, with NaN marking an Absent value."""
+    in file row order, with NaN marking an Absent value. A plain class, not
+    a tuple: tuple equality would compare the array element by element."""
 
-    doc_ids: tuple[str, ...]
-    values: np.ndarray  # shape (len(doc_ids), 12), float64
+    __slots__ = ("doc_ids", "values")
+
+    def __init__(self, doc_ids: tuple[str, ...], values: np.ndarray):
+        self.doc_ids = doc_ids
+        self.values = values  # shape (len(doc_ids), 12), float64
 
 
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:

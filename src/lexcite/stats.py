@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegenerateResponseWarning, EmptySample
 
@@ -52,8 +51,7 @@ _SQUARES_MODELS = {2, 4}
 _LOG_RESPONSE_MODELS = {3, 4, 6}
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     d_statistic: float
     p_value: float
     stars: int
@@ -61,8 +59,7 @@ class KsResult:
     n2: int
 
 
-@dataclass(frozen=True)
-class BootstrapEstimate:
+class BootstrapEstimate(NamedTuple):
     point: float
     ci_low: float
     ci_high: float
@@ -71,8 +68,7 @@ class BootstrapEstimate:
     seed: int
 
 
-@dataclass
-class ModelFit:
+class ModelFit(NamedTuple):
     model_id: int
     r_squared: float | None
     n_used: int
@@ -279,6 +275,4 @@ def fit_model(values: np.ndarray, nc: np.ndarray, model_id: int) -> ModelFit:
             return fit
         r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
 
-    fit.status = "Estimable"
-    fit.r_squared = r2
-    return fit
+    return fit._replace(status="Estimable", r_squared=r2)

@@ -16,11 +16,9 @@ Nothing is cached across documents. Coarse lexical classes are not stored;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
 from .ingest import RawDocument
@@ -48,8 +46,7 @@ _TAG_CLASSES = {
 _FINITE_TAGS = {"VBD", "VBZ", "VBP"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     is_word: bool
     char_length: int
@@ -64,8 +61,7 @@ class Token:
         return cls(surface, letters > 0, letters)
 
 
-@dataclass
-class TaggedSentence:
+class TaggedSentence(NamedTuple):
     """tags[i] is the fine tag of tokens[i]."""
 
     tokens: list[Token]
@@ -73,8 +69,7 @@ class TaggedSentence:
     clause_count: int
 
 
-@dataclass
-class TaggedDocument:
+class TaggedDocument(NamedTuple):
     doc_id: str
     sentences: list[TaggedSentence]
 
@@ -154,13 +149,14 @@ def count_clauses(tags: Sequence[str]) -> int:
     return count
 
 
-def tag_document(doc: RawDocument, tagger: TaggerContract | None = None) -> TaggedDocument:
+def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
     """Segment, tokenize, and tag a document whose text is already normalized.
 
     Sentences never span paragraph boundaries. A tagger that returns more
     or fewer tags than it was given tokens raises TaggerLengthMismatch.
+    Build a tagger once and pass it to every call: a `LexiconTagger` reads
+    its lexicon when it is built.
     """
-    tagger = tagger or LexiconTagger()
     interned: dict[str, Token] = {}
     sentences = []
     for paragraph in doc.paragraphs:
@@ -277,6 +273,9 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, str]:
     """Load the word TAB tag TAB count lexicon, keeping each word's most
     frequent tag (ties broken by tag string for determinism)."""
     if path is None:
+        # Imported here, so that a stage that builds no tagger does not load it.
+        from importlib import resources
+
         text = resources.files("lexcite.data").joinpath("lexicon.tsv").read_text("utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")

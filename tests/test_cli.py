@@ -140,18 +140,25 @@ class TestBuildConfig:
 
 
 # Runs the stages one by one in a fresh interpreter and prints, after the
-# import and after each stage, whether numpy has been loaded.
+# import and after each stage, whether numpy, the XML parser and dataclasses
+# have been loaded. Only compare needs numpy and only ingest parses XML; no
+# stage needs dataclasses, and numpy does not load it.
 NUMPY_PROBE = """
 import sys
 from lexcite.cli import main
-print("import", "numpy" in sys.modules)
+
+def loaded(step):
+    print(step, *(name in sys.modules
+                  for name in ("numpy", "xml.etree.ElementTree", "dataclasses")))
+
+loaded("import")
 corpus, out = sys.argv[1:]
 common = ["--input", corpus, "--citations", corpus + "/citations.csv",
           "--out", out, "--iterations", "50"]
 for stage in ("ingest", "tag", "profile", "normalize", "group", "compare"):
     if main([stage, *common]) != 0:
         sys.exit(stage + " failed")
-    print(stage, "numpy" in sys.modules)
+    loaded(stage)
 """
 
 
@@ -163,8 +170,10 @@ def test_numpy_loaded_only_by_array_stages(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split("\n") == [
-        "import False", "ingest False", "tag False", "profile False",
-        "normalize False", "group False", "compare True", ""]
+        "import False False False", "ingest False True False",
+        "tag False True False", "profile False True False",
+        "normalize False True False", "group False True False",
+        "compare True True False", ""]
 
 
 class TestStageGating:
@@ -407,10 +416,15 @@ class TestIngest:
         src = tmp_path / "xml"
         src.mkdir()
         (src / "bad.xml").write_text("not xml at all", encoding="utf-8")
+        noyear = ARTICLE.format(doc_id="10.1/n").replace("<year>2010</year>", "")
+        (src / "noyear.xml").write_text(noyear, encoding="utf-8")
         out = tmp_path / "out"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
         assert read_errors(out)["stage"] == "ingest"
         assert "error in ingest stage" in capsys.readouterr().err
+        # every file's reason is kept, though the stage failed
+        assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
+            ["bad.xml", "MalformedXml"], ["noyear.xml", "MissingMetadata"]]
 
     def test_empty_input_dir_fails(self, tmp_path, capsys):
         src = tmp_path / "xml"
@@ -664,6 +678,26 @@ class TestTagOwnsTaggedDir:
         assert sorted(p.name for p in (out / "tagged").iterdir()) == ["docA.tsv"]
         assert main(["profile", "--out", str(out)]) == 0
         assert [row[0] for row in table_rows(out / "profiles.csv")] == ["docA"]
+
+    @pytest.mark.parametrize("alias", [False, True])
+    def test_import_from_own_tagged_dir_refused(self, tmp_path, capsys, alias):
+        # the sweep of stale files would delete the files being imported
+        out = tmp_path / "out"
+        tagged = out / "tagged"
+        tagged.mkdir(parents=True)
+        source, text = tagged / "external_a.tsv", b"#doc=paper-1\nThe\tDT\ncats\tNNS\n\n"
+        source.write_bytes(text)
+        import_dir = tagged
+        if alias:
+            import_dir = tmp_path / "link"
+            import_dir.symlink_to(tagged, target_is_directory=True)
+        assert main(["tag", "--out", str(out), "--import-tagged", str(import_dir)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["error"]) == ("tag", "ConfigError")
+        assert "tagged/" in err["message"]
+        assert [p.name for p in tagged.iterdir()] == ["external_a.tsv"]
+        assert source.read_bytes() == text
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestJoinInStages:

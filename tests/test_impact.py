@@ -79,6 +79,8 @@ class TestNormalize:
     def test_negative_citations_rejected(self):
         with pytest.raises(ValueError):
             CitationRecord("d", 2010, "e", -1)
+        with pytest.raises(ValueError):
+            CitationRecord("d", 2010, "e", 1)._replace(total_citations=-1)
 
     def test_group_unset(self):
         lookup = baseline_map([Baseline(2010, "e", 5.0, 2)])

@@ -234,6 +234,14 @@ class TestRawDocument:
                           paragraphs=["  x  ", "", "  "])
         assert doc.paragraphs == ["x"]
 
+    def test_replace_checks_too(self):
+        doc = RawDocument(doc_id="a", year=2010, domain="d", paragraphs=["x"])
+        assert doc._replace(paragraphs=[" y ", " "]).paragraphs == ["y"]
+        with pytest.raises(MissingMetadata):
+            doc._replace(year=1500)
+        with pytest.raises(MissingMetadata):
+            doc._replace(doc_id="")
+
 
 class TestCorpusFile:
     def docs(self):

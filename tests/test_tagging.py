@@ -174,12 +174,12 @@ class TestCountClauses:
     def test_two_finite_verbs(self):
         doc = tag_document(RawDocument(
             doc_id="d", year=2010, domain="x",
-            paragraphs=["The cat sat because it was tired."]))
+            paragraphs=["The cat sat because it was tired."]), LexiconTagger())
         assert doc.sentences[0].clause_count == 2
 
     def test_modal_plus_base(self):
         doc = tag_document(RawDocument(
-            doc_id="d", year=2010, domain="x", paragraphs=["It can run."]))
+            doc_id="d", year=2010, domain="x", paragraphs=["It can run."]), LexiconTagger())
         assert doc.sentences[0].clause_count == 1
 
     def test_no_verbs(self):
@@ -285,7 +285,7 @@ class TestColumnFormat:
         doc = tag_document(RawDocument(
             doc_id="rt", year=2010, domain="x",
             paragraphs=["The cat sat. It can run fast!",
-                        "Values were 3.5 mm (p<0.05)."]))
+                        "Values were 3.5 mm (p<0.05)."]), LexiconTagger())
         again = import_tagged(export_tagged(doc))
         assert again == doc
 
@@ -314,7 +314,8 @@ class TestColumnFormat:
         assert doc.doc_id == ""
         assert import_tagged(export_tagged(doc)) == doc
         tagged = tag_document(RawDocument(doc_id="x", year=2010, domain="d",
-                                          paragraphs=["Item #3 failed."]))
+                                          paragraphs=["Item #3 failed."]),
+                              LexiconTagger())
         assert import_tagged(export_tagged(tagged)) == tagged
 
     @settings(max_examples=80, deadline=None)
@@ -355,13 +356,13 @@ class TestTagDocument:
     def test_sentences_do_not_span_paragraphs(self):
         doc = tag_document(RawDocument(
             doc_id="d", year=2010, domain="x",
-            paragraphs=["First sentence only", "second paragraph text"]))
+            paragraphs=["First sentence only", "second paragraph text"]), LexiconTagger())
         assert len(doc.sentences) == 2
 
     def test_word_totals(self):
         raw = RawDocument(doc_id="d", year=2010, domain="x",
                           paragraphs=["One two three. Four five."])
-        doc = tag_document(raw)
+        doc = tag_document(raw, LexiconTagger())
         assert sum(t.is_word for s in doc.sentences for t in s.tokens) == 5
 
     @pytest.mark.parametrize("build", ["tag_document", "import_tagged"])
