@@ -27,7 +27,11 @@ is running. Stages raise plain errors, wrapped in DocumentError where they
 know the input document.
 
 Outputs depend only on the inputs, not on what --out held before: the tag
-stage owns tagged/, and removes every .tsv there that it did not write.
+stage owns tagged/, and removes every .tsv there that it did not write. When
+ingest, tag, profile, compare or regress fails, main removes what that stage
+(and, in a run, every stage after it) writes, so that the next stage finds
+no output of an earlier invocation. normalize and group keep theirs
+(_STAGE_OUTPUTS says why).
 
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
@@ -483,6 +487,44 @@ _STAGE_FUNCS = {
     "regress": stage_regress,
 }
 
+# What each stage writes into --out, as globs. When a stage fails, main
+# removes these, so that no later stage reads what an earlier invocation
+# wrote. rejects.csv stays: ingest writes it even when it fails.
+# normalize and group are left out: group rewrites scores.csv, its own
+# input, and normalize may read --baselines from --out.
+_STAGE_OUTPUTS = {
+    "ingest": ("corpus.jsonl",),
+    "tag": ("tagged/*.tsv",),
+    "profile": ("profiles.csv",),
+    "compare": ("comparison.csv", "cdf.csv", "estimates.csv"),
+    "regress": ("regression.csv",),
+}
+
+
+def _given_input(config: RunConfig, path: Path) -> bool:
+    """Whether path is a file the invocation was given to read: an option's
+    file, or a .tsv of --import-tagged."""
+    pairs = [(path, config.citations), (path, config.baselines), (path, config.abbrev)]
+    if path.suffix == ".tsv":
+        pairs.append((path.parent, config.import_tagged))
+    return any(given is not None and given.exists() and os.path.samefile(own, given)
+               for own, given in pairs)
+
+
+def _remove_outputs(config: RunConfig, stages: tuple[str, ...]) -> None:
+    """Remove the files the stages write, except any file the invocation was
+    given to read, as far as the file system lets it (a directory in an
+    output's place stays)."""
+    for stage in stages:
+        for pattern in _STAGE_OUTPUTS.get(stage, ()):
+            for path in config.out.glob(pattern):
+                if _given_input(config, path):
+                    continue
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+
 
 # ------------------------------------------------------------------ main
 
@@ -524,10 +566,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for stage in STAGE_ORDER if args.command == "run" else (args.command,):
+    stages = STAGE_ORDER if args.command == "run" else (args.command,)
+    for done, stage in enumerate(stages):
         try:
             _STAGE_FUNCS[stage](config)
         except (LexciteError, OSError) as exc:
+            # the failed stage, and the ones a run never reached
+            _remove_outputs(config, stages[done:])
             document, cause = ((exc.document, exc.cause) if isinstance(exc, DocumentError)
                                else ("", exc))
             report = {

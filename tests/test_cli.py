@@ -1,5 +1,6 @@
 """CLI configuration, stage gating, end-to-end runs, and error reporting."""
 
+import hashlib
 import json
 import math
 import os
@@ -140,22 +141,23 @@ class TestBuildConfig:
 
 
 # Runs the stages one by one in a fresh interpreter and prints, after the
-# import and after each stage, whether numpy, the XML parser and dataclasses
-# have been loaded. Only compare needs numpy and only ingest parses XML; no
-# stage needs dataclasses, and numpy does not load it.
+# import and after each stage, whether numpy, the XML parser, dataclasses and
+# numpy's masked arrays have been loaded. Only compare and regress need numpy
+# and only ingest parses XML; no stage needs dataclasses or numpy.ma, and the
+# parts of numpy they use load neither.
 NUMPY_PROBE = """
 import sys
 from lexcite.cli import main
 
 def loaded(step):
-    print(step, *(name in sys.modules
-                  for name in ("numpy", "xml.etree.ElementTree", "dataclasses")))
+    print(step, *(name in sys.modules for name in
+                  ("numpy", "xml.etree.ElementTree", "dataclasses", "numpy.ma")))
 
 loaded("import")
 corpus, out = sys.argv[1:]
 common = ["--input", corpus, "--citations", corpus + "/citations.csv",
           "--out", out, "--iterations", "50"]
-for stage in ("ingest", "tag", "profile", "normalize", "group", "compare"):
+for stage in ("ingest", "tag", "profile", "normalize", "group", "compare", "regress"):
     if main([stage, *common]) != 0:
         sys.exit(stage + " failed")
     loaded(stage)
@@ -170,10 +172,10 @@ def test_numpy_loaded_only_by_array_stages(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split("\n") == [
-        "import False False False", "ingest False True False",
-        "tag False True False", "profile False True False",
-        "normalize False True False", "group False True False",
-        "compare True True False", ""]
+        "import False False False False", "ingest False True False False",
+        "tag False True False False", "profile False True False False",
+        "normalize False True False False", "group False True False False",
+        "compare True True False False", "regress True True False False", ""]
 
 
 class TestStageGating:
@@ -700,6 +702,55 @@ class TestTagOwnsTaggedDir:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
+class TestFailedStageLeavesNoOutput:
+    """A stage that fails removes what it wrote in an earlier invocation, so
+    the next stage cannot read it."""
+
+    def common(self, out):
+        return ["--input", str(MINICORPUS), "--citations", str(MINICORPUS / "citations.csv"),
+                "--out", str(out), "--iterations", "50"]
+
+    def test_failed_ingest_then_tag(self, tmp_path, capsys):
+        out, bad = tmp_path / "out", tmp_path / "bad"
+        assert main(["ingest", *self.common(out)]) == 0
+        bad.mkdir()
+        (bad / "bad.xml").write_text("not xml at all", encoding="utf-8")
+        assert main(["ingest", "--input", str(bad), "--out", str(out)]) == 1
+        assert not (out / "corpus.jsonl").exists()
+        assert [row[0] for row in table_rows(out / "rejects.csv")] == ["bad.xml"]
+        assert main(["tag", "--out", str(out)]) == 1
+        err = read_errors(out)
+        assert err["stage"] == "tag" and "corpus.jsonl" in err["message"]
+        assert not list((out / "tagged").glob("*.tsv"))
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_failed_profile_after_good_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", *self.common(out)]) == 0
+        (out / "tagged" / "GEN.2011.0002.tsv").write_bytes(b"The\tDT\n\xff\tNN\n\n")
+        assert main(["profile", "--out", str(out)]) == 1
+        assert read_errors(out)["stage"] == "profile"
+        assert not (out / "profiles.csv").exists()
+        assert main(["compare", "--out", str(out)]) == 1
+        assert "profiles.csv" in read_errors(out)["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_failed_run_removes_later_outputs(self, tmp_path, capsys):
+        out, citations = tmp_path / "out", tmp_path / "citations.csv"
+        assert main(["run", *self.common(out)]) == 0
+        profiles = (out / "profiles.csv").read_bytes()
+        citations.write_text("doc_id,year,domain\r\n", encoding="utf-8")
+        assert main(["run", *self.common(out), "--citations", str(citations)]) == 1
+        assert read_errors(out)["stage"] == "normalize"
+        # the stages before normalize ran again; those after it never ran
+        assert (out / "profiles.csv").read_bytes() == profiles
+        assert (out / "scores.csv").exists()  # normalize and group keep theirs
+        for name in ("comparison.csv", "cdf.csv", "estimates.csv", "regression.csv"):
+            assert not (out / name).exists(), name
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestJoinInStages:
     """compare and regress use the profile rows that have a score: a score
     without a group counts in the "all" cohort only, and a profile without a
@@ -1130,6 +1181,20 @@ class TestFullRun:
         for name in ("profiles.csv", "scores.csv", "comparison.csv",
                      "estimates.csv", "regression.csv"):
             assert (full / name).read_bytes() == (staged / name).read_bytes()
+
+
+# cdf.csv of `lexcite run` on the bundled corpus with every default. Its rows
+# are only a sort and a division, so unlike regression.csv they do not depend
+# on the BLAS kernel, and the bytes can be pinned.
+MINICORPUS_CDF_SHA256 = "952117a4e7dfbf84f345aba243b6e42ca6ff0088236737ce2661791b604fd18e"
+
+
+@pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
+def test_minicorpus_cdf_bytes_pinned(tmp_path):
+    assert main(["run", "--input", str(MINICORPUS), "--citations",
+                 str(MINICORPUS / "citations.csv"), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "cdf.csv").read_bytes()).hexdigest()
+    assert digest == MINICORPUS_CDF_SHA256
 
 
 # ------------------------------------------------------- mutated inputs

@@ -456,7 +456,7 @@ class TestStreamedMemory:
 
     def test_cdf_write_below_half_the_file(self, config):
         values, _, codes = _joined_inputs(config)
-        ecdf_steps([1.0])  # numpy loads what np.unique needs on its first call
+        ecdf_steps([1.0])  # numpy loads what ecdf_steps needs on its first call
         path = config.out / "cdf.csv"
         _, peak = traced_peak(lambda: write_table(
             path, CDF_HEADER, build_cdf_rows(values, codes), config.metadata()))

@@ -57,14 +57,23 @@ class TestEcdf:
                     min_size=1, max_size=60),
            st.lists(st.floats(allow_nan=False), max_size=20))
     def test_heights_are_the_scalar_division(self, ties, others):
-        # counts / n in numpy is float(count) / n in Python, bit for bit
+        # counts / n in numpy is float(count) / n in Python, bit for bit; a
+        # step is the first element of a run of the sort, plus 0.0
         sample = ties + others
-        data = np.sort(np.asarray(sample, dtype=float))
-        values = np.unique(data)
-        counts = np.searchsorted(data, values, side="right")
-        want = [(float(v), float(c) / len(data)) for v, c in zip(values, counts)]
+        data = np.sort(np.asarray(sample, dtype=float)).tolist()
+        starts = [i for i in range(len(data)) if i == 0 or data[i - 1] != data[i]]
+        want = [(data[i] + 0.0, float(c) / len(data))
+                for i, c in zip(starts, [*starts[1:], len(data)])]
         got = ecdf_steps(sample)
         assert [(x.hex(), f.hex()) for x, f in got] == [(x.hex(), f.hex()) for x, f in want]
+
+    @pytest.mark.parametrize("sample", [[-0.0], [0.0, -0.0, 0.0],
+                                        [-2.5] + [0.0] * 8 + [-0.0]])
+    def test_zero_step_is_positive_zero(self, sample):
+        # -0.0 and 0.0 are one run, written as 0.0 whichever zero the sort
+        # put first, and its height covers the whole run
+        zero_steps = [(x.hex(), f) for x, f in ecdf_steps(sample) if x == 0.0]
+        assert zero_steps == [("0x0.0p+0", sum(x <= 0.0 for x in sample) / len(sample))]
 
     def test_steps_reach_one(self):
         rng = np.random.default_rng(5)
