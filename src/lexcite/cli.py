@@ -26,12 +26,15 @@ turn, and any LexciteError or OSError a stage raises ends the run with exit
 is running. Stages raise plain errors, wrapped in DocumentError where they
 know the input document.
 
-Outputs depend only on the inputs, not on what --out held before: the tag
-stage owns tagged/, and removes every .tsv there that it did not write. When
-ingest, tag, profile, compare or regress fails, main removes what that stage
-(and, in a run, every stage after it) writes, so that the next stage finds
-no output of an earlier invocation. normalize and group keep theirs
-(_STAGE_OUTPUTS says why).
+Outputs depend only on the inputs, not on what --out held before. main
+removes the files a stage owns before the stage runs, and again if it fails
+(in a run, also those of every later stage), but never a file the
+invocation was given to read. So no stage reads an output of an earlier
+invocation. group owns nothing, because scores.csv is also its input.
+
+Each of these rules is declared once: _OPTIONS holds every option with its
+converter and help, _STAGE_FUNCS the stages in order, and _STAGE_OUTPUTS
+what each stage owns.
 
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
@@ -97,21 +100,20 @@ from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
 if TYPE_CHECKING:
     import numpy as np
 
-STAGE_ORDER = ("ingest", "tag", "profile", "normalize", "group",
-               "compare", "regress")
-
-# Every option a flag or a LEXCITE_<NAME> variable can set, and the type
-# that converts its text.
+# Every option a flag or a LEXCITE_<NAME> variable can set: the type that
+# converts its text, and the flag's help. build_parser adds one flag per
+# entry; RunConfig gives the defaults.
 _OPTIONS = {
-    "input": Path,
-    "citations": Path,
-    "baselines": Path,
-    "out": Path,
-    "seed": int,
-    "iterations": int,
-    "level": float,
-    "abbrev": Path,
-    "import_tagged": Path,
+    "input": (Path, "directory of article XML files"),
+    "citations": (Path, "citations CSV (doc_id, year, domain, total_citations)"),
+    "baselines": (Path, "externally computed baselines CSV (year, domain, adc, n)"),
+    "out": (Path, "output directory for all stage files"),
+    "seed": (int, "root random seed"),
+    "iterations": (int, "bootstrap iterations"),
+    "level": (float, "confidence level"),
+    "abbrev": (Path, "abbreviation table TSV (key, expansion)"),
+    "import_tagged": (Path, "directory of externally tagged .tsv files to use "
+                            "instead of the built-in tagger"),
 }
 _ENV_PREFIX = "LEXCITE_"
 _ENV_KEYS = {_ENV_PREFIX + option.upper(): option for option in _OPTIONS}
@@ -196,9 +198,9 @@ def build_config(args: argparse.Namespace,
     current directory."""
     env = _env_overrides(dict(os.environ) if environ is None else environ)
     merged: dict[str, object] = {}
-    for option, convert in _OPTIONS.items():
+    for option, (convert, _) in _OPTIONS.items():
         text = getattr(args, option, None)
-        source = "--" + option.replace("_", "-")
+        source = _flag(option)
         if text is None and option in env:
             text, source = env[option], _ENV_PREFIX + option.upper()
         if text is None:
@@ -219,6 +221,10 @@ def build_config(args: argparse.Namespace,
     return config
 
 
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
 def _safe_name(doc_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
 
@@ -226,7 +232,7 @@ def _safe_name(doc_id: str) -> str:
 def _require(config: RunConfig, option: str) -> Path:
     value: Path | None = getattr(config, option)
     if value is None:
-        raise ConfigError(f"--{option.replace('_', '-')} is required")
+        raise ConfigError(f"{_flag(option)} is required")
     if not value.exists():
         raise ConfigError(f"path not found: {value}")
     return value
@@ -271,11 +277,11 @@ def stage_ingest(config: RunConfig) -> None:
 
 def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
-    built-in tagger or from the --import-tagged files. Once every document
-    is written, any other .tsv in tagged/ (left by an earlier run) is
-    removed, so that profile reads this run's documents only. So tagged/
-    itself cannot be the import directory: that is a ConfigError, raised
-    before anything is written."""
+    built-in tagger or from the --import-tagged files. main has removed
+    every earlier .tsv but those being imported, so tagged/ itself cannot be
+    the import directory: profile would read both the imported files and
+    their copies. That is a ConfigError, raised before anything is
+    written."""
     tagged_dir = config.out / "tagged"
     import_dir = None
     if config.import_tagged is not None:
@@ -316,10 +322,6 @@ def stage_tag(config: RunConfig) -> None:
             except LexciteError as exc:
                 raise DocumentError(raw.doc_id, exc)
             emit(doc.doc_id, export_tagged(doc))
-
-    for path in tagged_dir.glob("*.tsv"):
-        if path.name not in written:
-            path.unlink()
 
 
 def stage_profile(config: RunConfig) -> None:
@@ -486,16 +488,18 @@ _STAGE_FUNCS = {
     "compare": stage_compare,
     "regress": stage_regress,
 }
+STAGE_ORDER = tuple(_STAGE_FUNCS)
 
-# What each stage writes into --out, as globs. When a stage fails, main
-# removes these, so that no later stage reads what an earlier invocation
-# wrote. rejects.csv stays: ingest writes it even when it fails.
-# normalize and group are left out: group rewrites scores.csv, its own
-# input, and normalize may read --baselines from --out.
+# What each stage owns in --out, as globs: main removes these before the
+# stage runs and again if it fails, so that no stage reads what an earlier
+# invocation wrote. group is left out, because scores.csv is also its
+# input. rejects.csv is left out, because ingest writes it even when it
+# fails, and errors.json is main's own.
 _STAGE_OUTPUTS = {
     "ingest": ("corpus.jsonl",),
     "tag": ("tagged/*.tsv",),
     "profile": ("profiles.csv",),
+    "normalize": ("baselines.csv", "scores.csv"),
     "compare": ("comparison.csv", "cdf.csv", "estimates.csv"),
     "regress": ("regression.csv",),
 }
@@ -528,21 +532,6 @@ def _remove_outputs(config: RunConfig, stages: tuple[str, ...]) -> None:
 
 # ------------------------------------------------------------------ main
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    # Values stay text here: build_config converts flags and LEXCITE_*
-    # variables alike, through _OPTIONS.
-    parser.add_argument("--input", help="directory of article XML files")
-    parser.add_argument("--citations", help="citations CSV (doc_id, year, domain, total_citations)")
-    parser.add_argument("--baselines", help="externally computed baselines CSV (year, domain, adc, n)")
-    parser.add_argument("--out", help="output directory for all stage files")
-    parser.add_argument("--seed", help="root random seed (default 0)")
-    parser.add_argument("--iterations", help="bootstrap iterations (default 10000)")
-    parser.add_argument("--level", help="confidence level (default 0.95)")
-    parser.add_argument("--abbrev", help="abbreviation table TSV (key, expansion)")
-    parser.add_argument("--import-tagged", dest="import_tagged",
-                        help="directory of externally tagged .tsv files to use instead of the built-in tagger")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexcite",
@@ -553,7 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*STAGE_ORDER, "run"):
         stage_parser = sub.add_parser(name, help=f"run the {name} stage"
                                       if name != "run" else "run all stages")
-        _add_common(stage_parser)
+        # Values stay text here: build_config converts flags and LEXCITE_*
+        # variables alike.
+        for option, (_, help_text) in _OPTIONS.items():
+            default = RunConfig._field_defaults.get(option)
+            if default is not None:
+                help_text += f" (default {default})"
+            stage_parser.add_argument(_flag(option), help=help_text)
     return parser
 
 
@@ -569,6 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     stages = STAGE_ORDER if args.command == "run" else (args.command,)
     for done, stage in enumerate(stages):
         try:
+            _remove_outputs(config, (stage,))
             _STAGE_FUNCS[stage](config)
         except (LexciteError, OSError) as exc:
             # the failed stage, and the ones a run never reached

@@ -11,6 +11,10 @@ n-1 denominator (0 for single-sentence documents); TTR lowercases surfaces
 and removes no stopwords; word length counts alphabetic characters only; a
 lexical class with no tokens yields an Absent value, not 0.
 
+The order x1..x12 is stated once: it is the field order of
+`ComplexityProfile` after doc_id, which `values()` and `profile_to_row`
+read as it stands.
+
 `complexity_profile` makes one accumulator pass per document over each
 sentence's tokens and parallel tags: integer sums per fine tag and a set of
 surfaces, folded into lexical classes once per document, then one division
@@ -36,25 +40,11 @@ if TYPE_CHECKING:
 VARIABLE_COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
                     "x9", "x10", "x11", "x12")
 
-VARIABLE_FIELDS = {
-    "x1": "mean_sentence_length",
-    "x2": "sd_sentence_length",
-    "x3": "clause_ratio",
-    "x4": "ttr",
-    "x5": "noun_length",
-    "x6": "verb_length",
-    "x7": "adj_length",
-    "x8": "adv_length",
-    "x9": "noun_ratio",
-    "x10": "verb_ratio",
-    "x11": "adj_ratio",
-    "x12": "adv_ratio",
-}
-
 
 class ComplexityProfile(NamedTuple):
-    """All 12 variables for one article. None marks an Absent sophistication
-    value (the lexical class had no tokens)."""
+    """All 12 variables for one article: the fields after doc_id are x1..x12,
+    in that order. None marks an Absent sophistication value (the lexical
+    class had no tokens)."""
 
     doc_id: str
     mean_sentence_length: float
@@ -71,7 +61,7 @@ class ComplexityProfile(NamedTuple):
     adv_ratio: float
 
     def values(self) -> list[float | None]:
-        return [getattr(self, VARIABLE_FIELDS[c]) for c in VARIABLE_COLUMNS]
+        return list(self[1:])
 
 
 class ProfileMatrix:
@@ -149,7 +139,7 @@ def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
 
 
 def profile_to_row(profile: ComplexityProfile) -> list:
-    return [profile.doc_id] + profile.values()
+    return list(profile)
 
 
 def profile_cells(row: list[str]) -> list[float]:

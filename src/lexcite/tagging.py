@@ -271,20 +271,28 @@ def export_tagged(doc: TaggedDocument) -> str:
 
 def load_lexicon(path: str | Path | None = None) -> dict[str, str]:
     """Load the word TAB tag TAB count lexicon, keeping each word's most
-    frequent tag (ties broken by tag string for determinism)."""
+    frequent tag (ties broken by tag string for determinism). A line of
+    another shape, with a count that is not an integer, or with bytes that
+    are not UTF-8, is a FormatError naming the file and the line."""
     if path is None:
         # Imported here, so that a stage that builds no tagger does not load it.
         from importlib import resources
 
-        text = resources.files("lexcite.data").joinpath("lexicon.tsv").read_text("utf-8")
+        name = "lexicon.tsv"
+        text = resources.files("lexcite.data").joinpath(name).read_text("utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        name = readable_name(Path(path).name)
+        text = read_utf8(Path(path))
     best: dict[str, tuple[int, str]] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        word, tag, count = line.split("\t")
-        key = (int(count), tag)
+        try:
+            word, tag, count = line.split("\t")
+            key = (int(count), tag)
+        except ValueError:
+            raise FormatError(lineno, f"{name}: not word TAB tag TAB integer count: "
+                                      f"{line!r}") from None
         cur = best.get(word)
         if cur is None or key[0] > cur[0] or (key[0] == cur[0] and tag < cur[1]):
             best[word] = key

@@ -1,5 +1,6 @@
 """CLI configuration, stage gating, end-to-end runs, and error reporting."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -139,6 +140,17 @@ class TestBuildConfig:
         assert meta["tool"] == "lexcite"
         assert meta["seed"] == "0"
 
+    def test_options_are_the_config_fields(self):
+        assert set(cli._OPTIONS) == set(RunConfig._fields)
+
+    def test_every_command_takes_exactly_the_options(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert list(commands) == [*cli.STAGE_ORDER, "run"]
+        flags = {"--" + field.replace("_", "-") for field in RunConfig._fields}
+        for name, parser in commands.items():
+            assert set(parser._option_string_actions) == {"-h", "--help", *flags}, name
+
 
 # Runs the stages one by one in a fresh interpreter and prints, after the
 # import and after each stage, whether numpy, the XML parser, dataclasses and
@@ -256,7 +268,7 @@ class TestStageGating:
         assert "LEXCITE_TYPO" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via", ["flag", "env"])
-    @pytest.mark.parametrize("option", [option for option, convert in cli._OPTIONS.items()
+    @pytest.mark.parametrize("option", [option for option, (convert, _) in cli._OPTIONS.items()
                                         if convert is Path])
     def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, option, via):
         # an empty path is not the current directory: nothing is written there
@@ -745,9 +757,33 @@ class TestFailedStageLeavesNoOutput:
         assert read_errors(out)["stage"] == "normalize"
         # the stages before normalize ran again; those after it never ran
         assert (out / "profiles.csv").read_bytes() == profiles
-        assert (out / "scores.csv").exists()  # normalize and group keep theirs
-        for name in ("comparison.csv", "cdf.csv", "estimates.csv", "regression.csv"):
+        for name in ("baselines.csv", "scores.csv", "comparison.csv", "cdf.csv",
+                     "estimates.csv", "regression.csv"):
             assert not (out / name).exists(), name
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_failed_normalize_after_good_run(self, tmp_path, capsys):
+        out, citations = tmp_path / "out", tmp_path / "citations.csv"
+        assert main(["run", *self.common(out)]) == 0
+        citations.write_text("doc_id,year,domain\r\n", encoding="utf-8")
+        assert main(["normalize", "--citations", str(citations), "--out", str(out)]) == 1
+        assert read_errors(out)["stage"] == "normalize"
+        assert not (out / "scores.csv").exists()
+        assert not (out / "baselines.csv").exists()
+        assert main(["compare", "--out", str(out)]) == 1
+        err = read_errors(out)
+        assert err["stage"] == "compare" and "scores.csv" in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_baselines_read_from_out_are_kept(self, tmp_path, capsys):
+        out, citations = tmp_path / "out", tmp_path / "citations.csv"
+        assert main(["run", *self.common(out)]) == 0
+        baselines = (out / "baselines.csv").read_bytes()
+        citations.write_text("doc_id,year,domain\r\n", encoding="utf-8")
+        assert main(["normalize", "--citations", str(citations),
+                     "--baselines", str(out / "baselines.csv"), "--out", str(out)]) == 1
+        assert (out / "baselines.csv").read_bytes() == baselines
+        assert not (out / "scores.csv").exists()
         assert "Traceback" not in capsys.readouterr().err
 
 
@@ -1183,18 +1219,51 @@ class TestFullRun:
             assert (full / name).read_bytes() == (staged / name).read_bytes()
 
 
-# cdf.csv of `lexcite run` on the bundled corpus with every default. Its rows
-# are only a sort and a division, so unlike regression.csv they do not depend
-# on the BLAS kernel, and the bytes can be pinned.
-MINICORPUS_CDF_SHA256 = "952117a4e7dfbf84f345aba243b6e42ca6ff0088236737ce2661791b604fd18e"
+# sha256 of the outputs of `lexcite run` on the bundled corpus with every
+# default; "tagged/" is one digest over the sorted "name TAB sha256" lines of
+# its files. regression.csv is not pinned: its least squares depend on the
+# BLAS kernel. The other outputs come from text rules, sorts, divisions and
+# the seeded bootstrap, so their bytes can be pinned.
+MINICORPUS_SHA256 = {
+    "corpus.jsonl": "5ebed8b330592fd23d917d8af3c84dfdcb3c2ca797335e9b5bbb9a4f8f5aa7d7",
+    "tagged/": "1a881624c4adaeaf4ef9d3b845931e6ab9cb4ceca009ae28606bec9a3b80fffd",
+    "profiles.csv": "3fd129fc43348e5b8ebfcf5b116a578359097f44947ef137683c2aafc5f80abb",
+    "comparison.csv": "535b6df5d1f86f6ff8144f0202598bf1c203fabcf9c9e41888765b33f70481dd",
+    "cdf.csv": "952117a4e7dfbf84f345aba243b6e42ca6ff0088236737ce2661791b604fd18e",
+    "estimates.csv": "91fd59594e1ecf5827be6888eab7fe4113e117824745768b6029db0002974164",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
 def test_minicorpus_cdf_bytes_pinned(tmp_path):
     assert main(["run", "--input", str(MINICORPUS), "--citations",
                  str(MINICORPUS / "citations.csv"), "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "cdf.csv").read_bytes()).hexdigest()
-    assert digest == MINICORPUS_CDF_SHA256
+    listing = "".join(f"{p.name}\t{_sha256(p.read_bytes())}\n"
+                      for p in sorted((tmp_path / "tagged").iterdir()))
+    got = {name: _sha256(listing.encode("utf-8") if name == "tagged/"
+                         else (tmp_path / name).read_bytes())
+           for name in MINICORPUS_SHA256}
+    assert got == MINICORPUS_SHA256
+
+
+def test_run_in_dev_mode_warns_nothing(tmp_path):
+    """Dev mode shows every ResourceWarning, and -W error turns each warning
+    but GroupEmptyWarning into an error, or into an "Exception ignored" line
+    when it is raised in a finalizer. So a file that any stage leaves
+    unclosed fails this test through stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error",
+         "-W", "ignore::lexcite.errors.GroupEmptyWarning", "-m", "lexcite.cli",
+         "run", "--input", str(MINICORPUS), "--citations", str(MINICORPUS / "citations.csv"),
+         "--out", str(tmp_path / "out"), "--iterations", "50"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 # ------------------------------------------------------- mutated inputs

@@ -166,6 +166,15 @@ class TestLexiconTagger:
         path.write_text("# header\nfoo\tVB\t10\nfoo\tNN\t20\n", encoding="utf-8")
         assert load_lexicon(path) == {"foo": "NN"}
 
+    @pytest.mark.parametrize("line", [b"bar\tNN", b"bar\tNN\t3\textra", b"bar\tNN\tmany",
+                                      b"b\xffr\tNN\t3"])
+    def test_bad_lexicon_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"# header\nfoo\tNN\t20\n" + line + b"\n")
+        with pytest.raises(FormatError, match=r"^line 3: lex\.tsv: ") as info:
+            load_lexicon(path)
+        assert info.value.line_number == 3
+
 
 class TestCountClauses:
     def tag(self, pairs):
