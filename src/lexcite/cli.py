@@ -39,8 +39,8 @@ what each stage owns.
 Only compare and regress compute with arrays. Every function that uses
 numpy imports it itself, so importing this module and running any other
 stage never loads numpy, and a one-stage process does not pay for it. In
-the same way only ingest loads the XML parser, and only the built-in
-tagger's lexicon loads importlib.resources.
+the same way only ingest loads the XML parser. Every text input is read
+through tableio, under one rule for its encoding and line ends.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .metrics import (
     VARIABLE_COLUMNS,
     complexity_profile,
     profile_cells,
-    profile_to_row,
 )
 from .reports import (
     CDF_HEADER,
@@ -277,7 +276,7 @@ def stage_ingest(config: RunConfig) -> None:
 
 def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
-    built-in tagger or from the --import-tagged files. main has removed
+    built-in tagger or from the --import-tagged files, one at a time. main has removed
     every earlier .tsv but those being imported, so tagged/ itself cannot be
     the import directory: profile would read both the imported files and
     their copies. That is a ConfigError, raised before anything is
@@ -314,9 +313,8 @@ def stage_tag(config: RunConfig) -> None:
                 raise DocumentError(readable_name(path.name), exc)
             emit(doc.doc_id, export_tagged(doc))
     else:
-        corpus = read_corpus(_stage_file(config, "corpus.jsonl"))
         tagger = LexiconTagger()
-        for raw in corpus:
+        for raw in read_corpus(_stage_file(config, "corpus.jsonl")):
             try:
                 doc = tag_document(raw, tagger)
             except LexciteError as exc:
@@ -344,9 +342,7 @@ def stage_profile(config: RunConfig) -> None:
                 f"files {file_of[doc.doc_id]} and {path.name} name one document"))
         file_of[doc.doc_id] = path.name
     profiles.sort(key=lambda p: p.doc_id)
-    write_table(config.out / "profiles.csv",
-                ["doc_id", *VARIABLE_COLUMNS],
-                (profile_to_row(p) for p in profiles),
+    write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], profiles,
                 config.metadata())
 
 

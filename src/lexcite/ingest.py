@@ -2,7 +2,8 @@
 
 Parses structured article XML into plain-text paragraph documents and
 rewrites abbreviations to their full forms so that sentence segmentation
-downstream does not split on abbreviation periods.
+downstream does not split on abbreviation periods. The abbreviation table
+and corpus.jsonl are read a line at a time, by `tableio.read_lines`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import json
 import re
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, MalformedXml, MissingMetadata
+from .tableio import read_lines, readable_name
 
 if TYPE_CHECKING:
     from xml.etree import ElementTree
@@ -90,23 +92,22 @@ class AbbreviationTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AbbreviationTable":
-        """Load a table from a two-column key TAB expansion UTF-8 text file.
-        A line that does not decode, has no TAB, or holds an entry the table
-        rejects is a FormatError naming the line."""
+        """Load a table from a two-column key TAB expansion text file. A
+        line that has no TAB or holds an entry the table rejects is a
+        FormatError naming the file and the line."""
         path = Path(path)
         entries: dict[str, str] = {}
-        for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+        for lineno, line in read_lines(path):
+            if not line.strip() or line.startswith("#"):
+                continue
             try:
-                line = raw.decode("utf-8")
-                if not line.strip() or line.startswith("#"):
-                    continue
                 if "\t" not in line:
                     raise ValueError("expected key TAB expansion")
                 key, expansion = line.split("\t", 1)
                 expansion = expansion.strip()
                 _check_entry(key, expansion)
             except ValueError as exc:
-                raise FormatError(lineno, f"{path.name}: {exc}") from None
+                raise FormatError(lineno, f"{readable_name(path.name)}: {exc}") from None
             entries[key] = expansion
         return cls(entries)
 
@@ -265,19 +266,18 @@ def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
     return len(ordered)
 
 
-def read_corpus(path: str | Path) -> list[RawDocument]:
-    """The documents of a corpus file. A line that is not a UTF-8 document
-    record (bad bytes, bad or too deeply nested JSON, a missing, extra or
-    mistyped field, a year out of range) is a FormatError naming the line."""
+def read_corpus(path: str | Path) -> Iterator[RawDocument]:
+    """Yield the documents of a corpus file as its lines are read. A line
+    that is not a document record (bad or too deeply nested JSON, a missing,
+    extra or mistyped field, a year out of range) is a FormatError naming
+    the file and the line."""
     path = Path(path)
-    docs = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    docs.append(document_from_json(line))
-            except (ValueError, RecursionError, MissingMetadata) as exc:
-                raise FormatError(lineno, f"{path.name}: not a document record: "
-                                          f"{type(exc).__name__}: {exc}") from None
-    return docs
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            doc = document_from_json(line)
+        except (ValueError, RecursionError, MissingMetadata) as exc:
+            raise FormatError(lineno, f"{readable_name(path.name)}: not a document record: "
+                                      f"{type(exc).__name__}: {exc}") from None
+        yield doc

@@ -12,8 +12,8 @@ and removes no stopwords; word length counts alphabetic characters only; a
 lexical class with no tokens yields an Absent value, not 0.
 
 The order x1..x12 is stated once: it is the field order of
-`ComplexityProfile` after doc_id, which `values()` and `profile_to_row`
-read as it stands.
+`ComplexityProfile` after doc_id, so a profile is its profiles.csv row as
+it stands.
 
 `complexity_profile` makes one accumulator pass per document over each
 sentence's tokens and parallel tags: integer sums per fine tag and a set of
@@ -59,9 +59,6 @@ class ComplexityProfile(NamedTuple):
     verb_ratio: float
     adj_ratio: float
     adv_ratio: float
-
-    def values(self) -> list[float | None]:
-        return list(self[1:])
 
 
 class ProfileMatrix:
@@ -136,10 +133,6 @@ def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
         adj_ratio=words_in[LexClass.ADJECTIVE] / words,
         adv_ratio=words_in[LexClass.ADVERB] / words,
     )
-
-
-def profile_to_row(profile: ComplexityProfile) -> list:
-    return list(profile)
 
 
 def profile_cells(row: list[str]) -> list[float]:

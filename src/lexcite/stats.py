@@ -41,8 +41,6 @@ _SERIES_EPS = 1e-12
 # into calls, which test_chunking_invariant pins.
 _BOOTSTRAP_BLOCK_CELLS = 2 ** 15
 
-N_VARIABLES = 12
-
 # Column layout per model family: 1/3 full quadratic, 2/4 squares+linear,
 # 5/6 linear only. The intercept is always included.
 MODEL_IDS = (1, 2, 3, 4, 5, 6)
@@ -191,19 +189,20 @@ def bootstrap_mean_ci(
 
 def _expand_design(base: np.ndarray, model_id: int) -> np.ndarray:
     """The design matrix of a model family, filled in place: the intercept,
-    the 12 linear columns, the 12 squares (models 1-4), then the 66 pairwise
-    products in (i, j) order (models 1 and 3)."""
+    the k columns of base, their k squares (models 1-4), then their pairwise
+    products in (i, j) order (models 1 and 3). k is 12 for the profiles."""
     import numpy as np
 
+    rows, k = base.shape
     squares = model_id in _QUADRATIC_MODELS or model_id in _SQUARES_MODELS
-    pairs = (list(itertools.combinations(range(N_VARIABLES), 2))
+    pairs = (list(itertools.combinations(range(k), 2))
              if model_id in _QUADRATIC_MODELS else [])
-    first_pair = 1 + N_VARIABLES * (2 if squares else 1)
-    design = np.empty((base.shape[0], first_pair + len(pairs)))
+    first_pair = 1 + k * (2 if squares else 1)
+    design = np.empty((rows, first_pair + len(pairs)))
     design[:, 0] = 1.0
-    design[:, 1:1 + N_VARIABLES] = base
+    design[:, 1:1 + k] = base
     if squares:
-        np.square(base, out=design[:, 1 + N_VARIABLES:first_pair])
+        np.square(base, out=design[:, 1 + k:first_pair])
     for col, (i, j) in enumerate(pairs, start=first_pair):
         np.multiply(base[:, i], base[:, j], out=design[:, col])
     return design

@@ -14,16 +14,21 @@ table is written row by row, as its rows are made, to a temporary file
 beside its path that replaces the path once complete. It is read back a
 line at a time: the metadata and header at once, the rows as the caller
 asks for them.
+
+Every line-based text input is read here, under one rule: UTF-8, a line
+ends at "\r\n", "\n" or "\r" (never at "\f", "\x85" or U+2028), and a byte
+that is not UTF-8 is a FormatError naming the file and the line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import FormatError
 
@@ -78,9 +83,7 @@ def readable_name(name: str) -> str:
 
 
 def read_utf8(path: Path) -> str:
-    """The text of a UTF-8 file, decoded once. Bytes that are not UTF-8 are
-    a FormatError naming the file and the line ("\r\n", "\n" or "\r" ends
-    a line)."""
+    """The text of a file, decoded at once by the rule above."""
     data = path.read_bytes()
     try:
         return data.decode("utf-8")
@@ -91,58 +94,74 @@ def read_utf8(path: Path) -> str:
         raise FormatError(lineno, f"{readable_name(path.name)}: not UTF-8: {exc}") from None
 
 
+@contextlib.contextmanager
+def _open_utf8(path: Path) -> Iterator[TextIO]:
+    """path open by the rule above, line ends kept as read. A byte met in the
+    with block that is not UTF-8 is read_utf8's FormatError."""
+    with open(path, encoding="utf-8", newline="") as text:
+        try:
+            yield text
+        except UnicodeDecodeError:
+            read_utf8(path)  # raises the FormatError naming the line
+            raise
+
+
+def read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text without its line end) for each line of a
+    text file, read lazily by the rule above; the file is open meanwhile."""
+    with _open_utf8(path) as text:
+        for number, line in enumerate(text, 1):
+            yield number, line.rstrip("\r\n")
+
+
 def read_table(path: str | Path) -> Table:
     """Read back a table in one pass: its metadata and header now, its rows
     lazily. A line ends at "\r\n", "\n" or "\r"; line ends inside a quoted
     cell are kept, and blank lines are skipped. A malformed line is a
     FormatError naming it, raised when the line is read."""
-    lines = _read_lines(Path(path))
-    metadata, header = next(lines)
-    return Table(metadata, header, lines)
+    rows = _table_rows(Path(path))
+    metadata, header = next(rows)
+    return Table(metadata, header, rows)
 
 
-def _read_lines(path: Path) -> Iterator:
+def _table_rows(path: Path) -> Iterator:
     """Yield (metadata, header) first, then (line, cells) per data row. The
     file is open while the rows are being read."""
-    with open(path, encoding="utf-8", newline="") as text:
+    with _open_utf8(path) as text:
+        metadata: dict[str, str] = {}
+        offset = 0  # metadata lines before the header
+        body: Iterable[str] = ()
+        for line in text:
+            if not line.startswith("#"):
+                body = itertools.chain([line], text)
+                break
+            offset += 1
+            stripped = line.rstrip("\r\n")
+            if "=" not in stripped:
+                raise FormatError(offset, f"metadata line without '=': {stripped!r}")
+            key, _, value = stripped[1:].partition("=")
+            if not key:
+                raise FormatError(offset, "metadata line with empty key")
+            metadata[key] = value
+        reader = csv.reader(body)
+        header = None
+        end = 0  # reader lines before the current row
         try:
-            metadata: dict[str, str] = {}
-            offset = 0  # metadata lines before the header
-            body: Iterable[str] = ()
-            for line in text:
-                if not line.startswith("#"):
-                    body = itertools.chain([line], text)
-                    break
-                offset += 1
-                stripped = line.rstrip("\r\n")
-                if "=" not in stripped:
-                    raise FormatError(offset, f"metadata line without '=': {stripped!r}")
-                key, _, value = stripped[1:].partition("=")
-                if not key:
-                    raise FormatError(offset, "metadata line with empty key")
-                metadata[key] = value
-            reader = csv.reader(body)
-            header = None
-            end = 0  # reader lines before the current row
-            try:
-                for row in reader:
-                    start, end = offset + end + 1, reader.line_num
-                    if header is None:
-                        header = row
-                        yield metadata, header
-                    elif row and len(row) != len(header):
-                        raise FormatError(
-                            start, f"row has {len(row)} cells, header has {len(header)}")
-                    elif row:
-                        yield start, row
-            except csv.Error as exc:  # a cell over the csv module's size limit
-                raise FormatError(offset + end + 1,
-                                  f"{readable_name(path.name)}: {exc}") from None
-            if header is None:
-                raise FormatError(offset + 1, "missing CSV header row")
-        except UnicodeDecodeError:
-            read_utf8(path)  # raises the FormatError naming the line
-            raise
+            for row in reader:
+                start, end = offset + end + 1, reader.line_num
+                if header is None:
+                    header = row
+                    yield metadata, header
+                elif row and len(row) != len(header):
+                    raise FormatError(
+                        start, f"row has {len(row)} cells, header has {len(header)}")
+                elif row:
+                    yield start, row
+        except csv.Error as exc:  # a cell over the csv module's size limit
+            raise FormatError(offset + end + 1,
+                              f"{readable_name(path.name)}: {exc}") from None
+        if header is None:
+            raise FormatError(offset + 1, "missing CSV header row")
 
 
 def parse_finite(cell: str) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
 from .ingest import RawDocument
-from .tableio import read_utf8, readable_name
+from .tableio import read_lines, read_utf8, readable_name
 
 
 class LexClass(str, Enum):
@@ -175,10 +175,9 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
 # One "token TAB fine-tag" line per token, a blank line between sentences,
 # and an optional "#clauses=N" line inside a sentence block that overrides
 # the heuristic clause count. A "#doc=ID" line names the document. A line
-# with a TAB is always a token line, so a token may start with "#". A line
-# ends at "\n", "\r\n" or "\r", as bytes.splitlines splits; str.splitlines
-# would also split at "\v", "\f", "\x1c"-"\x1e", "\x85", U+2028 and U+2029,
-# which a token may hold. The ID of a "#doc=" line may not be empty.
+# with a TAB is always a token line, so a token may start with "#". Lines
+# end by the rule of every text input (tableio), so a token may hold any
+# character but TAB, "\r" and "\n". The ID of a "#doc=" line may not be empty.
 
 def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
@@ -270,29 +269,21 @@ def export_tagged(doc: TaggedDocument) -> str:
 # --- built-in tagger ---------------------------------------------------------
 
 def load_lexicon(path: str | Path | None = None) -> dict[str, str]:
-    """Load the word TAB tag TAB count lexicon, keeping each word's most
-    frequent tag (ties broken by tag string for determinism). A line of
-    another shape, with a count that is not an integer, or with bytes that
-    are not UTF-8, is a FormatError naming the file and the line."""
-    if path is None:
-        # Imported here, so that a stage that builds no tagger does not load it.
-        from importlib import resources
-
-        name = "lexicon.tsv"
-        text = resources.files("lexcite.data").joinpath(name).read_text("utf-8")
-    else:
-        name = readable_name(Path(path).name)
-        text = read_utf8(Path(path))
+    """Load the word TAB tag TAB count lexicon at path, or the bundled
+    data/lexicon.tsv, keeping each word's most frequent tag (ties broken by
+    tag string for determinism). A line of another shape, or with a count
+    that is not an integer, is a FormatError naming the file and the line."""
+    path = Path(__file__).parent / "data" / "lexicon.tsv" if path is None else Path(path)
     best: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         try:
             word, tag, count = line.split("\t")
             key = (int(count), tag)
         except ValueError:
-            raise FormatError(lineno, f"{name}: not word TAB tag TAB integer count: "
-                                      f"{line!r}") from None
+            raise FormatError(lineno, f"{readable_name(path.name)}: not word TAB tag "
+                                      f"TAB integer count: {line!r}") from None
         cur = best.get(word)
         if cur is None or key[0] > cur[0] or (key[0] == cur[0] and tag < cur[1]):
             best[word] = key

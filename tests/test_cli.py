@@ -5,10 +5,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from lexcite.cli import (
     main,
 )
 from lexcite.errors import ConfigError, FormatError, GroupEmptyWarning, LexciteError
-from lexcite.ingest import AbbreviationTable
+from lexcite.ingest import AbbreviationTable, RawDocument, write_corpus
 from lexcite.tableio import read_table, write_table
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
@@ -537,8 +539,76 @@ class TestIngest:
         assert err["message"].startswith("line 2: abbrev.tsv: ")
         assert "error in ingest stage" in capsys.readouterr().err
 
+    def test_abbreviation_file_with_non_utf8_name(self, tmp_path, capsys):
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "a.xml").write_text(ARTICLE.format(doc_id="10.1/a"), encoding="utf-8")
+        abbrev = non_utf8_name(tmp_path, b"ab\xff.tsv", b"Fig. Figure\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out),
+                     "--abbrev", str(abbrev)]) == 1
+        assert read_errors(out)["message"] == (
+            "line 1: ab\\xff.tsv: expected key TAB expansion")
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def corpus_with_bad_line_6(out: Path, bad: bytes) -> None:
+    """Ingest the minicorpus into out, then make line 6 of corpus.jsonl bad."""
+    assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    lines[5] = bad + b"\n"
+    corpus.write_bytes(b"".join(lines))
+
 
 class TestTagStage:
+    @pytest.mark.parametrize("bad, tagged_first", [
+        (b'{"doc_id": "x"}', 5),
+        # a bad byte is met when its block of the file is decoded, which
+        # can be before the lines ahead of it are read
+        (b'{"doc_id": "Caf\xe9"}', None),
+    ], ids=["bad-record", "not-utf-8"])
+    def test_bad_line_6_fails_tag(self, tmp_path, capsys, monkeypatch, bad, tagged_first):
+        """The documents before the bad line are tagged and written as they
+        are read, and main removes them when the line fails the stage."""
+        out = tmp_path / "out"
+        corpus_with_bad_line_6(out, bad)
+        exported = []
+        monkeypatch.setattr(cli, "export_tagged",
+                            lambda doc, export=cli.export_tagged:
+                            exported.append(doc.doc_id) or export(doc))
+        assert main(["tag", "--out", str(out)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == ("tag", "", "FormatError")
+        assert err["message"].startswith("line 6: corpus.jsonl: ")
+        if tagged_first is not None:
+            assert len(exported) == tagged_first
+        assert not list((out / "tagged").glob("*.tsv"))
+        assert "error in tag stage" in capsys.readouterr().err
+
+    def test_peak_below_half_the_corpus(self, tmp_path):
+        """tag holds one document at a time, not the corpus."""
+        rng = random.Random(5)
+        words = ("the cell protein gene was expressed strongly in mice and rats "
+                 "with significant effects on growth rate during early development "
+                 "although results varied").split()
+        docs = [RawDocument(f"10.1/{i:04d}", 2009 + i % 5, "Biology", [
+                    " ".join(" ".join(rng.choice(words) for _ in range(14)).capitalize() + "."
+                             for _ in range(6))
+                    for _ in range(6)])
+                for i in range(480)]
+        write_corpus(docs, tmp_path / "corpus.jsonl")
+        size = (tmp_path / "corpus.jsonl").stat().st_size
+        assert size >= 1_500_000
+        tracemalloc.start()
+        try:
+            cli.stage_tag(RunConfig(out=tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "tagged").glob("*.tsv"))) == len(docs)
+        assert peak < 0.5 * size
+
     @pytest.mark.parametrize("line", [
         b'{"doc_id": "b", "year": 2010, "paragraphs": ["Cut',
         b'{"doc_id": "b", "year": 1066, "domain": "x", "journal": "", "paragraphs": ["Old."]}',
@@ -1250,20 +1320,36 @@ def test_minicorpus_cdf_bytes_pinned(tmp_path):
     assert got == MINICORPUS_SHA256
 
 
-def test_run_in_dev_mode_warns_nothing(tmp_path):
-    """Dev mode shows every ResourceWarning, and -W error turns each warning
-    but GroupEmptyWarning into an error, or into an "Exception ignored" line
+def run_in_dev_mode(*argv: str) -> subprocess.CompletedProcess:
+    """Run lexcite in a subprocess under dev mode, which shows every
+    ResourceWarning, and -W error, which turns each warning but
+    GroupEmptyWarning into an error, or into an "Exception ignored" line
     when it is raised in a finalizer. So a file that any stage leaves
-    unclosed fails this test through stderr."""
+    unclosed shows in stderr."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error",
-         "-W", "ignore::lexcite.errors.GroupEmptyWarning", "-m", "lexcite.cli",
-         "run", "--input", str(MINICORPUS), "--citations", str(MINICORPUS / "citations.csv"),
-         "--out", str(tmp_path / "out"), "--iterations", "50"],
+         "-W", "ignore::lexcite.errors.GroupEmptyWarning", "-m", "lexcite.cli", *argv],
         env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_run_in_dev_mode_warns_nothing(tmp_path):
+    result = run_in_dev_mode(
+        "run", "--input", str(MINICORPUS), "--citations", str(MINICORPUS / "citations.csv"),
+        "--out", str(tmp_path / "out"), "--iterations", "50")
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_failed_tag_in_dev_mode_warns_nothing(tmp_path):
+    """A bad corpus line abandons the reader of corpus.jsonl mid-file; its
+    file is closed all the same, so stderr holds only the failure."""
+    out = tmp_path / "out"
+    corpus_with_bad_line_6(out, b'{"doc_id": "x"}')
+    result = run_in_dev_mode("tag", "--out", str(out))
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error in tag stage: line 6: corpus.jsonl: ")
 
 
 # ------------------------------------------------------- mutated inputs

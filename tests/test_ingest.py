@@ -253,7 +253,7 @@ class TestCorpusFile:
     def test_round_trip_sorted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         assert write_corpus(self.docs(), path) == 2
-        loaded = read_corpus(path)
+        loaded = list(read_corpus(path))
         assert [d.doc_id for d in loaded] == ["a", "b"]
         assert loaded[1].paragraphs == ["Two."]
 
@@ -283,7 +283,7 @@ class TestCorpusFile:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + line + "\n")
         with pytest.raises(FormatError) as err:
-            read_corpus(path)
+            list(read_corpus(path))
         assert err.value.line_number == 4
         assert "corpus.jsonl" in str(err.value) and message in str(err.value)
 

@@ -9,7 +9,6 @@ from lexcite.metrics import (
     VARIABLE_COLUMNS,
     complexity_profile,
     profile_cells,
-    profile_to_row,
 )
 from lexcite.tableio import read_table, write_table
 from lexcite.tagging import import_tagged
@@ -78,7 +77,7 @@ class TestProfile:
         assert p.adv_length is None
         assert p.noun_ratio == p.verb_ratio == p.adj_ratio == pytest.approx(1 / 3)
         assert p.adv_ratio == 0.0
-        assert None in p.values()
+        assert None in p[1:]
 
     def test_adjective_lengths_averaged(self):
         doc = doc_from([("red", "JJ"), ("blue", "JJ"), ("wide", "JJ"),
@@ -114,20 +113,20 @@ class TestProfile:
 
 class TestRowRoundTrip:
     def test_round_trip_with_absent(self, tmp_path):
-        # profile row -> profiles.csv -> the cells compare and regress read
+        # profile -> profiles.csv -> the cells compare and regress read
         doc = doc_from([("Big", "JJ"), ("cats", "NNS"), ("sleep", "VBP"), (".", ".")])
         p = complexity_profile(doc)
-        row = profile_to_row(p)
+        row = list(p)
         assert len(row) == 1 + len(VARIABLE_COLUMNS)
         assert row[8] is None
-        write_table(tmp_path / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], [row])
+        write_table(tmp_path / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], [p])
         rows = [cells for _, cells in read_table(tmp_path / "profiles.csv").rows]
         assert rows[0][0] == p.doc_id
         again = profile_cells(rows[0])
-        assert [None if math.isnan(v) else v for v in again] == p.values()
+        assert [None if math.isnan(v) else v for v in again] == list(p[1:])
 
     def test_value_accessor(self):
         doc = doc_from(S1)
         p = complexity_profile(doc)
-        assert p.values()[0] == p.mean_sentence_length
-        assert p.values()[7] == p.adv_length
+        assert p[1:][0] == p.mean_sentence_length
+        assert p[1:][7] == p.adv_length

@@ -1,17 +1,21 @@
-"""CSV table serialization: metadata block, CRLF, repr floats, round trips."""
+"""CSV table serialization: metadata block, CRLF, repr floats, round trips;
+and the one text rule of every line-based input."""
 
 import math
 import re
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcite.errors import FormatError
+from lexcite.ingest import AbbreviationTable, read_corpus
 from lexcite.metrics import profile_cells
 from lexcite.tableio import read_table, write_table
+from lexcite.tagging import load_lexicon, read_tagged
 
 
 @st.composite
@@ -258,3 +262,72 @@ class TestParseOptionalFloat:
     def test_bad_cell_rejected(self, cell):
         with pytest.raises(ValueError):
             profile_cells(["d", "1.0", cell])
+
+
+class LineReader(NamedTuple):
+    """One line-based text input: its file name, the lines that must come
+    first, a good line, a template of a good line with a slot for any one
+    character, a bad line, and a call that reads the whole file."""
+
+    name: str
+    head: list[str]
+    good: str
+    holding: str
+    bad: str
+    read: Callable[[Path], object]
+
+
+CORPUS_RECORD = ('{"doc_id": "d", "year": 2010, "domain": "x", "journal": "", '
+                 '"paragraphs": ["A cat sat."]}')
+
+LINE_READERS = {
+    "abbrev": LineReader("ab.tsv", [], "k.\tkey", "k.\tfor{}example", "k. no tab",
+                         AbbreviationTable.from_file),
+    "lexicon": LineReader("lex.tsv", [], "cat\tNN\t3", "ca{}t\tNN\t3", "cat\tNN",
+                          load_lexicon),
+    # JSON holds no raw "\f", so the character goes on a line of whitespace
+    "corpus": LineReader("corpus.jsonl", [], CORPUS_RECORD, " {} ", "{}",
+                         lambda path: list(read_corpus(path))),
+    "tagged": LineReader("doc.tsv", [], "cat\tNN", "ca{}t\tNN", "#bogus", read_tagged),
+    "table": LineReader("t.csv", ["a"], "cell", "ce{}ll", "x,y",
+                        lambda path: list(read_table(path).rows)),
+}
+
+
+class TestEveryLineReader:
+    """Every line-based text input follows one rule: UTF-8, a line ends at
+    "\r\n", "\n" or "\r", and a bad byte is a FormatError naming the file
+    and the line."""
+
+    @staticmethod
+    def failure(tmp_path, reader, data: bytes) -> FormatError:
+        path = tmp_path / reader.name
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            reader.read(path)
+        return err.value
+
+    @pytest.mark.parametrize("kind", LINE_READERS)
+    def test_not_utf8_names_line(self, tmp_path, kind):
+        reader = LINE_READERS[kind]
+        lines = [line.encode("utf-8") for line in [*reader.head, *[reader.good] * 3][:3]]
+        lines[2] = b"\xff" + lines[2]
+        err = self.failure(tmp_path, reader, b"\n".join(lines) + b"\n")
+        assert err.line_number == 3
+        assert str(err).startswith(f"line 3: {reader.name}: not UTF-8")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+    @pytest.mark.parametrize("kind", LINE_READERS)
+    def test_one_line_end(self, tmp_path, kind, end):
+        reader = LINE_READERS[kind]
+        lines = [*reader.head, reader.good, reader.good, reader.bad]
+        err = self.failure(tmp_path, reader, (end.join(lines) + end).encode("utf-8"))
+        assert err.line_number == len(lines)
+
+    @pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+    @pytest.mark.parametrize("kind", LINE_READERS)
+    def test_other_breaks_do_not_split(self, tmp_path, kind, char):
+        reader = LINE_READERS[kind]
+        lines = [*reader.head, reader.holding.format(char), reader.good, reader.bad]
+        err = self.failure(tmp_path, reader, ("\n".join(lines) + "\n").encode("utf-8"))
+        assert err.line_number == len(lines)
