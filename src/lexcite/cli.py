@@ -41,6 +41,11 @@ numpy imports it itself, so importing this module and running any other
 stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
+
+tag and profile work on their documents on two processes under the rule
+of `lexcite.parallel`, and raise the error that one process would raise
+(`_per_document`). run forks there before compare loads numpy, so no
+other thread runs at the fork.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import re
 import sys
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, FormatError, LexciteError
@@ -76,12 +81,12 @@ from .ingest import (
     write_corpus,
 )
 from .metrics import (
-    ComplexityProfile,
     ProfileMatrix,
     VARIABLE_COLUMNS,
     complexity_profile,
     profile_cells,
 )
+from .parallel import Work, run_on_two_processes
 from .reports import (
     CDF_HEADER,
     COMPARISON_HEADER,
@@ -94,7 +99,13 @@ from .reports import (
     join_scores,
 )
 from .tableio import parse_finite, read_table, readable_name, write_table
-from .tagging import LexiconTagger, export_tagged, read_tagged, tag_document
+from .tagging import (
+    LexiconTagger,
+    TaggedDocument,
+    export_tagged,
+    read_tagged,
+    tag_document,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -274,6 +285,28 @@ def stage_ingest(config: RunConfig) -> None:
     write_corpus(docs, config.out / "corpus.jsonl")
 
 
+def _per_document(items: Callable[[], Iterable], work: Work,
+                  clash: Callable[[object, object, object], LexciteError]) -> list:
+    """Call work(item, keep) on each item that items() yields, on two
+    processes where the split pays (`parallel.run_on_two_processes`), and
+    return the values kept, in item order; keep(key, value) keeps one. The
+    error raised is the one the loop on one process would raise: the first,
+    in item order, of a failure and a key kept a second time, which is
+    clash(key, first value, second value). At one item the clash comes
+    first, because work keeps the key before it writes."""
+    kept, failure = run_on_two_processes(items, work)
+    first: dict[object, object] = {}
+    for index, key, value in kept:
+        if failure is not None and index > failure[0]:
+            break
+        if key in first:
+            raise clash(key, first[key], value)
+        first[key] = value
+    if failure is not None:
+        raise failure[1]
+    return [value for _, _, value in kept]
+
+
 def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
     built-in tagger or from the --import-tagged files, one at a time. main has removed
@@ -289,37 +322,44 @@ def stage_tag(config: RunConfig) -> None:
             raise ConfigError(f"--import-tagged {import_dir} is the tagged/ directory "
                               "of --out, which this stage rewrites")
     tagged_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, str] = {}
 
-    def emit(doc_id: str, text: str) -> None:
-        name = _safe_name(doc_id) + ".tsv"
-        if name in written:
-            raise DocumentError(doc_id, ConfigError(
-                f"doc ids {written[name]!r} and {doc_id!r} collide on file {name}"))
-        written[name] = doc_id
+    def emit(doc: TaggedDocument, keep) -> None:
+        name = _safe_name(doc.doc_id) + ".tsv"
+        keep(name, doc.doc_id)
         try:
-            (tagged_dir / name).write_bytes(text.encode("utf-8"))
+            (tagged_dir / name).write_bytes(export_tagged(doc).encode("utf-8"))
         except OSError as exc:
-            raise DocumentError(doc_id, exc)
+            raise DocumentError(doc.doc_id, exc)
+
+    def collision(name: str, first_id: str, doc_id: str) -> DocumentError:
+        return DocumentError(doc_id, ConfigError(
+            f"doc ids {first_id!r} and {doc_id!r} collide on file {name}"))
 
     if import_dir is not None:
         files = sorted(import_dir.glob("*.tsv"))
         if not files:
             raise ConfigError(f"no .tsv files in {import_dir}")
-        for path in files:
+
+        def import_one(path: Path, keep) -> None:
             try:
                 doc = read_tagged(path)
             except (LexciteError, OSError) as exc:
                 raise DocumentError(readable_name(path.name), exc)
-            emit(doc.doc_id, export_tagged(doc))
+            emit(doc, keep)
+
+        _per_document(lambda: files, import_one, collision)
     else:
+        corpus = _stage_file(config, "corpus.jsonl")
         tagger = LexiconTagger()
-        for raw in read_corpus(_stage_file(config, "corpus.jsonl")):
+
+        def tag_one(raw: RawDocument, keep) -> None:
             try:
                 doc = tag_document(raw, tagger)
             except LexciteError as exc:
                 raise DocumentError(raw.doc_id, exc)
-            emit(doc.doc_id, export_tagged(doc))
+            emit(doc, keep)
+
+        _per_document(lambda: read_corpus(corpus), tag_one, collision)
 
 
 def stage_profile(config: RunConfig) -> None:
@@ -329,18 +369,21 @@ def stage_profile(config: RunConfig) -> None:
     files = sorted(tagged_dir.glob("*.tsv"))
     if not files:
         raise ConfigError(f"no .tsv files in {tagged_dir}")
-    profiles: list[ComplexityProfile] = []
-    file_of: dict[str, str] = {}
-    for path in files:
+
+    def profile_one(path: Path, keep) -> None:
         try:
             doc = read_tagged(path)
-            profiles.append(complexity_profile(doc))
+            profile = complexity_profile(doc)
         except (LexciteError, OSError) as exc:
             raise DocumentError(readable_name(path.stem), exc)
-        if doc.doc_id in file_of:
-            raise DocumentError(doc.doc_id, ConfigError(
-                f"files {file_of[doc.doc_id]} and {path.name} name one document"))
-        file_of[doc.doc_id] = path.name
+        keep(doc.doc_id, (path.name, profile))
+
+    def duplicate(doc_id: str, first: tuple, second: tuple) -> DocumentError:
+        return DocumentError(doc_id, ConfigError(
+            f"files {first[0]} and {second[0]} name one document"))
+
+    profiles = [profile for _, profile in _per_document(lambda: files, profile_one,
+                                                         duplicate)]
     profiles.sort(key=lambda p: p.doc_id)
     write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], profiles,
                 config.metadata())

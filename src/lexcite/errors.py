@@ -1,8 +1,16 @@
 """Exception and warning types shared across the toolkit."""
 
+import copyreg
+
 
 class LexciteError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. Each one, of whatever subclass,
+    survives a pickle round trip with its type, message and attributes."""
+
+    def __reduce__(self):
+        # Rebuilt without calling __init__, whose arguments (a line number
+        # and a message, a document and a cause) are not the message args.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- corpus ingest ---------------------------------------------------------

@@ -47,9 +47,17 @@ class _RawDocumentFields(NamedTuple):
     journal: str = ""
 
 
+def usable_doc_id(text: str) -> bool:
+    """Whether text can name a document: it is not empty, holds no TAB, "\r"
+    or "\n", and has no white space at either end. corpus.jsonl and the
+    "#doc=" line of a tagged file then carry it back unchanged."""
+    return bool(text) and text == text.strip() and not any(c in text for c in "\t\r\n")
+
+
 class RawDocument(_RawDocumentFields):
     """One ingested article: metadata plus ordered body paragraphs. The
-    paragraphs are kept stripped, without the empty ones."""
+    paragraphs are kept stripped, without the empty ones. A doc id that
+    `usable_doc_id` refuses is MissingMetadata."""
 
     __slots__ = ()
 
@@ -57,6 +65,9 @@ class RawDocument(_RawDocumentFields):
                 journal: str = ""):
         if not doc_id:
             raise MissingMetadata("no doc_id element found")
+        if not usable_doc_id(doc_id):
+            raise MissingMetadata(f"doc id {doc_id!r} holds a TAB or a line break, "
+                                  "or white space at an end")
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise MissingMetadata(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] "
                                   f"for {doc_id!r}")

@@ -31,8 +31,9 @@ Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
 another variable's interval. Because each cell has its own stream, the
 cells are computed on two threads when the process may use two or more
-CPUs (numpy releases the GIL while it draws and averages); each row is
-stored at its cell's index, so the bytes do not depend on this.
+CPUs (`parallel.run_on_two_threads`; numpy releases the GIL while it draws
+and averages); each row is stored at its cell's index, so the bytes do not
+depend on this.
 
 Each function that builds an array imports numpy itself, so that importing
 this module does not load numpy (see `lexcite.cli`).
@@ -41,13 +42,12 @@ this module does not load numpy (see `lexcite.cli`).
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS, ProfileMatrix
+from .parallel import run_on_two_threads
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
 
 if TYPE_CHECKING:
@@ -197,49 +197,8 @@ def build_estimate_rows(
                                 seed=cell_seed)
         rows[index][2:5] = [est.point, est.ci_low, est.ci_high]
 
-    _run_on_two_threads(cells, estimate)
+    run_on_two_threads(cells, estimate)
     return rows
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_on_two_threads(tasks: list[tuple], run: Callable[[tuple], None]) -> None:
-    """Call run once per task. The calling thread and, when the process may
-    use two or more CPUs and there are two or more tasks, one helper thread
-    take tasks in list order from one shared iterator. After the first
-    exception neither thread starts another task, and that exception is
-    raised here once the helper has ended."""
-    pending = iter(tasks)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def drain() -> None:
-        try:
-            while not errors:
-                with lock:
-                    task = next(pending, None)
-                if task is None:
-                    return
-                run(task)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    helper = None
-    if len(tasks) >= 2 and _usable_cpus() >= 2:
-        helper = threading.Thread(target=drain, name="lexcite-estimates")
-        helper.start()
-    try:
-        drain()
-    finally:
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
 
 
 def build_regression_rows(

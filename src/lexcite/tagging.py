@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
-from .ingest import RawDocument
+from .ingest import RawDocument, usable_doc_id
 from .tableio import read_lines, read_utf8, readable_name
 
 
@@ -77,8 +77,13 @@ class TaggedDocument(NamedTuple):
 class TaggerContract(Protocol):
     """Total function from a token sequence to an equal-length tag sequence.
 
-    Implementations must be safe to call from concurrent contexts (the
-    bundled tagger is stateless after construction).
+    `cli.stage_tag` may call it in a forked child of the process that built
+    it (`parallel.run_on_two_processes`), on every other document. So a
+    tagger must give each sentence the same tags whichever process calls it
+    and whatever it tagged before: what it changes in itself in the child
+    is lost with the child. It must also be usable after a fork, so it
+    holds no thread or lock. The bundled tagger is stateless after
+    construction.
     """
 
     def __call__(self, tokens: Sequence[Token]) -> Sequence[str]: ...
@@ -183,14 +188,21 @@ def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
     the doc id when no "#doc=" line names one. Bytes that are not UTF-8 are a
     FormatError naming the file and the line; so is a file with no "#doc="
-    line whose stem is not UTF-8, as line 1, where that line would go."""
+    line whose stem is not UTF-8, or is not a doc id (`usable_doc_id`), as
+    line 1, where that line would go."""
     path = Path(path)
     doc = import_tagged(read_utf8(path), doc_id=path.stem)
+    # Only a stem can fail: the text decoded, and a "#doc=" id has no TAB,
+    # no line end and no white space at an end.
     try:
-        doc.doc_id.encode("utf-8")  # only a stem can fail: the text decoded
+        doc.doc_id.encode("utf-8")
     except UnicodeEncodeError:
         raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and the "
                              "file name is not UTF-8") from None
+    if not usable_doc_id(doc.doc_id):
+        raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and the "
+                             "file name holds a TAB or a line break, or white space "
+                             "at an end")
     return doc
 
 

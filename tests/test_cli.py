@@ -552,6 +552,27 @@ class TestIngest:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
+@pytest.mark.parametrize("inside", ["\t", "\n"], ids=["tab", "line-break"])
+def test_article_id_that_is_no_doc_id_is_a_reject(tmp_path, inside):
+    """An id that corpus.jsonl or a #doc= line would not carry back
+    unchanged is a reject with its reason, not an article that silently
+    joins no score."""
+    corpus = tmp_path / "xml"
+    shutil.copytree(MINICORPUS, corpus)
+    article = corpus / "ECO.2009.0001.xml"
+    article.write_text(article.read_text(encoding="utf-8").replace(
+        ">ECO.2009.0001<", f">ECO.{inside}2009.0001<"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--citations",
+                 str(corpus / "citations.csv"), "--out", str(out),
+                 "--iterations", "50"]) == 0
+    (reject,) = table_rows(out / "rejects.csv")
+    assert reject[:2] == ["ECO.2009.0001.xml", "MissingMetadata"]
+    assert "holds a TAB or a line break" in reject[2]
+    assert len(table_rows(out / "profiles.csv")) == 29
+
+
 def corpus_with_bad_line_6(out: Path, bad: bytes) -> None:
     """Ingest the minicorpus into out, then make line 6 of corpus.jsonl bad."""
     assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
@@ -570,19 +591,25 @@ class TestTagStage:
     ], ids=["bad-record", "not-utf-8"])
     def test_bad_line_6_fails_tag(self, tmp_path, capsys, monkeypatch, bad, tagged_first):
         """The documents before the bad line are tagged and written as they
-        are read, and main removes them when the line fails the stage."""
+        are read, and main removes them when the line fails the stage. The
+        exports are counted in a file, so that those of a forked child
+        count too."""
         out = tmp_path / "out"
         corpus_with_bad_line_6(out, bad)
-        exported = []
-        monkeypatch.setattr(cli, "export_tagged",
-                            lambda doc, export=cli.export_tagged:
-                            exported.append(doc.doc_id) or export(doc))
+        exported = tmp_path / "exported.txt"
+
+        def export(doc, export=cli.export_tagged):
+            with open(exported, "a", encoding="utf-8") as log:
+                log.write(doc.doc_id + "\n")
+            return export(doc)
+
+        monkeypatch.setattr(cli, "export_tagged", export)
         assert main(["tag", "--out", str(out)]) == 1
         err = read_errors(out)
         assert (err["stage"], err["document"], err["error"]) == ("tag", "", "FormatError")
         assert err["message"].startswith("line 6: corpus.jsonl: ")
         if tagged_first is not None:
-            assert len(exported) == tagged_first
+            assert len(exported.read_text(encoding="utf-8").splitlines()) == tagged_first
         assert not list((out / "tagged").glob("*.tsv"))
         assert "error in tag stage" in capsys.readouterr().err
 
@@ -632,9 +659,12 @@ class TestTagStage:
         "[" * 100_000,
         '{"doc_id": "a\\ud800", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
         '{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A\\udfff."]}',
+        '{"doc_id": "a\\tb", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
+        '{"doc_id": "a\\nb", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
+        '{"doc_id": " a", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
     ], ids=["paragraph-not-text", "doc-id-not-text", "paragraphs-not-list",
             "no-domain", "no-journal", "nested-too-deep", "doc-id-surrogate",
-            "paragraph-surrogate"])
+            "paragraph-surrogate", "doc-id-tab", "doc-id-line-break", "doc-id-space"])
     def test_record_checked_at_boundary(self, tmp_path, capsys, record):
         (tmp_path / "corpus.jsonl").write_text(record + "\n", encoding="utf-8")
         assert main(["tag", "--out", str(tmp_path)]) == 1
@@ -710,6 +740,24 @@ class TestImportTagged:
         out = tmp_path / "out"
         assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
         assert [p.name for p in (out / "tagged").iterdir()] == ["docX.tsv"]
+
+    @pytest.mark.parametrize("stage, document", [("tag", "a\tb.tsv"), ("profile", "a\tb")])
+    def test_file_name_that_is_no_doc_id(self, tmp_path, capsys, stage, document):
+        """Without a #doc= line the stem names the document, and a stem that
+        a #doc= line could not carry back fails the stage."""
+        out = tmp_path / "out"
+        tsv_dir = tmp_path / "ext" if stage == "tag" else out / "tagged"
+        tsv_dir.mkdir(parents=True)
+        (tsv_dir / "a\tb.tsv").write_text("The\tDT\ncats\tNNS\n\n", encoding="utf-8")
+        argv = [stage, "--out", str(out)]
+        if stage == "tag":
+            argv += ["--import-tagged", str(tsv_dir)]
+        assert main(argv) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == (stage, document, "FormatError")
+        assert err["message"].startswith("line 1: a\tb.tsv: no #doc= line, and the file "
+                                         "name holds a TAB")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_profile_rejects_repeated_doc_id(self, tmp_path, capsys):
         tagged = tmp_path / "tagged"

@@ -225,6 +225,13 @@ class TestRawDocument:
         with pytest.raises(MissingMetadata):
             RawDocument(doc_id="", year=2010, domain="d", paragraphs=["x"])
 
+    @pytest.mark.parametrize("doc_id", ["a\tb", "a\nb", "a\rb", " a", "a ", "a\u00a0"])
+    def test_doc_id_must_round_trip(self, doc_id):
+        """corpus.jsonl and a #doc= line carry back no TAB, no line end and
+        no white space at either end."""
+        with pytest.raises(MissingMetadata, match="holds a TAB or a line break"):
+            RawDocument(doc_id=doc_id, year=2010, domain="d", paragraphs=["x"])
+
     def test_validates_year(self):
         with pytest.raises(MissingMetadata):
             RawDocument(doc_id="a", year=1500, domain="d", paragraphs=["x"])

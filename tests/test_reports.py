@@ -16,6 +16,7 @@ from lexcite.cli import RunConfig, _joined_inputs
 from lexcite.errors import JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from lexcite.metrics import VARIABLE_COLUMNS, ProfileMatrix
+from lexcite.parallel import run_on_two_threads
 from lexcite.reports import (
     CDF_HEADER,
     COHORT_ORDER,
@@ -267,14 +268,14 @@ class TestEstimateThreads:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(reports_mod.threading, "Thread", Counted)
+        monkeypatch.setattr(threading, "Thread", Counted)
         return started
 
     def forbid_threads(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(reports_mod.threading, "Thread", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
 
     def test_one_cpu_inline_equals_two_threads(self, monkeypatch):
         values, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
@@ -332,7 +333,7 @@ class TestEstimateThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            reports_mod._run_on_two_threads([(i,) for i in range(len(runs))], run)
+            run_on_two_threads([(i,) for i in range(len(runs))], run)
         finally:
             sys.setswitchinterval(interval)
         assert runs == [1] * len(runs)
