@@ -228,8 +228,14 @@ def parse_jats(source: str | bytes) -> RawDocument:
     # isdecimal, not isdigit: int() rejects digits such as "²"
     if not year_text.isdecimal():
         raise MissingMetadata(f"no usable year for {doc_id!r}")
-    doc = RawDocument(doc_id=doc_id, year=int(year_text), domain=_first_text(domains),
-                      paragraphs=paragraphs, journal=_first_text(journals))
+    year_digits = year_text.lstrip("0")
+    # int() refuses thousands of digits; a year this long is out of range
+    if len(year_digits) > len(str(YEAR_MAX)):
+        raise MissingMetadata(f"year of {len(year_digits)} digits outside "
+                              f"[{YEAR_MIN}, {YEAR_MAX}] for {doc_id!r}")
+    doc = RawDocument(doc_id=doc_id, year=int(year_digits or "0"),
+                      domain=_first_text(domains), paragraphs=paragraphs,
+                      journal=_first_text(journals))
     if not doc.paragraphs:
         raise MissingMetadata(f"no <p> paragraph content for {doc_id!r}")
     return doc

@@ -78,13 +78,13 @@ def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
 
     The pass keeps integer sums only (word tokens of each retained sentence,
     clauses, word tokens and alphabetic characters per fine tag) plus the
-    set of lowercased word surfaces; the tag sums are folded into lexical
-    classes once, and each variable is one division at the end. A sentence
-    without word tokens is not retained for x1-x3.
+    set of word surfaces, lowercased once each at the end; the tag sums are
+    folded into lexical classes once, and each variable is one division at
+    the end. A sentence without word tokens is not retained for x1-x3.
     """
     lengths: list[int] = []  # word tokens of each retained sentence
     clauses = 0
-    types: set[str] = set()
+    surfaces: set[str] = set()
     words_by_tag: dict[str, int] = {}
     chars_by_tag: dict[str, int] = {}
     for sentence in doc.sentences:
@@ -92,7 +92,7 @@ def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
         for token, tag in zip(sentence.tokens, sentence.tags):
             if token.is_word:
                 n_words += 1
-                types.add(token.surface.lower())
+                surfaces.add(token.surface)
                 words_by_tag[tag] = words_by_tag.get(tag, 0) + 1
                 chars_by_tag[tag] = chars_by_tag.get(tag, 0) + token.char_length
         if n_words:
@@ -108,6 +108,7 @@ def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:
         words_in[kind] += count
         chars_in[kind] += chars_by_tag[tag]
 
+    types = {surface.lower() for surface in surfaces}
     n = len(lengths)
     words = sum(lengths)
     mean_len = words / n

@@ -6,11 +6,15 @@ need higher tagging accuracy can run an external tagger and feed its output
 back in through the tagged-token column format (`import_tagged`).
 
 A tagged sentence is its tokens plus a parallel list of fine tags.
-Tokens are immutable and interned per document: `tag_document` and
-`import_tagged` each keep one surface->Token table for one call, so every
-repeat of a surface within a document shares one `Token`, built once.
-Nothing is cached across documents. Coarse lexical classes are not stored;
-`coarsen_tag` derives them from the tags when they are needed.
+Tokens are immutable and interned per process: `tag_document` and
+`import_tagged` share one surface->Token table, so each distinct surface
+builds one `Token`, which its repeats in this and later documents share.
+The table is emptied when a document starts and it holds more than
+`SURFACE_TABLE_BOUND` surfaces, so every repeat within one document still
+shares one `Token`. A `LexiconTagger` memoizes each surface's tags under the
+same bound. A forked process fills its own copy of both. Coarse lexical
+classes are not stored; `coarsen_tag` derives them from the tags when they
+are needed.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ class TaggerContract(Protocol):
     tagger must give each sentence the same tags whichever process calls it
     and whatever it tagged before: what it changes in itself in the child
     is lost with the child. It must also be usable after a fork, so it
-    holds no thread or lock. The bundled tagger is stateless after
-    construction.
+    holds no thread or lock. The bundled tagger's only state after
+    construction is its memo of each surface's tags, which depend on its
+    own copy of the lexicon alone.
     """
 
     def __call__(self, tokens: Sequence[Token]) -> Sequence[str]: ...
@@ -97,6 +102,26 @@ _BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
 # Word cores keep internal hyphens/apostrophes; decimal numbers keep their
 # point; any other non-space character becomes its own token.
 _TOKEN_RE = re.compile(r"\d+(?:\.\d+)+|[A-Za-z0-9]+(?:[-'’][A-Za-z0-9]+)*|\S")
+
+
+# The most surfaces the process's token table, and each LexiconTagger's
+# memo, keep from one document to the next: both are emptied once they hold
+# more. Full of 4- to 12-letter words, the two take about 0.75 MB together.
+# What they keep costs time on text whose words do not repeat across
+# documents, and a larger bound costs more there.
+SURFACE_TABLE_BOUND = 2 ** 12
+
+# surface -> Token, shared by tag_document and import_tagged in this process
+_TOKENS: dict[str, Token] = {}
+
+
+def _document_tokens() -> dict[str, Token]:
+    """The process's token table for a document that starts now, emptied
+    first if it holds more than SURFACE_TABLE_BOUND surfaces. The bound is
+    checked only here, so every repeat within one document shares a Token."""
+    if len(_TOKENS) > SURFACE_TABLE_BOUND:
+        _TOKENS.clear()
+    return _TOKENS
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -115,8 +140,9 @@ def tokenize(sentence: str, interned: dict[str, Token] | None = None) -> list[To
     one letter.
 
     `interned` maps a surface to the Token already built for it;
-    `tag_document` passes one dict per document, so each distinct surface
-    is built once per document. Without it the table lasts one sentence.
+    `tag_document` passes the process's token table, so each distinct
+    surface is built once while that table lasts. Without it the table
+    lasts one call.
     """
     if interned is None:
         interned = {}
@@ -160,9 +186,9 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
     Sentences never span paragraph boundaries. A tagger that returns more
     or fewer tags than it was given tokens raises TaggerLengthMismatch.
     Build a tagger once and pass it to every call: a `LexiconTagger` reads
-    its lexicon when it is built.
+    its lexicon when it is built, and memoizes each surface's tags.
     """
-    interned: dict[str, Token] = {}
+    interned = _document_tokens()
     sentences = []
     for paragraph in doc.paragraphs:
         for sent_text in segment_sentences(paragraph):
@@ -183,6 +209,10 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
 # with a TAB is always a token line, so a token may start with "#". Lines
 # end by the rule of every text input (tableio), so a token may hold any
 # character but TAB, "\r" and "\n". The ID of a "#doc=" line may not be empty.
+# A "#clauses=" value is at most CLAUSE_DIGITS_MAX decimal digits.
+
+CLAUSE_DIGITS_MAX = 9
+
 
 def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
@@ -209,13 +239,14 @@ def read_tagged(path: str | Path) -> TaggedDocument:
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
     """Reconstruct a TaggedDocument from tagged-token column text.
 
-    Each distinct surface builds one Token per call; its repeats share it.
+    Each distinct surface builds one Token while the process's token table
+    lasts; its repeats share it.
     """
     sentences: list[TaggedSentence] = []
     tokens: list[Token] = []
     tags: list[str] = []
     clause_override: int | None = None
-    interned: dict[str, Token] = {}
+    interned = _document_tokens()
 
     def close_block():
         nonlocal tokens, tags, clause_override
@@ -249,8 +280,13 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
                 raise FormatError(lineno, "#doc= names no document")
         elif line.startswith("#clauses="):
             value = line[len("#clauses="):].strip()
-            if not value.isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as "²", and
+            # it refuses a value of thousands of digits
+            if not value.isdecimal():
                 raise FormatError(lineno, f"bad clause count {value!r}")
+            if len(value) > CLAUSE_DIGITS_MAX:
+                raise FormatError(lineno, f"clause count of {len(value)} digits; "
+                                          f"at most {CLAUSE_DIGITS_MAX}")
             clause_override = int(value)
         elif line.startswith("#"):
             raise FormatError(lineno, f"unknown directive {line.strip()!r}")
@@ -307,28 +343,55 @@ class LexiconTagger:
 
     Fallback order for unknown words: -ly adverb, -ing gerund, -ed past,
     plural of a known noun, capitalized mid-sentence proper noun, noun.
+
+    The tagger keeps its own copy of the lexicon. It memoizes each surface's
+    two tags, at a sentence's first word and after it, which differ only
+    for an unknown capitalized word (NN, then NNP). The memo is emptied when
+    a call starts and it holds more than SURFACE_TABLE_BOUND surfaces. The
+    tags depend on the lexicon alone, so the memo changes none of them.
     """
 
     def __init__(self, lexicon: dict[str, str] | None = None):
-        self.lexicon = lexicon if lexicon is not None else load_lexicon()
+        self._lexicon = dict(lexicon) if lexicon is not None else load_lexicon()
+        self._memo: dict[str, tuple[str, str]] = {}
+        self._pairs: dict[tuple[str, str], tuple[str, str]] = {}
 
     def __call__(self, tokens: Sequence[Token]) -> list[str]:
-        first_word = next((i for i, t in enumerate(tokens) if t.is_word), -1)
-        return [
-            self._tag_one(tok, mid_sentence=i > first_word)
-            for i, tok in enumerate(tokens)
-        ]
+        memo = self._memo
+        if len(memo) > SURFACE_TABLE_BOUND:
+            memo.clear()
+        tags = []
+        for token in tokens:
+            pair = memo.get(token.surface)
+            if pair is None:
+                # one tuple per distinct pair: the memo keeps no object per surface
+                pair = self._tag_pair(token)
+                pair = memo[token.surface] = self._pairs.setdefault(pair, pair)
+            tags.append(pair[1])
+        # The tokens before the first word are no words, whose two tags agree.
+        first_word = next((i for i, t in enumerate(tokens) if t.is_word), None)
+        if first_word is not None:
+            tags[first_word] = memo[tokens[first_word].surface][0]
+        return tags
 
     def _tag_one(self, token: Token, mid_sentence: bool) -> str:
-        if not token.is_word:
-            return _symbol_tag(token.surface)
-        tag = self.lexicon.get(token.surface) or self.lexicon.get(token.surface.lower())
-        if tag:
-            return tag
-        return self._fallback(token.surface, mid_sentence)
+        """The tag of one token, by the rules alone: what the memo gives."""
+        return self._tag_pair(token)[mid_sentence]
 
-    def _fallback(self, surface: str, mid_sentence: bool) -> str:
+    def _tag_pair(self, token: Token) -> tuple[str, str]:
+        """The token's tags at a sentence's first word and after it, from one
+        lexicon lookup and one run of the fallback rules."""
+        surface = token.surface
+        if not token.is_word:
+            tag = _symbol_tag(surface)
+            return tag, tag
         low = surface.lower()
+        tag = self._lexicon.get(surface) or self._lexicon.get(low) or self._suffix_tag(low)
+        if tag:
+            return tag, tag
+        return "NN", "NNP" if surface[0].isupper() else "NN"
+
+    def _suffix_tag(self, low: str) -> str | None:
         if low.endswith("ly"):
             return "RB"
         if low.endswith("ing"):
@@ -337,9 +400,7 @@ class LexiconTagger:
             return "VBD"
         if low.endswith("s") and self._noun_stem(low):
             return "NNS"
-        if mid_sentence and surface[0].isupper():
-            return "NNP"
-        return "NN"
+        return None
 
     def _noun_stem(self, plural: str) -> bool:
         stems = [plural[:-1]]
@@ -347,7 +408,7 @@ class LexiconTagger:
             stems.append(plural[:-2])
         if plural.endswith("ies"):
             stems.append(plural[:-3] + "y")
-        return any(coarsen_tag(self.lexicon.get(s, "")) is LexClass.NOUN for s in stems)
+        return any(coarsen_tag(self._lexicon.get(s, "")) is LexClass.NOUN for s in stems)
 
 
 def _symbol_tag(surface: str) -> str:

@@ -442,6 +442,20 @@ class TestIngest:
         assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
             ["bad.xml", "MalformedXml"], ["noyear.xml", "MissingMetadata"]]
 
+    def test_year_of_thousands_of_digits_is_a_reject(self, tmp_path, capsys):
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "good.xml").write_text(ARTICLE.format(doc_id="10.1/ok"), encoding="utf-8")
+        (src / "long.xml").write_text(ARTICLE.format(doc_id="10.1/long").replace(
+            "<year>2010</year>", f"<year>{'9' * 5000}</year>"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
+            ["long.xml", "MissingMetadata"]]
+        assert "year of 5000 digits" in table_rows(out / "rejects.csv")[0][2]
+        assert '"10.1/ok"' in (out / "corpus.jsonl").read_text(encoding="utf-8")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_empty_input_dir_fails(self, tmp_path, capsys):
         src = tmp_path / "xml"
         src.mkdir()

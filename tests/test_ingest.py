@@ -111,6 +111,17 @@ class TestParseJats:
         with pytest.raises(MissingMetadata, match="no usable year for '10.1/x'"):
             parse_jats(article("<p>t.</p>", year=year))
 
+    def test_year_of_thousands_of_digits(self):
+        # int() would refuse it; it is out of range like any year this long
+        with pytest.raises(MissingMetadata,
+                           match=r"^year of 5000 digits outside \[1900, 2100\] for '10.1/x'$"):
+            parse_jats(article("<p>t.</p>", year="2" * 5000))
+
+    def test_leading_zeros_do_not_count(self):
+        assert parse_jats(article("<p>t.</p>", year="0" * 5000 + "2010")).year == 2010
+        with pytest.raises(MissingMetadata, match=r"year 0 outside"):
+            parse_jats(article("<p>t.</p>", year="0000"))
+
     def test_preferred_id_type_wins(self):
         xml = article("<p>t.</p>").replace(
             '<article-id pub-id-type="doi">10.1/x</article-id>',

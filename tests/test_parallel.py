@@ -154,6 +154,33 @@ def test_failure_same_on_one_and_two_processes(tmp_path, monkeypatch, name):
         stage, document, error)
 
 
+@pytest.mark.parametrize("stage", ["tag", "profile"])
+@pytest.mark.parametrize("value", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+def test_clause_value_int_refuses_fails_the_stage(tmp_path, monkeypatch, capsys, stage,
+                                                  value):
+    """A "#clauses=" value that int() would refuse is a FormatError naming
+    its line, in the child's share (b) as in the calling process's."""
+    reports = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        tsv_dir = out / "tagged" if stage == "profile" else tmp_path / f"ext{cpus}"
+        tsv_dir.mkdir(parents=True)
+        for name, text in dict(a=GOOD, b=f"{GOOD}#clauses={value}\n{GOOD}", c=GOOD).items():
+            (tsv_dir / f"{name}.tsv").write_text(text, encoding="utf-8")
+        argv = ("--import-tagged", tsv_dir) if stage == "tag" else ()
+        assert run_on(monkeypatch, cpus, stage, "--out", out, *argv) == (1, cpus - 1)
+        reports[cpus] = json.loads((out / "errors.json").read_text(encoding="utf-8"))
+        if stage == "tag":
+            assert not list(out.glob("tagged/*.tsv"))
+        assert not (out / "profiles.csv").exists()
+    assert reports[1] == reports[2]
+    document = "b.tsv" if stage == "tag" else "b"
+    assert (reports[1]["stage"], reports[1]["document"], reports[1]["error"]) == (
+        stage, document, "FormatError")
+    assert reports[1]["message"].startswith("line 6: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def in_child_only(monkeypatch, act):
     """Make cli.tag_document call act() first when it runs in a forked child."""
     parent, tag_document = os.getpid(), cli.tag_document

@@ -1,9 +1,12 @@
 """Segmentation, tokenization, tagging, clause counting, column format."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcite import tagging
 from lexcite.errors import FormatError, TaggerLengthMismatch
 from lexcite.ingest import RawDocument
 from lexcite.tagging import (
@@ -156,6 +159,14 @@ class TestLexiconTagger:
         tags = tagger([Token.from_surface(s) for s in surfaces])
         assert tags == [".", ",", ":", "(", ")", "CD", "SYM", "''"]
 
+    def test_later_change_to_the_lexicon_changes_no_tag(self):
+        lexicon = {"cat": "NN"}
+        tagger = LexiconTagger(lexicon)
+        assert tagger(tokenize("cat cats")) == ["NN", "NNS"]
+        lexicon.update(cat="VB", cats="JJ", dog="VB")
+        assert tagger(tokenize("cat cats")) == ["NN", "NNS"]
+        assert tagger(tokenize("dog dogs")) == ["NN", "NN"]  # never seen before
+
     def test_tie_breaks_to_smaller_tag(self):
         lexicon = load_lexicon()
         # bundled file gives "light" equal counts for JJ and NN
@@ -174,6 +185,36 @@ class TestLexiconTagger:
         with pytest.raises(FormatError, match=r"^line 3: lex\.tsv: ") as info:
             load_lexicon(path)
         assert info.value.line_number == 3
+
+
+# Known words, unknown words that are capitalized or not and hit each suffix
+# rule, non-ASCII words, numbers and symbols.
+MEMO_LEXICON = {"the": "DT", "cat": "NN", "sat": "VBD", "study": "NN", "run": "VB",
+                "paris": "NNP", "über": "IN", "big": "JJ"}
+memo_surfaces = st.one_of(
+    st.sampled_from(["the", "The", "cat", "Cat", "cats", "sat", "studies", "Studies",
+                     "runs", "Paris", "PARIS", "über", "Über", "Big", "Zorblax", "zorblax",
+                     "Zorbing", "quickly", "Quickly", "zorbed", "Müller", "naïve",
+                     "Éclair", "β-cells", "B12", "3", "3.5", "1,000", ".", ",", "(",
+                     ")", "%", "“", "#", "'"]),
+    st.text(st.sampled_from("aAzZéÉßΩω-'1."), min_size=1, max_size=5))
+
+
+@pytest.mark.parametrize("bound", [tagging.SURFACE_TABLE_BOUND, 2])
+@settings(max_examples=60, deadline=None)
+@given(sentences=st.lists(st.lists(memo_surfaces, max_size=8), max_size=8))
+def test_memo_gives_the_rules_tags(bound, sentences):
+    """A memoized tagger tags each sentence as the per-token rules do, at
+    any position, whatever it tagged before; with the bound at 2 its memo
+    is emptied between calls."""
+    with mock.patch.object(tagging, "SURFACE_TABLE_BOUND", bound):
+        tagger, rules = LexiconTagger(MEMO_LEXICON), LexiconTagger(MEMO_LEXICON)
+        for surfaces in sentences:
+            tokens = [Token.from_surface(s) for s in surfaces]
+            first_word = next((i for i, t in enumerate(tokens) if t.is_word), -1)
+            assert tagger(tokens) == [rules._tag_one(t, mid_sentence=i > first_word)
+                                      for i, t in enumerate(tokens)]
+            assert len(tagger._memo) <= bound + len(set(surfaces))
 
 
 class TestCountClauses:
@@ -266,6 +307,21 @@ class TestColumnFormat:
     def test_bad_clause_value(self):
         with pytest.raises(FormatError):
             import_tagged("#clauses=x\nok\tNN\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("²", "bad clause count '²'"),
+        ("9" * 5000, "clause count of 5000 digits; at most 9"),
+        ("1" * 10, "clause count of 10 digits; at most 9"),
+    ], ids=["superscript", "5000-digits", "10-digits"])
+    def test_clause_value_int_refuses(self, value, message):
+        with pytest.raises(FormatError) as err:
+            import_tagged(f"ok\tNN\n#clauses={value}\n")
+        assert err.value.line_number == 2
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_nine_digit_clause_value(self):
+        doc = import_tagged("#clauses=999999999\nok\tNN\n")
+        assert doc.sentences[0].clause_count == 999_999_999
 
     @pytest.mark.parametrize("inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
@@ -374,28 +430,35 @@ class TestTagDocument:
         doc = tag_document(raw, LexiconTagger())
         assert sum(t.is_word for s in doc.sentences for t in s.tokens) == 5
 
-    @pytest.mark.parametrize("build", ["tag_document", "import_tagged"])
-    def test_one_token_per_distinct_surface(self, build):
-        # a surface tagged NN in one sentence and VB in the next is still one
-        # Token within a document; a second document builds its own
-        def read():
-            if build == "import_tagged":
-                return import_tagged("The\tDT\ncat\tNN\nsat\tVBD\n\n"
-                                     "The\tDT\ncat\tVB\nsat\tVBD\n\n")
-            tags = iter([["DT", "NN", "VBD", "."], ["DT", "VB", "VBD", "."]])
-            return tag_document(RawDocument(doc_id="d", year=2010, domain="x",
-                                            paragraphs=["The cat sat. The cat sat."]),
-                                lambda tokens: next(tags))
+    @staticmethod
+    def read(build, *sentences):
+        """One document of the sentences, each a paragraph of surfaces that
+        spaces separate. Every token of the nth sentence is tagged with the
+        nth of NN, VB, JJ."""
+        tags = iter(["NN", "VB", "JJ"])
+        if build == "import_tagged":
+            return import_tagged("".join(
+                "".join(f"{surface}\t{tag}\n" for surface in sentence.split()) + "\n"
+                for sentence, tag in zip(sentences, tags)))
+        return tag_document(RawDocument(doc_id="d", year=2010, domain="x",
+                                        paragraphs=list(sentences)),
+                            lambda tokens: [next(tags)] * len(tokens))
 
-        doc = read()
+    @pytest.mark.parametrize("build", ["tag_document", "import_tagged"])
+    def test_one_token_per_distinct_surface(self, build, monkeypatch):
+        # a surface tagged NN in one sentence and VB in the next is one Token
+        # within a document, and a second document reuses it
+        monkeypatch.setattr(tagging, "_TOKENS", {})
+        doc = self.read(build, "The cat sat", "The cat sat")
         tokens = [t for s in doc.sentences for t in s.tokens]
-        assert len({id(t) for t in tokens}) == len({t.surface for t in tokens})
-        assert [s.tags[1] for s in doc.sentences] == ["NN", "VB"]
-        again = [t for s in read().sentences for t in s.tokens]
-        assert again == tokens
-        assert not any(a is b for a, b in zip(again, tokens))
+        assert len({id(t) for t in tokens}) == len({t.surface for t in tokens}) == 3
+        assert [s.tags for s in doc.sentences] == [["NN"] * 3, ["VB"] * 3]
+        again = [t for s in self.read(build, "The dog sat").sentences for t in s.tokens]
+        assert [t.surface for t in again] == ["The", "dog", "sat"]
+        assert again[0] is tokens[0] and again[2] is tokens[2]
 
     def test_each_surface_built_once(self, monkeypatch):
+        monkeypatch.setattr(tagging, "_TOKENS", {})
         built = []
         from_surface = Token.from_surface.__func__
 
@@ -404,16 +467,28 @@ class TestTagDocument:
             return from_surface(cls, surface)
 
         monkeypatch.setattr(Token, "from_surface", classmethod(counting))
-        calls = []
+        for build in ("tag_document", "import_tagged", "tag_document"):
+            self.read(build, "The cat sat", "The cat sat")
+        assert built == ["The", "cat", "sat"]
+        self.read("import_tagged", "The dog sat", "A dog sat")
+        self.read("tag_document", "A cat ran")
+        assert built == ["The", "cat", "sat", "dog", "A", "ran"]
 
-        def tagger(tokens):  # everything NN in one sentence, VB in the next
-            calls.append(1)
-            return ["NN" if len(calls) == 1 else "VB"] * len(tokens)
-
-        doc = tag_document(RawDocument(doc_id="d", year=2010, domain="x",
-                                       paragraphs=["The cat sat. The cat sat."]),
-                           tagger)
-        assert built == ["The", "cat", "sat", "."]
-        first, second = doc.sentences
-        assert first.tokens[1] is second.tokens[1]
-        assert (first.tags[1], second.tags[1]) == ("NN", "VB")
+    @pytest.mark.parametrize("build", ["tag_document", "import_tagged"])
+    def test_table_emptied_when_a_document_starts_over_bound(self, build, monkeypatch):
+        monkeypatch.setattr(tagging, "_TOKENS", {})
+        monkeypatch.setattr(tagging, "SURFACE_TABLE_BOUND", 2)
+        # three surfaces: over the bound within the document, still shared
+        first = self.read(build, "The cat sat", "The cat sat")
+        one, two = first.sentences
+        assert all(a is b for a, b in zip(one.tokens, two.tokens))
+        assert len(tagging._TOKENS) == 3
+        # the next document starts with the table emptied
+        second = self.read(build, "The cat")
+        (sentence,) = second.sentences
+        assert sentence.tokens == one.tokens[:2]
+        assert not any(a is b for a, b in zip(sentence.tokens, one.tokens))
+        assert sorted(tagging._TOKENS) == ["The", "cat"]
+        # at the bound, not over it: the table is kept
+        third = self.read(build, "cat")
+        assert third.sentences[0].tokens[0] is sentence.tokens[1]
