@@ -21,9 +21,10 @@ seed, so a rerun with identical inputs is byte-identical.
 A configuration mistake (an empty path among them), or an --out that
 cannot be created, prints one error line and exits 2. Otherwise main
 removes any errors.json an earlier invocation left, then runs the stages in
-turn, and any LexciteError or OSError a stage raises ends the run with exit
-1 and an errors.json written by main, the one place that knows which stage
-is running. Stages raise plain errors, wrapped in DocumentError where they
+turn, and any failure of errors.STAGE_FAILURES (a LexciteError, an OSError
+or a MemoryError) that a stage raises ends the run with exit 1 and an
+errors.json written by main, the one place that knows which stage is
+running. Stages raise plain errors, wrapped in DocumentError where they
 know the input document.
 
 Outputs depend only on the inputs, not on what --out held before. main
@@ -42,9 +43,10 @@ stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
-tag and profile work on their documents on two processes under the rule
-of `lexcite.parallel`, and raise the error that one process would raise
-(`_per_document`). run forks there before compare loads numpy, so no
+tag and profile loop over their documents' values, which
+`parallel.run_on_two_processes` computes on two processes under its rule
+and yields in document order, so they raise the error that the loop on one
+process would raise. run forks there before compare loads numpy, so no
 other thread runs at the fork.
 """
 
@@ -58,10 +60,10 @@ import re
 import sys
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import __version__
-from .errors import ConfigError, FormatError, LexciteError
+from .errors import STAGE_FAILURES, ConfigError, FormatError, LexciteError
 from .impact import (
     Baseline,
     CitationRecord,
@@ -78,15 +80,17 @@ from .ingest import (
     normalize_abbreviations,
     parse_jats,
     read_corpus,
+    usable_doc_id,
     write_corpus,
 )
 from .metrics import (
+    ComplexityProfile,
     ProfileMatrix,
     VARIABLE_COLUMNS,
     complexity_profile,
     profile_cells,
 )
-from .parallel import Work, run_on_two_processes
+from .parallel import run_on_two_processes
 from .reports import (
     CDF_HEADER,
     COMPARISON_HEADER,
@@ -285,35 +289,15 @@ def stage_ingest(config: RunConfig) -> None:
     write_corpus(docs, config.out / "corpus.jsonl")
 
 
-def _per_document(items: Callable[[], Iterable], work: Work,
-                  clash: Callable[[object, object, object], LexciteError]) -> list:
-    """Call work(item, keep) on each item that items() yields, on two
-    processes where the split pays (`parallel.run_on_two_processes`), and
-    return the values kept, in item order; keep(key, value) keeps one. The
-    error raised is the one the loop on one process would raise: the first,
-    in item order, of a failure and a key kept a second time, which is
-    clash(key, first value, second value). At one item the clash comes
-    first, because work keeps the key before it writes."""
-    kept, failure = run_on_two_processes(items, work)
-    first: dict[object, object] = {}
-    for index, key, value in kept:
-        if failure is not None and index > failure[0]:
-            break
-        if key in first:
-            raise clash(key, first[key], value)
-        first[key] = value
-    if failure is not None:
-        raise failure[1]
-    return [value for _, _, value in kept]
-
-
 def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
-    built-in tagger or from the --import-tagged files, one at a time. main has removed
-    every earlier .tsv but those being imported, so tagged/ itself cannot be
-    the import directory: profile would read both the imported files and
-    their copies. That is a ConfigError, raised before anything is
-    written."""
+    built-in tagger or from the --import-tagged files, one at a time. Two
+    documents whose ids give one file name fail the stage at the second,
+    once it is written; a failure to write it is the error reported.
+    main has removed every earlier .tsv but those being imported, so tagged/
+    itself cannot be the import directory: profile would read both the
+    imported files and their copies. That is a ConfigError, raised before
+    anything is written."""
     tagged_dir = config.out / "tagged"
     import_dir = None
     if config.import_tagged is not None:
@@ -323,43 +307,45 @@ def stage_tag(config: RunConfig) -> None:
                               "of --out, which this stage rewrites")
     tagged_dir.mkdir(parents=True, exist_ok=True)
 
-    def emit(doc: TaggedDocument, keep) -> None:
+    def emit(doc: TaggedDocument) -> tuple[str, str]:
         name = _safe_name(doc.doc_id) + ".tsv"
-        keep(name, doc.doc_id)
         try:
             (tagged_dir / name).write_bytes(export_tagged(doc).encode("utf-8"))
         except OSError as exc:
             raise DocumentError(doc.doc_id, exc)
-
-    def collision(name: str, first_id: str, doc_id: str) -> DocumentError:
-        return DocumentError(doc_id, ConfigError(
-            f"doc ids {first_id!r} and {doc_id!r} collide on file {name}"))
+        return name, doc.doc_id
 
     if import_dir is not None:
         files = sorted(import_dir.glob("*.tsv"))
         if not files:
             raise ConfigError(f"no .tsv files in {import_dir}")
 
-        def import_one(path: Path, keep) -> None:
+        def import_one(path: Path) -> tuple[str, str]:
             try:
                 doc = read_tagged(path)
             except (LexciteError, OSError) as exc:
                 raise DocumentError(readable_name(path.name), exc)
-            emit(doc, keep)
+            return emit(doc)
 
-        _per_document(lambda: files, import_one, collision)
+        written = run_on_two_processes(lambda: files, import_one)
     else:
         corpus = _stage_file(config, "corpus.jsonl")
         tagger = LexiconTagger()
 
-        def tag_one(raw: RawDocument, keep) -> None:
+        def tag_one(raw: RawDocument) -> tuple[str, str]:
             try:
                 doc = tag_document(raw, tagger)
             except LexciteError as exc:
                 raise DocumentError(raw.doc_id, exc)
-            emit(doc, keep)
+            return emit(doc)
 
-        _per_document(lambda: read_corpus(corpus), tag_one, collision)
+        written = run_on_two_processes(lambda: read_corpus(corpus), tag_one)
+    first_ids: dict[str, str] = {}
+    for name, doc_id in written:
+        if name in first_ids:
+            raise DocumentError(doc_id, ConfigError(
+                f"doc ids {first_ids[name]!r} and {doc_id!r} collide on file {name}"))
+        first_ids[name] = doc_id
 
 
 def stage_profile(config: RunConfig) -> None:
@@ -370,38 +356,39 @@ def stage_profile(config: RunConfig) -> None:
     if not files:
         raise ConfigError(f"no .tsv files in {tagged_dir}")
 
-    def profile_one(path: Path, keep) -> None:
+    def profile_one(path: Path) -> tuple[str, ComplexityProfile]:
         try:
-            doc = read_tagged(path)
-            profile = complexity_profile(doc)
+            return path.name, complexity_profile(read_tagged(path))
         except (LexciteError, OSError) as exc:
             raise DocumentError(readable_name(path.stem), exc)
-        keep(doc.doc_id, (path.name, profile))
 
-    def duplicate(doc_id: str, first: tuple, second: tuple) -> DocumentError:
-        return DocumentError(doc_id, ConfigError(
-            f"files {first[0]} and {second[0]} name one document"))
-
-    profiles = [profile for _, profile in _per_document(lambda: files, profile_one,
-                                                         duplicate)]
-    profiles.sort(key=lambda p: p.doc_id)
-    write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], profiles,
-                config.metadata())
+    named: dict[str, tuple[str, ComplexityProfile]] = {}
+    for name, profile in run_on_two_processes(lambda: files, profile_one):
+        if profile.doc_id in named:
+            raise DocumentError(profile.doc_id, ConfigError(
+                f"files {named[profile.doc_id][0]} and {name} name one document"))
+        named[profile.doc_id] = name, profile
+    write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
+                (named[doc_id][1] for doc_id in sorted(named)), config.metadata())
 
 
 def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
     """Yield the data rows of an input table, each through parse, as they
     are read. A malformed table or a header other than `header` fails the
-    stage. So does a cell that parse rejects with ValueError, or a row whose
-    key (a tuple of its parsed leading columns, from key) repeats an earlier
-    row's: each as a FormatError naming its line and, in a table keyed by
-    doc_id, its document."""
+    stage. So does a cell that parse rejects with ValueError, a doc_id in
+    the first column that `usable_doc_id` refuses, or a row whose key (a
+    tuple of its parsed leading columns, from key) repeats an earlier row's:
+    each as a FormatError naming its line and, in a table keyed by doc_id,
+    its document."""
     table = read_table(path)
     if table.header != header:
         raise ConfigError(f"{readable_name(path.name)} columns {table.header} != {header}")
     seen: set[tuple] = set()
     for line, row in table.rows:
         try:
+            if header[0] == "doc_id" and not usable_doc_id(row[0]):
+                raise ValueError(f"doc_id {row[0]!r} is no doc id (empty, a TAB or a "
+                                 "line break, or white space at an end)")
             value = parse(row)
             row_key = key(value)
             if row_key in seen:
@@ -605,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _remove_outputs(config, (stage,))
             _STAGE_FUNCS[stage](config)
-        except (LexciteError, OSError) as exc:
+        except STAGE_FAILURES as exc:
             # the failed stage, and the ones a run never reached
             _remove_outputs(config, stages[done:])
             document, cause = ((exc.document, exc.cause) if isinstance(exc, DocumentError)

@@ -13,6 +13,11 @@ class LexciteError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
+# The failures a stage reports: main writes errors.json for them, and a
+# forked worker sends them back to the calling process as they are.
+STAGE_FAILURES = (LexciteError, OSError, MemoryError)
+
+
 # --- corpus ingest ---------------------------------------------------------
 
 class MalformedXml(LexciteError):

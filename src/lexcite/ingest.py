@@ -51,7 +51,8 @@ def usable_doc_id(text: str) -> bool:
     """Whether text can name a document: it is not empty, holds no TAB, "\r"
     or "\n", and has no white space at either end. corpus.jsonl and the
     "#doc=" line of a tagged file then carry it back unchanged."""
-    return bool(text) and text == text.strip() and not any(c in text for c in "\t\r\n")
+    return (bool(text) and text == text.strip()
+            and "\t" not in text and "\r" not in text and "\n" not in text)
 
 
 class RawDocument(_RawDocumentFields):
@@ -155,6 +156,8 @@ FIELD_CHAINS = (
     ("front", "journal-meta", "journal-title"),
 )
 PREFERRED_ID_TYPE = "doi"
+# An element of any other name advances no chain and is no candidate.
+_CHAIN_NAMES = frozenset(name for chain in FIELD_CHAINS for name in chain)
 
 
 def _local(tag) -> str:
@@ -167,31 +170,39 @@ def _element_text(elem: ElementTree.Element) -> str:
 
 
 def _walk(root: ElementTree.Element) -> tuple[list[list[ElementTree.Element]], list[str]]:
-    """One pass over the tree in document order: the candidates for each
-    chain of FIELD_CHAINS, and the text of every <p> element that is not
-    inside another <p> (a nested <p> is already part of that text), inline
-    markup stripped."""
+    """One pass over the tree in document order, on an explicit stack so
+    that any depth of nesting parses: the candidates for each chain of
+    FIELD_CHAINS, and the text of every <p> element that is not inside
+    another <p> (a nested <p> is already part of that text), inline markup
+    stripped."""
     candidates: list[list[ElementTree.Element]] = [[] for _ in FIELD_CHAINS]
     paragraphs: list[str] = []
-
-    def visit(node, name: str, matched: list[int], in_p: bool) -> None:
-        # matched[i]: how many names of chain i, short of its last, node and
-        # its ancestors below the root hold, matched greedily.
-        if name == "p" and not in_p:
-            paragraphs.append(_element_text(node))
-            in_p = True
-        for child in node:
-            child_name = _local(child.tag)
+    in_p = _local(root.tag) == "p"
+    if in_p:
+        paragraphs.append(_element_text(root))
+    # One entry per open element: its children still to visit; matched[i],
+    # how many names of chain i, short of its last, it and its ancestors
+    # below the root hold, matched greedily; whether it is or is inside a <p>.
+    stack = [(iter(root), [0] * len(FIELD_CHAINS), in_p)]
+    while stack:
+        children, matched, in_p = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            continue
+        name = _local(child.tag)
+        step = matched
+        if name in _CHAIN_NAMES:
             step = list(matched)
             for i, chain in enumerate(FIELD_CHAINS):
-                if chain[matched[i]] == child_name:
+                if chain[matched[i]] == name:
                     if matched[i] + 1 == len(chain):
                         candidates[i].append(child)
                     else:
                         step[i] += 1
-            visit(child, child_name, step, in_p)
-
-    visit(root, _local(root.tag), [0] * len(FIELD_CHAINS), False)
+        if name == "p" and not in_p:
+            paragraphs.append(_element_text(child))
+        stack.append((iter(child), step, in_p or name == "p"))
     return candidates, paragraphs
 
 

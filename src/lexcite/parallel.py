@@ -6,12 +6,14 @@ work; otherwise it runs on the caller alone. `compare` splits its bootstrap
 cells between the calling thread and one helper thread
 (`run_on_two_threads`): numpy releases the interpreter lock while it draws.
 `tag` and `profile` split their documents between the calling process and
-one forked child (`run_on_two_processes`), since their loops are Python.
-Outputs are byte-identical either way.
+one forked child, since their loops are Python: `run_on_two_processes` is an
+ordered map, which yields each document's value in document order, so each
+stage stays the loop on one process that it stands for. Outputs are
+byte-identical either way.
 
 A forked child starts no interpreter and imports nothing: it runs on the
 parent's memory, copied as it is written. It sends back through a pipe only
-what it kept and its first failure, pickled, and ends with `os._exit`, so no
+its values and its first failure, pickled, and ends with `os._exit`, so no
 cleanup of the parent's runs twice. Fork only where no other thread runs:
 `lexcite run` forks before `compare` loads numpy, whose BLAS starts threads.
 """
@@ -22,12 +24,12 @@ import contextlib
 import itertools
 import os
 import threading
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
-from .errors import LexciteError
+from .errors import STAGE_FAILURES
 
-# work(item, keep): keep(key, value) records a value of the item at hand.
-Work = Callable[[object, Callable[[object, object], None]], None]
+# (index of the item, exception): where a run over items stopped, and why
+Failure = tuple[int, BaseException]
 
 
 def usable_cpus() -> int:
@@ -71,33 +73,29 @@ def run_on_two_threads(tasks: list[tuple], run: Callable[[tuple], None]) -> None
         raise errors[0]
 
 
-class Share(NamedTuple):
-    """What a run over items kept, as (item index, key, value) in index
-    order, and its first failure as (item index, exception), or None."""
-
-    kept: list[tuple[int, object, object]]
-    failure: tuple[int, BaseException] | None
-
-
-def run_on_two_processes(items: Callable[[], Iterable], work: Work) -> Share:
-    """Call work(item, keep) on each item of the iterable that items()
-    returns, in order, until the first exception, which becomes the failure
-    at that item's index. An exception raised by the iterable itself is the
-    failure at the index of the item it did not yield.
+def run_on_two_processes(items: Callable[[], Iterable],
+                         work: Callable[[object], object]) -> Iterator:
+    """Yield work(item) for each item of the iterable that items() returns,
+    in item order, then raise the first exception in item order where the
+    loop on one process would raise it; an exception of the iterable itself
+    belongs to the index of the item it did not yield. A caller that loops
+    over the values, and may raise at one, so fails as that loop does,
+    though on two processes the later items' work has run by then.
 
     When fork exists, the process may use two or more CPUs and there are at
     least two items, the item at index i is worked on here when i is even
     and in one forked child when it is odd. Each process calls items()
-    itself, so a file that it opens has its own offset in each. Each stops
-    at its own first failure, and the result is both shares merged: every
-    value kept, and the failure at the lower index. The child is always
-    reaped before this returns or raises, even when an interrupt ends the
-    calling process's share. A child that ends without sending its share is a
-    ChildProcessError naming its signal or exit status. Only a LexciteError
-    or an OSError crosses the pipe; any other failure of the child comes
-    back as a RuntimeError holding its traceback text."""
+    itself, so a file that it opens has its own offset in each, and stops
+    at its own first failure. The child is reaped before the first value is
+    yielded, even when an interrupt ends the calling process's share. A
+    child that ends without sending its share is a ChildProcessError naming
+    its signal or exit status. Only a failure of STAGE_FAILURES crosses the
+    pipe; any other comes back as a RuntimeError holding the child's
+    traceback text."""
     if not (hasattr(os, "fork") and usable_cpus() >= 2 and _at_least_two(items)):
-        return _share(items, work, 0, 1)
+        for item in items():
+            yield work(item)
+        return
     import pickle  # noqa: F401 -- here, so that the child need not import it
 
     read_end, write_end = os.pipe()
@@ -112,15 +110,19 @@ def run_on_two_processes(items: Callable[[], Iterable], work: Work) -> Share:
         _child(items, work, write_end)
     os.close(write_end)
     try:
-        mine = _share(items, work, 0, 2)
+        mine, my_failure = _share(items, work, 0)
     except BaseException:  # an interrupt: reap the child, then raise it
         with contextlib.suppress(ChildProcessError):
             _reap(pid, read_end)
         raise
-    theirs = _reap(pid, read_end)
-    failures = [share.failure for share in (mine, theirs) if share.failure is not None]
-    return Share(sorted(mine.kept + theirs.kept, key=lambda kept: kept[0]),
-                 min(failures, key=lambda failure: failure[0], default=None))
+    theirs, their_failure = _reap(pid, read_end)
+    failures = [failure for failure in (my_failure, their_failure) if failure is not None]
+    stop, failure = min(failures, key=lambda failure: failure[0],
+                        default=(len(mine) + len(theirs), None))
+    for index in range(stop):
+        yield (mine, theirs)[index % 2][index // 2]
+    if failure is not None:
+        raise failure
 
 
 def _at_least_two(items: Callable[[], Iterable]) -> bool:
@@ -128,49 +130,47 @@ def _at_least_two(items: Callable[[], Iterable]) -> bool:
     run to the caller alone, which meets the same failure."""
     try:
         return len(list(itertools.islice(items(), 2))) == 2
-    except (LexciteError, OSError):
+    except STAGE_FAILURES:
         return False
 
 
-def _share(items: Callable[[], Iterable], work: Work, first: int, step: int) -> Share:
-    """Work on the items at index first, first + step, ... until the first
-    exception."""
-    kept: list[tuple[int, object, object]] = []
+def _share(items: Callable[[], Iterable], work: Callable[[object], object],
+           first: int) -> tuple[list, Failure | None]:
+    """The values of the items at index first, first + 2, ... in order, up
+    to the first exception, and that exception as a Failure, or None."""
+    values = []
     index = 0
-
-    def keep(key: object, value: object) -> None:
-        kept.append((index, key, value))
-
     try:
         for item in items():
-            if index % step == first:
-                work(item, keep)
+            if index % 2 == first:
+                values.append(work(item))
             index += 1
     except Exception as exc:  # the share's failure, raised by the caller
-        return Share(kept, (index, exc))
-    return Share(kept, None)
+        return values, (index, exc)
+    return values, None
 
 
-def _child(items: Callable[[], Iterable], work: Work, write_end: int) -> NoReturn:
+def _child(items: Callable[[], Iterable], work: Callable[[object], object],
+           write_end: int) -> NoReturn:
     """The forked child: work on the odd-indexed items, send the share to
     the parent through write_end, and end without returning to the caller."""
     status = 1
     try:
         import pickle
 
-        kept, failure = _share(items, work, 1, 2)
-        if failure is not None and not isinstance(failure[1], (LexciteError, OSError)):
+        values, failure = _share(items, work, 1)
+        if failure is not None and not isinstance(failure[1], STAGE_FAILURES):
             import traceback
 
             failure = (failure[0], "".join(traceback.format_exception(failure[1])))
         with open(write_end, "wb") as pipe:
-            pickle.dump((kept, failure), pipe)
+            pickle.dump((values, failure), pipe)
         status = 0
     finally:
         os._exit(status)
 
 
-def _reap(pid: int, read_end: int) -> Share:
+def _reap(pid: int, read_end: int) -> tuple[list, Failure | None]:
     """The child's share, read from read_end until the child closes it, once
     the child has ended."""
     with open(read_end, "rb") as pipe:
@@ -190,7 +190,7 @@ def _reap(pid: int, read_end: int) -> Share:
                                 "sent its results")
     import pickle
 
-    kept, failure = pickle.loads(data)  # written by the child above
+    values, failure = pickle.loads(data)  # written by the child above
     if failure is not None and isinstance(failure[1], str):
         failure = (failure[0], RuntimeError(f"in the forked worker process:\n{failure[1]}"))
-    return Share(kept, failure)
+    return values, failure

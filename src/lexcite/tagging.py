@@ -11,7 +11,7 @@ Tokens are immutable and interned per process: `tag_document` and
 builds one `Token`, which its repeats in this and later documents share.
 The table is emptied when a document starts and it holds more than
 `SURFACE_TABLE_BOUND` surfaces, so every repeat within one document still
-shares one `Token`. A `LexiconTagger` memoizes each surface's tags under the
+shares one `Token`. A `LexiconTagger` memoizes each surface's tag under the
 same bound. A forked process fills its own copy of both. Coarse lexical
 classes are not stored; `coarsen_tag` derives them from the tags when they
 are needed.
@@ -87,7 +87,7 @@ class TaggerContract(Protocol):
     and whatever it tagged before: what it changes in itself in the child
     is lost with the child. It must also be usable after a fork, so it
     holds no thread or lock. The bundled tagger's only state after
-    construction is its memo of each surface's tags, which depend on its
+    construction is its memo of each surface's tag, which depends on its
     own copy of the lexicon alone.
     """
 
@@ -186,7 +186,7 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
     Sentences never span paragraph boundaries. A tagger that returns more
     or fewer tags than it was given tokens raises TaggerLengthMismatch.
     Build a tagger once and pass it to every call: a `LexiconTagger` reads
-    its lexicon when it is built, and memoizes each surface's tags.
+    its lexicon when it is built, and memoizes each surface's tag.
     """
     interned = _document_tokens()
     sentences = []
@@ -345,16 +345,17 @@ class LexiconTagger:
     plural of a known noun, capitalized mid-sentence proper noun, noun.
 
     The tagger keeps its own copy of the lexicon. It memoizes each surface's
-    two tags, at a sentence's first word and after it, which differ only
-    for an unknown capitalized word (NN, then NNP). The memo is emptied when
-    a call starts and it holds more than SURFACE_TABLE_BOUND surfaces. The
-    tags depend on the lexicon alone, so the memo changes none of them.
+    tag after a sentence's first word. At the first word NNP becomes NN when
+    the lexicon gives no tag for the surface or its lowercase form: an
+    unknown capitalized word is a proper noun only mid-sentence. The memo is
+    emptied when a call starts and it holds more than SURFACE_TABLE_BOUND
+    surfaces. The tags depend on the lexicon alone, so the memo changes none
+    of them.
     """
 
     def __init__(self, lexicon: dict[str, str] | None = None):
         self._lexicon = dict(lexicon) if lexicon is not None else load_lexicon()
-        self._memo: dict[str, tuple[str, str]] = {}
-        self._pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        self._memo: dict[str, str] = {}
 
     def __call__(self, tokens: Sequence[Token]) -> list[str]:
         memo = self._memo
@@ -362,34 +363,27 @@ class LexiconTagger:
             memo.clear()
         tags = []
         for token in tokens:
-            pair = memo.get(token.surface)
-            if pair is None:
-                # one tuple per distinct pair: the memo keeps no object per surface
-                pair = self._tag_pair(token)
-                pair = memo[token.surface] = self._pairs.setdefault(pair, pair)
-            tags.append(pair[1])
-        # The tokens before the first word are no words, whose two tags agree.
+            tag = memo.get(token.surface)
+            if tag is None:
+                tag = memo[token.surface] = self._tag(token)
+            tags.append(tag)
+        # The tokens before the first word are no words, which are never NNP.
         first_word = next((i for i, t in enumerate(tokens) if t.is_word), None)
-        if first_word is not None:
-            tags[first_word] = memo[tokens[first_word].surface][0]
+        if first_word is not None and tags[first_word] == "NNP":
+            surface = tokens[first_word].surface
+            if not (self._lexicon.get(surface) or self._lexicon.get(surface.lower())):
+                tags[first_word] = "NN"
         return tags
 
-    def _tag_one(self, token: Token, mid_sentence: bool) -> str:
-        """The tag of one token, by the rules alone: what the memo gives."""
-        return self._tag_pair(token)[mid_sentence]
-
-    def _tag_pair(self, token: Token) -> tuple[str, str]:
-        """The token's tags at a sentence's first word and after it, from one
-        lexicon lookup and one run of the fallback rules."""
+    def _tag(self, token: Token) -> str:
+        """The token's tag after a sentence's first word, from one lexicon
+        lookup and one run of the fallback rules."""
         surface = token.surface
         if not token.is_word:
-            tag = _symbol_tag(surface)
-            return tag, tag
+            return _symbol_tag(surface)
         low = surface.lower()
-        tag = self._lexicon.get(surface) or self._lexicon.get(low) or self._suffix_tag(low)
-        if tag:
-            return tag, tag
-        return "NN", "NNP" if surface[0].isupper() else "NN"
+        return (self._lexicon.get(surface) or self._lexicon.get(low) or self._suffix_tag(low)
+                or ("NNP" if surface[0].isupper() else "NN"))
 
     def _suffix_tag(self, low: str) -> str | None:
         if low.endswith("ly"):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexcite
-from lexcite import cli
+from lexcite import cli, reports
 from lexcite.cli import (
     DECISION_FLAGS,
     RunConfig,
@@ -454,6 +454,22 @@ class TestIngest:
             ["long.xml", "MissingMetadata"]]
         assert "year of 5000 digits" in table_rows(out / "rejects.csv")[0][2]
         assert '"10.1/ok"' in (out / "corpus.jsonl").read_text(encoding="utf-8")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_any_depth_of_nesting(self, tmp_path, capsys):
+        src = tmp_path / "xml"
+        src.mkdir()
+        shutil.copy(MINICORPUS / "ECO.2009.0001.xml", src)
+        (src / "deep.xml").write_text(ARTICLE.format(doc_id="10.1/deep").replace(
+            "<body><p>", "<body>" + "<sec>" * 3000 + "<p>").replace(
+            "</p></body>", "</p>" + "</sec>" * 3000 + "</body>"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        assert table_rows(out / "rejects.csv") == []
+        docs = {doc["doc_id"]: doc["paragraphs"] for doc in map(
+            json.loads, (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines())}
+        assert docs["10.1/deep"] == ["The cats sleep. The cat sat because it was tired."]
+        assert set(docs) == {"ECO.2009.0001", "10.1/deep"}
         assert "Traceback" not in capsys.readouterr().err
 
     def test_empty_input_dir_fails(self, tmp_path, capsys):
@@ -1142,6 +1158,69 @@ class TestRepeatedKeys:
         assert main([stage, "--out", str(tmp_path)]) == 1
         self.assert_repeated(tmp_path, capsys, stage, "d1",
                              "line 4: profiles.csv: doc_id 'd1' is repeated")
+
+
+BAD_DOC_IDS = {"tab": "ECO.2009.0001\t", "leading-space": " ECO.2009.0001", "empty": ""}
+
+
+class TestDocIdsInTables:
+    """A doc id that usable_doc_id refuses, in a table keyed by doc_id, fails
+    the stage as a FormatError naming its line, instead of dropping its
+    document from every table."""
+
+    def assert_refused(self, out, capsys, stage, doc_id, where):
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == (stage, doc_id, "FormatError")
+        assert err["message"] == (f"{where}: doc_id {doc_id!r} is no doc id (empty, a "
+                                  "TAB or a line break, or white space at an end)")
+        stderr = capsys.readouterr().err
+        assert f"error in {stage} stage" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("doc_id", BAD_DOC_IDS.values(), ids=BAD_DOC_IDS)
+    def test_in_citations(self, tmp_path, capsys, doc_id):
+        table = read_table(MINICORPUS / "citations.csv")
+        rows = [row for _, row in table.rows]
+        rows[0][0] = doc_id
+        citations, out = tmp_path / "citations.csv", tmp_path / "out"
+        write_table(citations, table.header, rows)
+        assert main(["normalize", "--citations", str(citations), "--out", str(out)]) == 1
+        self.assert_refused(out, capsys, "normalize", doc_id, "line 2: citations.csv")
+        assert not (out / "scores.csv").exists()
+        assert not (out / "baselines.csv").exists()
+
+    @pytest.mark.parametrize("doc_id", BAD_DOC_IDS.values(), ids=BAD_DOC_IDS)
+    @pytest.mark.parametrize("table", ["scores.csv", "profiles.csv"])
+    def test_in_compare_inputs(self, tmp_path, capsys, table, doc_id):
+        profiles = [["d1", *([2.0] * 12)], ["d2", *([3.0] * 12)]]
+        scores = [["d1", 2.0, "High"], ["d2", 1.0, "Low"]]
+        (profiles if table == "profiles.csv" else scores)[1][0] = doc_id
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER, profiles)
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"], scores)
+        assert main(["compare", "--out", str(tmp_path)]) == 1
+        self.assert_refused(tmp_path, capsys, "compare", doc_id, f"line 3: {table}")
+
+
+def test_memory_error_fails_the_stage(tmp_path, capsys, monkeypatch):
+    """A MemoryError is reported like any other failure of a stage: exit 1,
+    errors.json, no output of the stage left and no traceback."""
+    write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                [["d1", *([2.0] * 12)], ["d2", *([3.0] * 12)], ["d3", *([4.0] * 12)]])
+    write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                [["d1", 2.0, "High"], ["d2", 1.0, "Low"], ["d3", 1.5, "Low"]])
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("no room for the draws")
+
+    monkeypatch.setattr(reports, "bootstrap_mean_ci", out_of_memory)
+    assert main(["compare", "--out", str(tmp_path)]) == 1
+    assert read_errors(tmp_path) == {"stage": "compare", "document": "",
+                                     "error": "MemoryError",
+                                     "message": "no room for the draws"}
+    for name in ("comparison.csv", "cdf.csv", "estimates.csv"):
+        assert not (tmp_path / name).exists()
+    stderr = capsys.readouterr().err
+    assert stderr == "error in compare stage: no room for the draws\n"
 
 
 cell_values = st.one_of(

@@ -67,6 +67,12 @@ class TestParseJats:
             "<pub-date><year>2012</year></pub-date><pub-date><year>2010</year></pub-date>")
         assert parse_jats(xml).year == 2012
 
+    def test_deeper_candidate_first_in_document_order_wins(self):
+        xml = article("<p>t.</p>").replace(
+            "<pub-date><year>2010</year></pub-date>",
+            "<pub-date><x><year>2012</year></x><year>2010</year></pub-date>")
+        assert parse_jats(xml).year == 2012
+
     def test_first_subject_wins(self):
         xml = article("<p>t.</p>").replace(
             "<subj-group><subject>Ecology</subject></subj-group>",

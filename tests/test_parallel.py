@@ -108,6 +108,15 @@ def minicorpus_with_bad_line(line: int):
     return make
 
 
+def corpus_with_bad_line(line: int, *doc_ids: str):
+    def make(out: Path) -> None:
+        corpus(out, *doc_ids)
+        lines = (out / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        lines.insert(line - 1, b'{"doc_id": "x"}\n')
+        (out / "corpus.jsonl").write_bytes(b"".join(lines))
+    return make
+
+
 def tagged(**texts: str):
     def make(out: Path) -> None:
         (out / "tagged").mkdir(parents=True)
@@ -134,6 +143,13 @@ FAILURES = {
     # the child fails at index 1 and the parent at index 2: 1 comes first
     "failures-in-both-shares": (tagged(a=GOOD, b=".\t.\n\n", c=None), "profile",
                                 ("b", "EmptyDocument")),
+    # the child's a_b collides at index 1; both fail to read index 2
+    "collision-before-failure": (corpus_with_bad_line(3, "a/b", "a_b", "c"), "tag",
+                                 ("a_b", "ConfigError")),
+    # the child fails at index 1; the parent's index 2 repeats index 0's document
+    "failure-before-collision": (tagged(a="#doc=d\n" + GOOD, b=".\t.\n\n",
+                                        c="#doc=d\n" + GOOD), "profile",
+                                 ("b", "EmptyDocument")),
 }
 
 
@@ -178,6 +194,29 @@ def test_clause_value_int_refuses_fails_the_stage(tmp_path, monkeypatch, capsys,
     assert (reports[1]["stage"], reports[1]["document"], reports[1]["error"]) == (
         stage, document, "FormatError")
     assert reports[1]["message"].startswith("line 6: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_memory_error_crosses_the_pipe(tmp_path, monkeypatch, capsys):
+    """A MemoryError in the child's share (b) fails the stage as it does on
+    one process, not as an error of the forked worker."""
+    tag_document = cli.tag_document
+
+    def short_of_memory(raw, tagger):
+        if raw.doc_id == "b":
+            raise MemoryError("no room for b")
+        return tag_document(raw, tagger)
+
+    monkeypatch.setattr(cli, "tag_document", short_of_memory)
+    reports = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        corpus(out, "a", "b", "c")
+        assert run_on(monkeypatch, cpus, "tag", "--out", out) == (1, cpus - 1)
+        reports[cpus] = json.loads((out / "errors.json").read_text(encoding="utf-8"))
+        assert not list(out.glob("tagged/*.tsv"))
+    assert reports[1] == reports[2] == {"stage": "tag", "document": "",
+                                        "error": "MemoryError", "message": "no room for b"}
     assert "Traceback" not in capsys.readouterr().err
 
 
