@@ -25,7 +25,8 @@ turn, and any failure of errors.STAGE_FAILURES (a LexciteError, an OSError
 or a MemoryError) that a stage raises ends the run with exit 1 and an
 errors.json written by main, the one place that knows which stage is
 running. Stages raise plain errors, wrapped in DocumentError where they
-know the input document.
+know the input document: a failure to read a file names the file, and a
+failure after reading names the document's id.
 
 Outputs depend only on the inputs, not on what --out held before. main
 removes the files a stage owns before the stage runs, and again if it fails
@@ -262,6 +263,9 @@ def _stage_file(config: RunConfig, name: str) -> Path:
 # ---------------------------------------------------------------- stages
 
 def stage_ingest(config: RunConfig) -> None:
+    """Parse, rewrite and write one article at a time, in file-name order,
+    keeping only the reject rows and the ids written. rejects.csv is
+    written however the stage ends, with the rejects read until then."""
     input_dir = _require(config, "input")
     if config.abbrev is None:
         table = AbbreviationTable()
@@ -270,23 +274,25 @@ def stage_ingest(config: RunConfig) -> None:
     xml_files = sorted(input_dir.glob("*.xml"))
     if not xml_files:
         raise ConfigError(f"no .xml files in {input_dir}")
-    docs: list[RawDocument] = []
     rejects: list[list[object]] = []
-    for path in xml_files:
-        try:
-            doc = parse_jats(path.read_bytes())
-        except LexciteError as exc:
-            rejects.append([readable_name(path.name), type(exc).__name__, str(exc)])
-            continue
-        docs.append(doc._replace(paragraphs=[normalize_abbreviations(p, table)
-                                             for p in doc.paragraphs]))
-    # Written first, so that the reasons are kept when no file is accepted.
-    write_table(config.out / "rejects.csv", ["file", "error", "message"],
-                rejects, config.metadata())
-    if not docs:
+
+    def accepted() -> Iterator[RawDocument]:
+        for path in xml_files:
+            try:
+                doc = parse_jats(path.read_bytes())
+                yield doc._replace(paragraphs=[normalize_abbreviations(p, table)
+                                               for p in doc.paragraphs])
+            except LexciteError as exc:
+                rejects.append([readable_name(path.name), type(exc).__name__, str(exc)])
+
+    try:
+        written = write_corpus(accepted(), config.out / "corpus.jsonl")
+    finally:
+        write_table(config.out / "rejects.csv", ["file", "error", "message"],
+                    rejects, config.metadata())
+    if not written:
         raise DocumentError(readable_name(xml_files[0].name),
                             ConfigError("every input file was rejected"))
-    write_corpus(docs, config.out / "corpus.jsonl")
 
 
 def stage_tag(config: RunConfig) -> None:
@@ -357,10 +363,13 @@ def stage_profile(config: RunConfig) -> None:
         raise ConfigError(f"no .tsv files in {tagged_dir}")
 
     def profile_one(path: Path) -> tuple[str, ComplexityProfile]:
+        document = readable_name(path.name)  # until the file is read
         try:
-            return path.name, complexity_profile(read_tagged(path))
+            doc = read_tagged(path)
+            document = doc.doc_id
+            return path.name, complexity_profile(doc)
         except (LexciteError, OSError) as exc:
-            raise DocumentError(readable_name(path.stem), exc)
+            raise DocumentError(document, exc)
 
     named: dict[str, tuple[str, ComplexityProfile]] = {}
     for name, profile in run_on_two_processes(lambda: files, profile_one):

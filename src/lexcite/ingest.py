@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -58,7 +57,8 @@ def usable_doc_id(text: str) -> bool:
 class RawDocument(_RawDocumentFields):
     """One ingested article: metadata plus ordered body paragraphs. The
     paragraphs are kept stripped, without the empty ones. A doc id that
-    `usable_doc_id` refuses is MissingMetadata."""
+    `usable_doc_id` refuses is MissingMetadata, and so are paragraphs with
+    no letter (str.isalpha), since only a letter makes a word token."""
 
     __slots__ = ()
 
@@ -72,8 +72,10 @@ class RawDocument(_RawDocumentFields):
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise MissingMetadata(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] "
                                   f"for {doc_id!r}")
-        return super().__new__(cls, doc_id, year, domain,
-                               [p.strip() for p in paragraphs if p.strip()], journal)
+        paragraphs = [p.strip() for p in paragraphs if p.strip()]
+        if not any(char.isalpha() for p in paragraphs for char in p):
+            raise MissingMetadata(f"no paragraph with a letter for {doc_id!r}")
+        return super().__new__(cls, doc_id, year, domain, paragraphs, journal)
 
     @classmethod
     def _make(cls, iterable):  # so that _replace checks too
@@ -219,7 +221,7 @@ def parse_jats(source: str | bytes) -> RawDocument:
     are MalformedXml. Paragraphs are exactly the text content of each
     outermost <p> element in document order, wherever it is in the file;
     entity references are decoded by the XML parser. Documents without a
-    doc id, a publication year, or any paragraph content are rejected
+    doc id, a publication year, or a letter in any paragraph are rejected
     rather than defaulted.
     """
     # Imported here, so that a stage that parses no XML does not load it.
@@ -244,12 +246,9 @@ def parse_jats(source: str | bytes) -> RawDocument:
     if len(year_digits) > len(str(YEAR_MAX)):
         raise MissingMetadata(f"year of {len(year_digits)} digits outside "
                               f"[{YEAR_MIN}, {YEAR_MAX}] for {doc_id!r}")
-    doc = RawDocument(doc_id=doc_id, year=int(year_digits or "0"),
-                      domain=_first_text(domains), paragraphs=paragraphs,
-                      journal=_first_text(journals))
-    if not doc.paragraphs:
-        raise MissingMetadata(f"no <p> paragraph content for {doc_id!r}")
-    return doc
+    return RawDocument(doc_id=doc_id, year=int(year_digits or "0"),
+                       domain=_first_text(domains), paragraphs=paragraphs,
+                       journal=_first_text(journals))
 
 
 def document_to_json(doc: RawDocument) -> str:
@@ -283,15 +282,17 @@ def document_from_json(line: str) -> RawDocument:
 
 
 def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
-    """Write documents as line-delimited JSON in sorted doc_id order."""
-    ordered = sorted(docs, key=lambda d: d.doc_id)
-    dupes = sorted(i for i, n in Counter(d.doc_id for d in ordered).items() if n > 1)
-    if dupes:
-        raise MissingMetadata(f"duplicate doc_id values: {dupes}")
+    """Write each document as one JSON line as it arrives, in the order
+    given, keeping only the ids; return the count. The first repeated doc_id
+    is MissingMetadata naming it, and the lines before it stay written."""
+    seen: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in ordered:
+        for doc in docs:
+            if doc.doc_id in seen:
+                raise MissingMetadata(f"duplicate doc_id {doc.doc_id!r}")
+            seen.add(doc.doc_id)
             fh.write(document_to_json(doc) + "\n")
-    return len(ordered)
+    return len(seen)
 
 
 def read_corpus(path: str | Path) -> Iterator[RawDocument]:

@@ -118,7 +118,7 @@ def read_table(path: str | Path) -> Table:
     """Read back a table in one pass: its metadata and header now, its rows
     lazily. A line ends at "\r\n", "\n" or "\r"; line ends inside a quoted
     cell are kept, and blank lines are skipped. A malformed line is a
-    FormatError naming it, raised when the line is read."""
+    FormatError naming it and the file, raised when the line is read."""
     rows = _table_rows(Path(path))
     metadata, header = next(rows)
     return Table(metadata, header, rows)
@@ -127,6 +127,7 @@ def read_table(path: str | Path) -> Table:
 def _table_rows(path: Path) -> Iterator:
     """Yield (metadata, header) first, then (line, cells) per data row. The
     file is open while the rows are being read."""
+    name = readable_name(path.name)
     with _open_utf8(path) as text:
         metadata: dict[str, str] = {}
         offset = 0  # metadata lines before the header
@@ -138,10 +139,10 @@ def _table_rows(path: Path) -> Iterator:
             offset += 1
             stripped = line.rstrip("\r\n")
             if "=" not in stripped:
-                raise FormatError(offset, f"metadata line without '=': {stripped!r}")
+                raise FormatError(offset, f"{name}: metadata line without '=': {stripped!r}")
             key, _, value = stripped[1:].partition("=")
             if not key:
-                raise FormatError(offset, "metadata line with empty key")
+                raise FormatError(offset, f"{name}: metadata line with empty key")
             metadata[key] = value
         reader = csv.reader(body)
         header = None
@@ -153,15 +154,14 @@ def _table_rows(path: Path) -> Iterator:
                     header = row
                     yield metadata, header
                 elif row and len(row) != len(header):
-                    raise FormatError(
-                        start, f"row has {len(row)} cells, header has {len(header)}")
+                    raise FormatError(start, f"{name}: row has {len(row)} cells, "
+                                             f"header has {len(header)}")
                 elif row:
                     yield start, row
         except csv.Error as exc:  # a cell over the csv module's size limit
-            raise FormatError(offset + end + 1,
-                              f"{readable_name(path.name)}: {exc}") from None
+            raise FormatError(offset + end + 1, f"{name}: {exc}") from None
         if header is None:
-            raise FormatError(offset + 1, "missing CSV header row")
+            raise FormatError(offset + 1, f"{name}: missing CSV header row")
 
 
 def parse_finite(cell: str) -> float:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -53,6 +54,17 @@ ARTICLE = """<article>
 def table_rows(path: Path) -> list[list[str]]:
     """The cells of each data row of a table."""
     return [cells for _, cells in read_table(path).rows]
+
+
+WORDS = ("the cell protein gene was expressed strongly in mice and rats with significant "
+         "effects on growth rate during early development although results varied").split()
+
+
+def random_paragraphs(rng: random.Random, paragraphs: int, sentences: int) -> list[str]:
+    """Paragraphs of random 14-word sentences."""
+    return [" ".join(" ".join(rng.choice(WORDS) for _ in range(14)).capitalize() + "."
+                     for _ in range(sentences))
+            for _ in range(paragraphs)]
 
 
 def non_utf8_name(directory: Path, raw: bytes, data: bytes) -> Path:
@@ -358,7 +370,7 @@ class TestInputOutputErrors:
         (tagged / "docA.tsv").write_text("The\tDT\ncats\tNNS\n\n", encoding="utf-8")
         (tagged / "docB.tsv").mkdir()
         assert main(["profile", "--out", str(tmp_path)]) == 1
-        self.assert_failed(tmp_path, capsys, "profile", "docB")
+        self.assert_failed(tmp_path, capsys, "profile", "docB.tsv")
         assert not (tmp_path / "profiles.csv").exists()
 
     def test_imported_tsv_is_directory(self, tmp_path, capsys):
@@ -471,6 +483,60 @@ class TestIngest:
         assert docs["10.1/deep"] == ["The cats sleep. The cat sat because it was tired."]
         assert set(docs) == {"ECO.2009.0001", "10.1/deep"}
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_corpus_in_file_name_order(self, tmp_path):
+        """corpus.jsonl lists the articles in the order of their file names,
+        not of their ids."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        for name, doc_id in (("a", "10.1/z"), ("b", "10.1/a"), ("c", "10.1/m")):
+            (src / f"{name}.xml").write_text(ARTICLE.format(doc_id=doc_id), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["doc_id"] for line in lines] == ["10.1/z", "10.1/a", "10.1/m"]
+
+    def test_repeated_id_fails_stage(self, tmp_path, capsys):
+        """The first repeat fails the stage; rejects.csv keeps the rejects
+        read before it, and no corpus.jsonl is left."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        for name in ("a", "c"):
+            (src / f"{name}.xml").write_text(ARTICLE.format(doc_id="10.1/x"), encoding="utf-8")
+        for name in ("b", "d"):
+            (src / f"{name}.xml").write_text("not xml at all", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["error"], err["message"]) == (
+            "ingest", "MissingMetadata", "duplicate doc_id '10.1/x'")
+        assert not (out / "corpus.jsonl").exists()
+        assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
+            ["b.xml", "MalformedXml"]]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_peak_below_a_third_of_the_corpus(self, tmp_path):
+        """ingest holds one article at a time, not the corpus."""
+        rng = random.Random(7)
+        src = tmp_path / "xml"
+        src.mkdir()
+        for i in range(600):
+            body = "".join(f"<p>{p}</p>" for p in random_paragraphs(rng, 8, 7))
+            (src / f"{i:04d}.xml").write_text(ARTICLE.format(doc_id=f"10.1/{i:04d}").replace(
+                "<body><p>The cats sleep. The cat sat because it was tired.</p></body>",
+                f"<body>{body}</body>"), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            cli.stage_ingest(RunConfig(out=out, input=src))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (out / "corpus.jsonl").stat().st_size
+        assert size >= 3_000_000
+        assert len((out / "corpus.jsonl").read_bytes().splitlines()) == 600
+        assert peak < size / 3
 
     def test_empty_input_dir_fails(self, tmp_path, capsys):
         src = tmp_path / "xml"
@@ -603,6 +669,31 @@ def test_article_id_that_is_no_doc_id_is_a_reject(tmp_path, inside):
     assert len(table_rows(out / "profiles.csv")) == 29
 
 
+@pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
+@pytest.mark.parametrize("paragraph, abbrev", [("12 3.4 %", None), ("Zz.", "Zz.\t\n")],
+                         ids=["digits-only", "empty-expansion"])
+def test_article_without_a_letter_is_a_reject(tmp_path, paragraph, abbrev):
+    """An article whose paragraphs hold no letter, as read or once its
+    abbreviations are rewritten, has no profile: it is a reject, not a
+    failure of the profile stage."""
+    corpus = tmp_path / "xml"
+    shutil.copytree(MINICORPUS, corpus)
+    article = corpus / "ECO.2009.0001.xml"
+    article.write_text(re.sub(r"<p>.*?</p>", f"<p>{paragraph}</p>",
+                              article.read_text(encoding="utf-8")), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--input", str(corpus), "--citations", str(corpus / "citations.csv"),
+            "--out", str(out), "--iterations", "50"]
+    if abbrev is not None:
+        (tmp_path / "abbrev.tsv").write_text(abbrev, encoding="utf-8")
+        argv += ["--abbrev", str(tmp_path / "abbrev.tsv")]
+    assert main(argv) == 0
+    assert table_rows(out / "rejects.csv") == [
+        ["ECO.2009.0001.xml", "MissingMetadata",
+         "no paragraph with a letter for 'ECO.2009.0001'"]]
+    assert len(table_rows(out / "profiles.csv")) == 29
+
+
 def corpus_with_bad_line_6(out: Path, bad: bytes) -> None:
     """Ingest the minicorpus into out, then make line 6 of corpus.jsonl bad."""
     assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
@@ -646,13 +737,8 @@ class TestTagStage:
     def test_peak_below_half_the_corpus(self, tmp_path):
         """tag holds one document at a time, not the corpus."""
         rng = random.Random(5)
-        words = ("the cell protein gene was expressed strongly in mice and rats "
-                 "with significant effects on growth rate during early development "
-                 "although results varied").split()
-        docs = [RawDocument(f"10.1/{i:04d}", 2009 + i % 5, "Biology", [
-                    " ".join(" ".join(rng.choice(words) for _ in range(14)).capitalize() + "."
-                             for _ in range(6))
-                    for _ in range(6)])
+        docs = [RawDocument(f"10.1/{i:04d}", 2009 + i % 5, "Biology",
+                            random_paragraphs(rng, 6, 6))
                 for i in range(480)]
         write_corpus(docs, tmp_path / "corpus.jsonl")
         size = (tmp_path / "corpus.jsonl").stat().st_size
@@ -692,9 +778,11 @@ class TestTagStage:
         '{"doc_id": "a\\tb", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
         '{"doc_id": "a\\nb", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
         '{"doc_id": " a", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["A."]}',
+        '{"doc_id": "b", "year": 2010, "domain": "x", "journal": "", "paragraphs": ["12 %"]}',
     ], ids=["paragraph-not-text", "doc-id-not-text", "paragraphs-not-list",
             "no-domain", "no-journal", "nested-too-deep", "doc-id-surrogate",
-            "paragraph-surrogate", "doc-id-tab", "doc-id-line-break", "doc-id-space"])
+            "paragraph-surrogate", "doc-id-tab", "doc-id-line-break", "doc-id-space",
+            "no-letter"])
     def test_record_checked_at_boundary(self, tmp_path, capsys, record):
         (tmp_path / "corpus.jsonl").write_text(record + "\n", encoding="utf-8")
         assert main(["tag", "--out", str(tmp_path)]) == 1
@@ -735,7 +823,8 @@ class TestImportTagged:
         assert err["document"] == "docB.tsv"
         assert "error in tag stage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage, document", [("tag", "docC.tsv"), ("profile", "docC")])
+    @pytest.mark.parametrize("stage, document", [("tag", "docC.tsv"), ("profile", "docC.tsv")],
+                             ids=["tag-docC.tsv", "profile-docC"])
     def test_non_utf8_file_names_line(self, tmp_path, capsys, stage, document):
         out = tmp_path / "out"
         tsv_dir = tmp_path / "ext" if stage == "tag" else out / "tagged"
@@ -771,7 +860,8 @@ class TestImportTagged:
         assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 0
         assert [p.name for p in (out / "tagged").iterdir()] == ["docX.tsv"]
 
-    @pytest.mark.parametrize("stage, document", [("tag", "a\tb.tsv"), ("profile", "a\tb")])
+    @pytest.mark.parametrize("stage, document", [("tag", "a\tb.tsv"), ("profile", "a\tb.tsv")],
+                             ids=["tag-a\tb.tsv", "profile-a\tb"])
     def test_file_name_that_is_no_doc_id(self, tmp_path, capsys, stage, document):
         """Without a #doc= line the stem names the document, and a stem that
         a #doc= line could not carry back fails the stage."""
@@ -1112,6 +1202,18 @@ class TestTableInputLines:
         assert err["message"].startswith("line 4: profiles.csv: not UTF-8")
         assert "error in compare stage" in capsys.readouterr().err
         assert not (tmp_path / "estimates.csv").exists()
+
+    def test_ragged_row_names_its_table(self, tmp_path, capsys):
+        """compare reads two tables; a row of the wrong length names which."""
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [["d1", *([2.0] * 12)], ["d2", *([3.0] * 12)]])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", 2.0, "High"], ["d2", 1.0, "Low", "x"]], {"k": "v"})
+        assert main(["compare", "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["stage"], err["error"]) == ("compare", "FormatError")
+        assert err["message"] == "line 4: scores.csv: row has 4 cells, header has 3"
+        assert "error in compare stage" in capsys.readouterr().err
 
 
 class TestRepeatedKeys:

@@ -1,10 +1,12 @@
 """Article XML parsing, abbreviation rewriting, and corpus files."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcite.errors import FormatError, MalformedXml, MissingMetadata
+from lexcite.errors import EmptyDocument, FormatError, MalformedXml, MissingMetadata
 from lexcite.ingest import (
     DEFAULT_ABBREVIATIONS,
     AbbreviationTable,
@@ -16,6 +18,8 @@ from lexcite.ingest import (
     read_corpus,
     write_corpus,
 )
+from lexcite.metrics import complexity_profile
+from lexcite.tagging import LexiconTagger, tag_document
 
 
 def article(body: str, doc_id: str = "10.1/x", year: str = "2010",
@@ -33,6 +37,9 @@ def article(body: str, doc_id: str = "10.1/x", year: str = "2010",
       </front>
       <body>{body}</body>
     </article>"""
+
+
+TAGGER = LexiconTagger()
 
 
 class TestParseJats:
@@ -85,7 +92,7 @@ class TestParseJats:
         assert parse_jats(xml).paragraphs == ["Abs.", "Cap.", "Body."]
 
     def test_zero_paragraphs_rejected(self):
-        with pytest.raises(MissingMetadata):
+        with pytest.raises(MissingMetadata, match="no paragraph with a letter for '10.1/x'"):
             parse_jats(article("<sec><title>Intro</title></sec>"))
 
     def test_whitespace_only_paragraph_dropped(self):
@@ -265,6 +272,40 @@ class TestRawDocument:
             doc._replace(year=1500)
         with pytest.raises(MissingMetadata):
             doc._replace(doc_id="")
+        with pytest.raises(MissingMetadata, match="no paragraph with a letter"):
+            doc._replace(paragraphs=["", " "])
+
+    @pytest.mark.parametrize("paragraphs, accepted", [
+        ([], False), (["", "  "], False), (["12 3.4 %"], False), (["²₂ ½ _"], False),
+        (["12", "3 é."], True), (["中"], True), (["x"], True),
+    ], ids=["none", "blank", "digits-and-symbols", "numerals", "accented-letter",
+            "cjk-letter", "ascii-letter"])
+    def test_paragraphs_need_a_letter(self, paragraphs, accepted):
+        if accepted:
+            RawDocument(doc_id="a", year=2010, domain="d", paragraphs=paragraphs)
+        else:
+            with pytest.raises(MissingMetadata, match="^no paragraph with a letter for 'a'$"):
+                RawDocument(doc_id="a", year=2010, domain="d", paragraphs=paragraphs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.one_of(st.sampled_from(" \t\n.,%-'_12²½"), st.characters()),
+                            max_size=12), max_size=3))
+    def test_accepted_exactly_when_profiled(self, paragraphs):
+        """Every non-space character falls into some token, and a token is
+        a word exactly when it holds a letter: so a document has a profile
+        exactly when RawDocument accepts its paragraphs."""
+        try:
+            RawDocument(doc_id="a", year=2010, domain="d", paragraphs=paragraphs)
+            accepted = True
+        except MissingMetadata:
+            accepted = False
+        unchecked = SimpleNamespace(doc_id="a", paragraphs=paragraphs)
+        try:
+            complexity_profile(tag_document(unchecked, TAGGER))
+            profiled = True
+        except EmptyDocument:
+            profiled = False
+        assert accepted == profiled
 
 
 class TestCorpusFile:
@@ -274,25 +315,23 @@ class TestCorpusFile:
             RawDocument(doc_id="a", year=2010, domain="d1", paragraphs=["One."]),
         ]
 
-    def test_round_trip_sorted(self, tmp_path):
+    def test_round_trip_in_given_order(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        assert write_corpus(self.docs(), path) == 2
+        assert write_corpus(iter(self.docs()), path) == 2
         loaded = list(read_corpus(path))
-        assert [d.doc_id for d in loaded] == ["a", "b"]
-        assert loaded[1].paragraphs == ["Two."]
+        assert loaded == self.docs()
+        assert [d.doc_id for d in loaded] == ["b", "a"]
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        docs = self.docs() + [RawDocument(doc_id="a", year=2012, domain="d",
-                                          paragraphs=["Three."])]
-        with pytest.raises(MissingMetadata):
-            write_corpus(docs, tmp_path / "corpus.jsonl")
-        # every repeated id is named once, in sorted order
-        docs += [RawDocument(doc_id=doc_id, year=2012, domain="d", paragraphs=["P."])
-                 for doc_id in ("c", "b", "a")]
-        with pytest.raises(MissingMetadata,
-                           match=r"^duplicate doc_id values: \['a', 'b'\]$"):
-            write_corpus(docs, tmp_path / "corpus.jsonl")
-        assert not (tmp_path / "corpus.jsonl").exists()
+        """The first repeat is named, and the lines before it stay written:
+        the caller removes a failed corpus file."""
+        docs = self.docs() + [RawDocument(doc_id=doc_id, year=2012, domain="d",
+                                          paragraphs=["P."])
+                              for doc_id in ("c", "a", "b")]
+        path = tmp_path / "corpus.jsonl"
+        with pytest.raises(MissingMetadata, match=r"^duplicate doc_id 'a'$"):
+            write_corpus(docs, path)
+        assert [d.doc_id for d in read_corpus(path)] == ["b", "a", "c"]
 
     @pytest.mark.parametrize("line, message", [
         ('{"doc_id": "c", "year": 2012', "JSONDecodeError"),

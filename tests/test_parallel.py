@@ -190,9 +190,8 @@ def test_clause_value_int_refuses_fails_the_stage(tmp_path, monkeypatch, capsys,
             assert not list(out.glob("tagged/*.tsv"))
         assert not (out / "profiles.csv").exists()
     assert reports[1] == reports[2]
-    document = "b.tsv" if stage == "tag" else "b"
     assert (reports[1]["stage"], reports[1]["document"], reports[1]["error"]) == (
-        stage, document, "FormatError")
+        stage, "b.tsv", "FormatError")
     assert reports[1]["message"].startswith("line 6: ")
     assert "Traceback" not in capsys.readouterr().err
 

@@ -181,25 +181,28 @@ class TestReadErrors:
         with pytest.raises(FormatError) as err:
             read_back(path)
         assert err.value.line_number == 1
+        assert str(err.value).startswith("line 1: t.csv: metadata line without '='")
 
     def test_empty_metadata_key(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"#=v\r\na\r\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             read_back(path)
+        assert str(err.value) == "line 1: t.csv: metadata line with empty key"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"#k=v\r\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             read_back(path)
+        assert str(err.value) == "line 2: t.csv: missing CSV header row"
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b\r\n1,2\r\n3\r\n")
         with pytest.raises(FormatError) as err:
             read_back(path)
-        assert "cells" in str(err.value)
+        assert str(err.value) == "line 3: t.csv: row has 1 cells, header has 2"
 
     @pytest.mark.parametrize("raw, line", [
         (b"#k=1\r\n#k=2\r\na,b\r\n1,2\r\n3\r\n", 5),
