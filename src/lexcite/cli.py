@@ -44,11 +44,10 @@ stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
-tag and profile loop over their documents' values, which
-`parallel.run_on_two_processes` computes on two processes under its rule
-and yields in document order, so they raise the error that the loop on one
-process would raise. run forks there before compare loads numpy, so no
-other thread runs at the fork.
+tag and profile loop over their documents' values from
+`parallel.run_on_two_processes`, under the rule and contract stated there.
+run forks there before compare loads numpy, so no other thread runs at the
+fork.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import __version__
-from .errors import STAGE_FAILURES, ConfigError, FormatError, LexciteError
+from .errors import STAGE_FAILURES, ConfigError, FormatError, LexciteError, MissingMetadata
 from .impact import (
     Baseline,
     CitationRecord,
@@ -275,11 +274,14 @@ def stage_ingest(config: RunConfig) -> None:
     if not xml_files:
         raise ConfigError(f"no .xml files in {input_dir}")
     rejects: list[list[object]] = []
+    doc_id = ""  # parsed last; write_corpus refuses it at once if it repeats
 
     def accepted() -> Iterator[RawDocument]:
+        nonlocal doc_id
         for path in xml_files:
             try:
                 doc = parse_jats(path.read_bytes())
+                doc_id = doc.doc_id
                 yield doc._replace(paragraphs=[normalize_abbreviations(p, table)
                                                for p in doc.paragraphs])
             except LexciteError as exc:
@@ -287,6 +289,8 @@ def stage_ingest(config: RunConfig) -> None:
 
     try:
         written = write_corpus(accepted(), config.out / "corpus.jsonl")
+    except MissingMetadata as exc:  # doc_id repeats
+        raise DocumentError(doc_id, exc)
     finally:
         write_table(config.out / "rejects.csv", ["file", "error", "message"],
                     rejects, config.metadata())

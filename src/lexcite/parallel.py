@@ -1,15 +1,20 @@
 """The second CPU: when lexcite uses one, and how.
 
-One rule decides it. Work is split in two only when the process may run on
-two or more CPUs (`usable_cpus`) and there are at least two pieces of
-work; otherwise it runs on the caller alone. `compare` splits its bootstrap
-cells between the calling thread and one helper thread
-(`run_on_two_threads`): numpy releases the interpreter lock while it draws.
-`tag` and `profile` split their documents between the calling process and
-one forked child, since their loops are Python: `run_on_two_processes` is an
-ordered map, which yields each document's value in document order, so each
-stage stays the loop on one process that it stands for. Outputs are
-byte-identical either way.
+The rule: work is split in two whenever the process may run on two or more
+CPUs (`usable_cpus`); a split into processes also needs `os.fork`. How many
+items there are decides nothing. Otherwise the caller does all the work.
+
+The contract: each map is the loop on one CPU that it stands for. It gives
+work(item) for every item, in item order. Once an item fails, no further
+item is started, and the failure raised is the one at the lowest item
+index, which is the one the loop would raise. So the outputs, and the
+failure a stage reports, are byte-identical on one CPU and on two.
+
+There are two carriers. `run_on_two_threads` shares one in-order iterator
+between the calling thread and one helper thread; it suits `compare`'s
+bootstrap cells, since numpy releases the interpreter lock while it draws.
+`run_on_two_processes` gives the odd-indexed items to one forked child; it
+suits the Python loops of `tag` and `profile`.
 
 A forked child starts no interpreter and imports nothing: it runs on the
 parent's memory, copied as it is written. It sends back through a pipe only
@@ -21,10 +26,9 @@ cleanup of the parent's runs twice. Fork only where no other thread runs:
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import threading
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import STAGE_FAILURES
 
@@ -39,60 +43,64 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_on_two_threads(tasks: list[tuple], run: Callable[[tuple], None]) -> None:
-    """Call run once per task. The calling thread and, when the process may
-    use two or more CPUs and there are two or more tasks, one helper thread
-    take tasks in list order from one shared iterator. After the first
-    exception neither thread starts another task, and that exception is
-    raised here once the helper has ended."""
-    pending = iter(tasks)
+def run_on_two_threads(tasks: Sequence, work: Callable[[object], object]) -> list:
+    """[work(task) for task in tasks], computed by the calling thread and,
+    when the process may use two or more CPUs, one helper thread, which take
+    tasks in order from one shared iterator. Once a task fails neither
+    thread starts another; the helper has ended before the failure at the
+    lowest task index is raised here."""
+    values: list = [None] * len(tasks)
+    pending = enumerate(tasks)
     lock = threading.Lock()
-    errors: list[BaseException] = []
+    failures: list[Failure] = []
 
     def drain() -> None:
+        index = -1  # an interrupt before the first task comes first
         try:
-            while not errors:
+            while True:
                 with lock:
-                    task = next(pending, None)
-                if task is None:
+                    taken = None if failures else next(pending, None)
+                if taken is None:
                     return
-                run(task)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+                index, task = taken
+                values[index] = work(task)
+        except BaseException as exc:  # raised by the calling thread
+            with lock:
+                failures.append((index, exc))
 
     helper = None
-    if len(tasks) >= 2 and usable_cpus() >= 2:
-        helper = threading.Thread(target=drain, name="lexcite-estimates")
+    if usable_cpus() >= 2:
+        helper = threading.Thread(target=drain, name="lexcite-map")
         helper.start()
     try:
         drain()
     finally:
         if helper is not None:
             helper.join()
-    if errors:
-        raise errors[0]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return values
 
 
 def run_on_two_processes(items: Callable[[], Iterable],
                          work: Callable[[object], object]) -> Iterator:
     """Yield work(item) for each item of the iterable that items() returns,
-    in item order, then raise the first exception in item order where the
-    loop on one process would raise it; an exception of the iterable itself
-    belongs to the index of the item it did not yield. A caller that loops
-    over the values, and may raise at one, so fails as that loop does,
-    though on two processes the later items' work has run by then.
+    in item order, then raise the failure at the lowest index; an exception
+    of the iterable itself belongs to the index of the item it did not
+    yield. A caller that loops over the values, and may raise at one, so
+    fails as that loop does, though on two processes the later items' work
+    has run by then.
 
-    When fork exists, the process may use two or more CPUs and there are at
-    least two items, the item at index i is worked on here when i is even
-    and in one forked child when it is odd. Each process calls items()
-    itself, so a file that it opens has its own offset in each, and stops
-    at its own first failure. The child is reaped before the first value is
-    yielded, even when an interrupt ends the calling process's share. A
-    child that ends without sending its share is a ChildProcessError naming
-    its signal or exit status. Only a failure of STAGE_FAILURES crosses the
-    pipe; any other comes back as a RuntimeError holding the child's
-    traceback text."""
-    if not (hasattr(os, "fork") and usable_cpus() >= 2 and _at_least_two(items)):
+    When fork exists and the process may use two or more CPUs, the item at
+    index i is worked on here when i is even and in one forked child when it
+    is odd. Each process calls items() itself, so a file that it opens has
+    its own offset in each, and stops at its own first failure. The child is
+    reaped before the first value is yielded, even when an interrupt ends
+    the calling process's share. A child that ends without sending its share
+    is a ChildProcessError naming its signal or exit status. Only a failure
+    of STAGE_FAILURES crosses the pipe; any other comes back as a
+    RuntimeError holding the child's traceback text."""
+    if not (hasattr(os, "fork") and usable_cpus() >= 2):
         for item in items():
             yield work(item)
         return
@@ -123,15 +131,6 @@ def run_on_two_processes(items: Callable[[], Iterable],
         yield (mine, theirs)[index % 2][index // 2]
     if failure is not None:
         raise failure
-
-
-def _at_least_two(items: Callable[[], Iterable]) -> bool:
-    """Whether items() yields two items. A failure to read them leaves the
-    run to the caller alone, which meets the same failure."""
-    try:
-        return len(list(itertools.islice(items(), 2))) == 2
-    except STAGE_FAILURES:
-        return False
 
 
 def _share(items: Callable[[], Iterable], work: Callable[[object], object],

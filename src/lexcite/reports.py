@@ -30,10 +30,8 @@ lacking the variable), a GroupEmpty row is emitted instead of failing.
 Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
 another variable's interval. Because each cell has its own stream, the
-cells are computed on two threads when the process may use two or more
-CPUs (`parallel.run_on_two_threads`; numpy releases the GIL while it draws
-and averages); each row is stored at its cell's index, so the bytes do not
-depend on this.
+rows come from `parallel.run_on_two_threads`, under the rule and contract
+stated there, and the bytes do not depend on it.
 
 Each function that builds an array imports numpy itself, so that importing
 this module does not load numpy (see `lexcite.cli`).
@@ -171,34 +169,26 @@ def build_estimate_rows(
     level: float,
     seed: int,
 ) -> list[list[object]]:
-    """One bootstrap row per variable and group, in fixed row order.
-
-    Each cell draws from its own subseed stream, so the cells may run in any
-    order on any thread: when the process may use two or more CPUs, the
-    calling thread and one helper thread take cells in turn. The rows do not
-    depend on this."""
-    rows: list[list[object]] = []
-    cells: list[tuple[int, np.ndarray, int]] = []  # (row index, sample, subseed)
+    """One bootstrap row per variable and group, in fixed row order. Each
+    cell draws from its own subseed stream, so the rows are made by
+    `parallel.run_on_two_threads` and do not depend on how it splits them."""
+    cells = []  # (variable, group, sample, excluded, subseed)
     for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
         samples = group_samples(values, codes, column)
         for group_index, group in enumerate(GROUP_ORDER):
-            sample, excluded = samples[group]
-            if len(sample) == 0:
-                rows.append([column, group.value, None, None, None,
-                             0, excluded, STATUS_GROUP_EMPTY])
-                continue
-            cells.append((len(rows), sample, subseed(seed, var_index, group_index)))
-            rows.append([column, group.value, None, None, None,
-                         len(sample), excluded, STATUS_OK])
+            cells.append((column, group.value, *samples[group],
+                          subseed(seed, var_index, group_index)))
 
-    def estimate(cell: tuple[int, np.ndarray, int]) -> None:
-        index, sample, cell_seed = cell
+    def estimate(cell: tuple[str, str, np.ndarray, int, int]) -> list[object]:
+        column, group, sample, excluded, cell_seed = cell
+        if len(sample) == 0:
+            return [column, group, None, None, None, 0, excluded, STATUS_GROUP_EMPTY]
         est = bootstrap_mean_ci(sample, iterations=iterations, level=level,
                                 seed=cell_seed)
-        rows[index][2:5] = [est.point, est.ci_low, est.ci_high]
+        return [column, group, est.point, est.ci_low, est.ci_high,
+                len(sample), excluded, STATUS_OK]
 
-    run_on_two_threads(cells, estimate)
-    return rows
+    return run_on_two_threads(cells, estimate)
 
 
 def build_regression_rows(

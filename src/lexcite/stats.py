@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 _SERIES_EPS = 1e-12
 # Resample index blocks are capped so bootstrap memory stays bounded (2^15
 # int64 indices, 256 KB, plus the gathered values). Two blocks are in
-# flight at once, one per thread of reports.build_estimate_rows, and the
+# flight at once, one per thread (see `lexcite.parallel`), and the
 # helper thread's malloc arena keeps what it freed, which in `run` adds to
 # the later regress peak; larger blocks raised that peak.
 # Much smaller blocks give back the threading gain to per-call overhead

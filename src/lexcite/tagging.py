@@ -82,13 +82,12 @@ class TaggerContract(Protocol):
     """Total function from a token sequence to an equal-length tag sequence.
 
     `cli.stage_tag` may call it in a forked child of the process that built
-    it (`parallel.run_on_two_processes`), on every other document. So a
-    tagger must give each sentence the same tags whichever process calls it
-    and whatever it tagged before: what it changes in itself in the child
-    is lost with the child. It must also be usable after a fork, so it
-    holds no thread or lock. The bundled tagger's only state after
-    construction is its memo of each surface's tag, which depends on its
-    own copy of the lexicon alone.
+    it, under the rule of `lexcite.parallel`. So a tagger must give each
+    sentence the same tags whichever process calls it and whatever it
+    tagged before: what it changes in itself in the child is lost with the
+    child. It must also be usable after a fork, so it holds no thread or
+    lock. The bundled tagger's only state after construction is its memo of
+    each surface's tag, which depends on its own copy of the lexicon alone.
     """
 
     def __call__(self, tokens: Sequence[Token]) -> Sequence[str]: ...

@@ -497,8 +497,9 @@ class TestIngest:
         assert [json.loads(line)["doc_id"] for line in lines] == ["10.1/z", "10.1/a", "10.1/m"]
 
     def test_repeated_id_fails_stage(self, tmp_path, capsys):
-        """The first repeat fails the stage; rejects.csv keeps the rejects
-        read before it, and no corpus.jsonl is left."""
+        """The first repeat fails the stage, naming its id as the document;
+        rejects.csv keeps the rejects read before it, and no corpus.jsonl is
+        left."""
         src = tmp_path / "xml"
         src.mkdir()
         for name in ("a", "c"):
@@ -508,8 +509,8 @@ class TestIngest:
         out = tmp_path / "out"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
         err = read_errors(out)
-        assert (err["stage"], err["error"], err["message"]) == (
-            "ingest", "MissingMetadata", "duplicate doc_id '10.1/x'")
+        assert (err["stage"], err["document"], err["error"], err["message"]) == (
+            "ingest", "10.1/x", "MissingMetadata", "duplicate doc_id '10.1/x'")
         assert not (out / "corpus.jsonl").exists()
         assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
             ["b.xml", "MalformedXml"]]

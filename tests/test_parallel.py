@@ -1,5 +1,7 @@
-"""The text stages on one and on two processes, and errors that cross a pipe."""
+"""Both maps of lexcite.parallel, the text stages on one and on two
+processes, and errors that cross a pipe."""
 
+import ast
 import json
 import os
 import pickle
@@ -7,12 +9,15 @@ import signal
 import time
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcite import cli, errors, parallel
 from lexcite.cli import DocumentError, main
-from lexcite.errors import FormatError, LexciteError, TaggerLengthMismatch
+from lexcite.errors import EmptyDocument, FormatError, LexciteError, TaggerLengthMismatch
 from lexcite.ingest import RawDocument, write_corpus
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
@@ -23,6 +28,69 @@ def clean_env(monkeypatch):
     for key in list(os.environ):
         if key.startswith("LEXCITE_"):
             monkeypatch.delenv(key)
+
+
+# ------------------------------------------------------- the two maps
+
+def loop_until_failure(values) -> tuple[list, str | None]:
+    """The values an iterable gives, up to its failure, and that failure."""
+    got = []
+    try:
+        for value in values:
+            got.append(value)
+    except LexciteError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.integers(), max_size=9),
+       failing=st.sets(st.integers(min_value=0, max_value=8), max_size=3))
+def test_both_maps_are_the_loop(values, failing):
+    """For any items and any failing indices, each map gives the values of
+    the loop on one CPU and raises its failure, on one CPU and on two."""
+    items = list(enumerate(values))
+
+    def work(item):
+        index, value = item
+        if index in failing:
+            raise FormatError(index, "this item fails")
+        return value * 2
+
+    want = loop_until_failure(work(item) for item in items)
+    for cpus in (1, 2):
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+            assert loop_until_failure(parallel.run_on_two_processes(
+                lambda: items, work)) == want
+            try:
+                assert parallel.run_on_two_threads(items, work) == want[0]
+                assert want[1] is None
+            except LexciteError as exc:
+                assert str(exc) == want[1]
+
+
+def test_the_rule_lives_in_parallel():
+    """No lexcite module but parallel imports a threading or process module,
+    forks, or asks how many CPUs it may use."""
+    banned = {"threading", "_thread", "multiprocessing", "concurrent",
+              "fork", "forkpty", "usable_cpus"}
+    found = []
+    for path in sorted(Path(parallel.__file__).parent.glob("*.py")):
+        if path.name == "parallel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "",
+                         *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] in banned]
+    assert found == []
 
 
 # ------------------------------------------------------------- pickling
@@ -90,6 +158,20 @@ def test_minicorpus_bytes_equal_on_one_and_two_processes(tmp_path, monkeypatch):
         assert run_on(monkeypatch, cpus, "profile", "--out", imported) == (0, forks)
         outputs[cpus] = (tree(out), tree(imported))
     assert len(outputs[1][0]) == 30 + 3  # corpus.jsonl, rejects.csv, profiles.csv
+    assert outputs[1] == outputs[2]
+
+
+def test_one_document_forks_once(tmp_path, monkeypatch):
+    """No count of documents decides the split: one document forks tag and
+    profile once each on two CPUs, and gives the bytes of one CPU."""
+    outputs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        corpus(out, "a")
+        assert run_on(monkeypatch, cpus, "tag", "--out", out) == (0, cpus - 1)
+        assert run_on(monkeypatch, cpus, "profile", "--out", out) == (0, cpus - 1)
+        outputs[cpus] = tree(out)
+    assert sorted(outputs[1]) == ["corpus.jsonl", "profiles.csv", "tagged/a.tsv"]
     assert outputs[1] == outputs[2]
 
 
@@ -168,6 +250,44 @@ def test_failure_same_on_one_and_two_processes(tmp_path, monkeypatch, name):
     assert reports[1] == reports[2]
     assert (reports[1]["stage"], reports[1]["document"], reports[1]["error"]) == (
         stage, document, error)
+
+
+# the stage of run that fails, the document that fails it (index 3, then
+# 11: both of the child's share), the function it fails in, and the error
+RUN_FAILURES = {
+    "tag": ("ECO.2010.0002", "tag_document", TaggerLengthMismatch),
+    "profile": ("GEN.2009.0002", "complexity_profile", EmptyDocument),
+}
+
+
+@pytest.mark.parametrize("stage", RUN_FAILURES)
+def test_run_failure_same_on_one_and_two_processes(tmp_path, monkeypatch, stage):
+    """A failure in tag or in profile ends run with the same errors.json,
+    and leaves the same files, on one process and on two."""
+    document, function, error = RUN_FAILURES[stage]
+    original = getattr(cli, function)
+
+    def failing(doc, *args):
+        if doc.doc_id == document:
+            raise error(f"{document} fails")
+        return original(doc, *args)
+
+    monkeypatch.setattr(cli, function, failing)
+    outputs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        forks = (cpus - 1) * (1 if stage == "tag" else 2)
+        assert run_on(monkeypatch, cpus, "run", "--input", MINICORPUS, "--citations",
+                      MINICORPUS / "citations.csv", "--out", out) == (1, forks)
+        outputs[cpus] = tree(out)
+    assert outputs[1] == outputs[2]
+    report = json.loads(outputs[1]["errors.json"])
+    assert (report["stage"], report["document"], report["error"]) == (
+        stage, document, error.__name__)
+    assert sorted(name for name in outputs[1] if not name.startswith("tagged/")) == [
+        "corpus.jsonl", "errors.json", "rejects.csv"]
+    assert len([name for name in outputs[1] if name.startswith("tagged/")]) == (
+        0 if stage == "tag" else 30)
 
 
 @pytest.mark.parametrize("stage", ["tag", "profile"])

@@ -308,7 +308,9 @@ class TestEstimateThreads:
         assert finished[0] != first_seed and len(finished) == 36
         assert threaded == inline
 
-    def test_one_cell_runs_inline(self, monkeypatch):
+    def test_one_cell_same_on_one_and_two_cpus(self, monkeypatch):
+        """No count of cells decides the split: a single cell gives the same
+        rows on one CPU, with no thread started, and on two."""
         # Only the Low group, and every variable but x1 Absent: one cell.
         values = np.full((5, 12), np.nan)
         values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -316,53 +318,65 @@ class TestEstimateThreads:
         values, _, codes = join_scores(ProfileMatrix(doc_ids, values),
                                        [NormalizedScore(d, 1.0, ImpactGroup.LOW)
                                         for d in doc_ids])
-        set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 1)
         self.forbid_threads(monkeypatch)
-        rows = build_estimate_rows(values, codes, 100, 0.95, 0)
-        assert [r[7] for r in rows].count(STATUS_OK) == 1
+        inline = build_estimate_rows(values, codes, 100, 0.95, 0)
+        monkeypatch.undo()
+        set_cpus(monkeypatch, 2)
+        started = self.count_threads(monkeypatch)
+        threaded = build_estimate_rows(values, codes, 100, 0.95, 0)
+        assert len(started) == 1
+        assert [r[7] for r in inline].count(STATUS_OK) == 1
+        assert threaded == inline
 
     def test_each_cell_taken_once(self, monkeypatch):
         """With thread switches as often as the interpreter allows, every
-        task still runs exactly once."""
+        task still runs exactly once, and its value lands at its index."""
         set_cpus(monkeypatch, 2)
         runs = [0] * 5000
 
-        def run(task):
-            runs[task[0]] += 1
+        def work(task):
+            runs[task] += 1
+            return -task
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            run_on_two_threads([(i,) for i in range(len(runs))], run)
+            values = run_on_two_threads(range(len(runs)), work)
         finally:
             sys.setswitchinterval(interval)
         assert runs == [1] * len(runs)
+        assert values == [-task for task in range(len(runs))]
 
-    @pytest.mark.parametrize("raiser", ["helper", "caller"])
-    def test_cell_error_raised_in_caller(self, monkeypatch, raiser):
+    @pytest.mark.parametrize("first", ["helper", "caller"])
+    def test_cell_error_raised_in_caller(self, monkeypatch, first):
+        """Every cell fails, and the `first` thread fails sooner than the
+        other. The caller raises the failure of the lowest cell, which the
+        loop on one thread raises, once the helper has ended."""
         values, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
         set_cpus(monkeypatch, 2)
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
-        raised = threading.Event()
-        original = reports_mod.bootstrap_mean_ci
+        failed = threading.Event()
+        cell_of = {subseed(0, var, group): 3 * (var - 1) + group
+                   for var in range(1, 13) for group in range(3)}
 
         class CellFailed(Exception):
             pass
 
-        def failing(values, **kwargs):
+        def failing(values, iterations, level, seed):
             on_helper = threading.current_thread() is not threading.main_thread()
-            if on_helper == (raiser == "helper"):
-                raised.set()
-                raise CellFailed(raiser)
-            # the other thread waits, so the raiser is sure to take a cell
-            assert raised.wait(timeout=30)
-            return original(values, **kwargs)
+            if on_helper != (first == "helper"):
+                # so the first thread is sure to take a cell and fail
+                assert failed.wait(timeout=30)
+            failed.set()
+            raise CellFailed(cell_of[seed])
 
         monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing)
         before = threading.active_count()
-        with pytest.raises(CellFailed, match=raiser):
+        with pytest.raises(CellFailed) as raised:
             build_estimate_rows(values, codes, 100, 0.95, 0)
+        assert raised.value.args == (0,)
         assert threading.active_count() == before
         assert hooked == []
 

@@ -3,12 +3,13 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexcite import tagging
 from lexcite.errors import FormatError, TaggerLengthMismatch
 from lexcite.ingest import RawDocument
+from lexcite.metrics import complexity_profile
 from lexcite.tagging import (
     LexClass,
     LexiconTagger,
@@ -276,6 +277,8 @@ class TestCountClauses:
 
 
 class TestColumnFormat:
+    TAGGER = LexiconTagger()
+
     def test_basic_import(self):
         doc = import_tagged("Cats\tNNS\nsleep\tVBP\n.\t.\n\n")
         assert len(doc.sentences) == 1
@@ -364,6 +367,20 @@ class TestColumnFormat:
                         "Values were 3.5 mm (p<0.05)."]), LexiconTagger())
         again = import_tagged(export_tagged(doc))
         assert again == doc
+
+    @settings(max_examples=150, deadline=None)
+    @given(paragraphs=st.lists(st.text(st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from("Aa Zz 09 .!? #\t\n -'’ ,;()% éÜβ")), max_size=40),
+        min_size=1, max_size=3))
+    def test_profile_survives_the_round_trip(self, paragraphs):
+        """What run would profile from the document it tags equals what
+        profile reads back from the file tag writes, for any text."""
+        assume(any(char.isalpha() for paragraph in paragraphs for char in paragraph))
+        doc = tag_document(RawDocument("d", 2010, "x", paragraphs), self.TAGGER)
+        text = export_tagged(doc)
+        assert export_tagged(import_tagged(text)) == text
+        assert complexity_profile(import_tagged(text)) == complexity_profile(doc)
 
     def test_error_line_after_repeated_lines(self):
         with pytest.raises(FormatError) as err:
