@@ -45,9 +45,11 @@ the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
 tag and profile loop over their documents' values from
-`parallel.run_on_two_processes`, under the rule and contract stated there.
-run forks there before compare loads numpy, so no other thread runs at the
-fork.
+`parallel.run_on_two_processes` as it yields them, under the rule and
+contract stated there, and close it before a failure of their own loop
+leaves the stage, so that its child has ended before main removes the
+stage's files. run forks there before compare loads numpy, so no other
+thread runs at the fork.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import os
 import re
 import sys
 from array import array
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -351,11 +354,12 @@ def stage_tag(config: RunConfig) -> None:
 
         written = run_on_two_processes(lambda: read_corpus(corpus), tag_one)
     first_ids: dict[str, str] = {}
-    for name, doc_id in written:
-        if name in first_ids:
-            raise DocumentError(doc_id, ConfigError(
-                f"doc ids {first_ids[name]!r} and {doc_id!r} collide on file {name}"))
-        first_ids[name] = doc_id
+    with closing(written):
+        for name, doc_id in written:
+            if name in first_ids:
+                raise DocumentError(doc_id, ConfigError(
+                    f"doc ids {first_ids[name]!r} and {doc_id!r} collide on file {name}"))
+            first_ids[name] = doc_id
 
 
 def stage_profile(config: RunConfig) -> None:
@@ -376,11 +380,12 @@ def stage_profile(config: RunConfig) -> None:
             raise DocumentError(document, exc)
 
     named: dict[str, tuple[str, ComplexityProfile]] = {}
-    for name, profile in run_on_two_processes(lambda: files, profile_one):
-        if profile.doc_id in named:
-            raise DocumentError(profile.doc_id, ConfigError(
-                f"files {named[profile.doc_id][0]} and {name} name one document"))
-        named[profile.doc_id] = name, profile
+    with closing(run_on_two_processes(lambda: files, profile_one)) as profiles:
+        for name, profile in profiles:
+            if profile.doc_id in named:
+                raise DocumentError(profile.doc_id, ConfigError(
+                    f"files {named[profile.doc_id][0]} and {name} name one document"))
+            named[profile.doc_id] = name, profile
     write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
                 (named[doc_id][1] for doc_id in sorted(named)), config.metadata())
 

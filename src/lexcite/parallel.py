@@ -5,10 +5,10 @@ CPUs (`usable_cpus`); a split into processes also needs `os.fork`. How many
 items there are decides nothing. Otherwise the caller does all the work.
 
 The contract: each map is the loop on one CPU that it stands for. It gives
-work(item) for every item, in item order. Once an item fails, no further
-item is started, and the failure raised is the one at the lowest item
-index, which is the one the loop would raise. So the outputs, and the
-failure a stage reports, are byte-identical on one CPU and on two.
+work(item) for every item, in item order. The failure raised is the one at
+the lowest item index, which is the one the loop would raise, and no item is
+started once it is raised. So the outputs, and the failure a stage reports,
+are byte-identical on one CPU and on two.
 
 There are two carriers. `run_on_two_threads` shares one in-order iterator
 between the calling thread and one helper thread; it suits `compare`'s
@@ -17,10 +17,13 @@ bootstrap cells, since numpy releases the interpreter lock while it draws.
 suits the Python loops of `tag` and `profile`.
 
 A forked child starts no interpreter and imports nothing: it runs on the
-parent's memory, copied as it is written. It sends back through a pipe only
-its values and its first failure, pickled, and ends with `os._exit`, so no
-cleanup of the parent's runs twice. Fork only where no other thread runs:
-`lexcite run` forks before `compare` loads numpy, whose BLAS starts threads.
+parent's memory, copied as it is written. It sends each value through a pipe
+as it makes it, pickled, and at its first failure that failure instead, and
+ends with `os._exit`, so no cleanup of the parent's runs twice. The parent
+reads each of the child's values when its index comes up, so neither process
+holds the other's share, and the pipe's buffer bounds how far the child runs
+ahead. Fork only where no other thread runs: `lexcite run` forks before
+`compare` loads numpy, whose BLAS starts threads.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import STAGE_FAILURES
 
@@ -85,21 +88,23 @@ def run_on_two_threads(tasks: Sequence, work: Callable[[object], object]) -> lis
 def run_on_two_processes(items: Callable[[], Iterable],
                          work: Callable[[object], object]) -> Iterator:
     """Yield work(item) for each item of the iterable that items() returns,
-    in item order, then raise the failure at the lowest index; an exception
-    of the iterable itself belongs to the index of the item it did not
-    yield. A caller that loops over the values, and may raise at one, so
-    fails as that loop does, though on two processes the later items' work
-    has run by then.
+    in item order, up to the first failure, and raise that failure; an
+    exception of the iterable itself belongs to the index of the item it
+    did not yield. A caller that may raise in its loop over the values
+    closes the map before its exception leaves (`contextlib.closing`), and
+    so fails as that loop does.
 
     When fork exists and the process may use two or more CPUs, the item at
     index i is worked on here when i is even and in one forked child when it
     is odd. Each process calls items() itself, so a file that it opens has
-    its own offset in each, and stops at its own first failure. The child is
-    reaped before the first value is yielded, even when an interrupt ends
-    the calling process's share. A child that ends without sending its share
-    is a ChildProcessError naming its signal or exit status. Only a failure
-    of STAGE_FAILURES crosses the pipe; any other comes back as a
-    RuntimeError holding the child's traceback text."""
+    its own offset in each. The child sends each value as it makes it, or
+    its first failure, and this process reads it when its index comes up.
+    So this process starts no item after a failure or after the caller
+    stops; the child ends at its next write once the pipe is closed, and is
+    reaped before the map returns, raises or is closed. A child that ends
+    without sending a value it owes is a ChildProcessError naming its signal
+    or exit status. Only a failure of STAGE_FAILURES crosses the pipe; any
+    other comes back as a RuntimeError holding the child's traceback text."""
     if not (hasattr(os, "fork") and usable_cpus() >= 2):
         for item in items():
             yield work(item)
@@ -117,65 +122,59 @@ def run_on_two_processes(items: Callable[[], Iterable],
         os.close(read_end)
         _child(items, work, write_end)
     os.close(write_end)
+    pipe = open(read_end, "rb")
     try:
-        mine, my_failure = _share(items, work, 0)
-    except BaseException:  # an interrupt: reap the child, then raise it
-        with contextlib.suppress(ChildProcessError):
-            _reap(pid, read_end)
-        raise
-    theirs, their_failure = _reap(pid, read_end)
-    failures = [failure for failure in (my_failure, their_failure) if failure is not None]
-    stop, failure = min(failures, key=lambda failure: failure[0],
-                        default=(len(mine) + len(theirs), None))
-    for index in range(stop):
-        yield (mine, theirs)[index % 2][index // 2]
-    if failure is not None:
-        raise failure
+        for index, item in enumerate(items()):
+            yield work(item) if index % 2 == 0 else _receive(pipe, pid)
+    finally:
+        pipe.close()  # a child still sending ends at its next write
+        with contextlib.suppress(ChildProcessError):  # _receive reaped it
+            os.waitpid(pid, 0)
 
 
-def _share(items: Callable[[], Iterable], work: Callable[[object], object],
-           first: int) -> tuple[list, Failure | None]:
-    """The values of the items at index first, first + 2, ... in order, up
-    to the first exception, and that exception as a Failure, or None."""
-    values = []
-    index = 0
+def _records(items: Callable[[], Iterable],
+             work: Callable[[object], object]) -> Iterator[tuple]:
+    """(work(item), None) for each odd-indexed item, in order, up to the
+    first exception, and then (None, that exception): as its traceback text
+    unless it is one of STAGE_FAILURES."""
     try:
-        for item in items():
-            if index % 2 == first:
-                values.append(work(item))
-            index += 1
-    except Exception as exc:  # the share's failure, raised by the caller
-        return values, (index, exc)
-    return values, None
+        for index, item in enumerate(items()):
+            if index % 2:
+                yield work(item), None
+    except Exception as exc:  # the child's failure, raised by the parent
+        if not isinstance(exc, STAGE_FAILURES):
+            import traceback
+
+            exc = "".join(traceback.format_exception(exc))
+        yield None, exc
 
 
 def _child(items: Callable[[], Iterable], work: Callable[[object], object],
            write_end: int) -> NoReturn:
-    """The forked child: work on the odd-indexed items, send the share to
-    the parent through write_end, and end without returning to the caller."""
+    """The forked child: pickle each record of its share to write_end as it
+    is made, and end without returning to the caller."""
     status = 1
     try:
         import pickle
 
-        values, failure = _share(items, work, 1)
-        if failure is not None and not isinstance(failure[1], STAGE_FAILURES):
-            import traceback
-
-            failure = (failure[0], "".join(traceback.format_exception(failure[1])))
         with open(write_end, "wb") as pipe:
-            pickle.dump((values, failure), pipe)
+            for record in _records(items, work):
+                pipe.write(pickle.dumps(record))
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _reap(pid: int, read_end: int) -> tuple[list, Failure | None]:
-    """The child's share, read from read_end until the child closes it, once
-    the child has ended."""
-    with open(read_end, "rb") as pipe:
-        data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:  # the child exits 0 only once its share is written
+def _receive(pipe: BinaryIO, pid: int):
+    """The child's next value, read from pipe, or raise the child's failure.
+    A child that ended without sending one is reaped here."""
+    import pickle
+
+    try:
+        value, failure = pickle.load(pipe)  # written by _child above
+    except (EOFError, pickle.UnpicklingError):
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code < 0:
             import signal
 
@@ -186,10 +185,9 @@ def _reap(pid: int, read_end: int) -> tuple[list, Failure | None]:
         else:
             how = f"exited with status {code}"
         raise ChildProcessError(f"the forked worker process {how} before it "
-                                "sent its results")
-    import pickle
-
-    values, failure = pickle.loads(data)  # written by the child above
-    if failure is not None and isinstance(failure[1], str):
-        failure = (failure[0], RuntimeError(f"in the forked worker process:\n{failure[1]}"))
-    return values, failure
+                                "sent its results") from None
+    if isinstance(failure, str):
+        raise RuntimeError(f"in the forked worker process:\n{failure}")
+    if failure is not None:
+        raise failure
+    return value

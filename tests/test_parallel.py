@@ -30,6 +30,14 @@ def clean_env(monkeypatch):
             monkeypatch.delenv(key)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test that leaves a child process unreaped, or still running, fails."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ------------------------------------------------------- the two maps
 
 def loop_until_failure(values) -> tuple[list, str | None]:
@@ -43,19 +51,25 @@ def loop_until_failure(values) -> tuple[list, str | None]:
     return got, None
 
 
+# more than a pipe's buffer (64 KiB on Linux), so that a child sending it waits
+LARGE = 1 << 17
+
+
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(st.integers(), max_size=9),
-       failing=st.sets(st.integers(min_value=0, max_value=8), max_size=3))
-def test_both_maps_are_the_loop(values, failing):
+       failing=st.sets(st.integers(min_value=0, max_value=8), max_size=3),
+       large=st.booleans())
+def test_both_maps_are_the_loop(values, failing, large):
     """For any items and any failing indices, each map gives the values of
-    the loop on one CPU and raises its failure, on one CPU and on two."""
+    the loop on one CPU and raises its failure, on one CPU and on two, also
+    when each value is larger than the pipe's buffer."""
     items = list(enumerate(values))
 
     def work(item):
         index, value = item
         if index in failing:
             raise FormatError(index, "this item fails")
-        return value * 2
+        return value * 2, bytes(LARGE if large else 0)
 
     want = loop_until_failure(work(item) for item in items)
     for cpus in (1, 2):
@@ -67,6 +81,25 @@ def test_both_maps_are_the_loop(values, failing):
                 assert want[1] is None
             except LexciteError as exc:
                 assert str(exc) == want[1]
+
+
+def test_early_stop_starts_no_later_item():
+    """A caller that stops at the first value has had work called here once,
+    not for the whole of this process's share, and the child, blocked on a
+    full pipe, ends and is reaped when the map is closed."""
+    worked = []
+
+    def work(item):
+        worked.append(item)
+        return bytes(LARGE)
+
+    with mock.patch.object(parallel, "usable_cpus", lambda: 2):
+        values = parallel.run_on_two_processes(lambda: range(10), work)
+        for value in values:
+            break
+        time.sleep(0.1)  # the child has sent part of item 1's value and waits
+        values.close()
+    assert (worked, value) == ([0], bytes(LARGE))
 
 
 def test_the_rule_lives_in_parallel():
@@ -378,26 +411,31 @@ def test_unexpected_child_error_keeps_its_traceback(tmp_path, monkeypatch):
 
 
 def test_child_reaped_before_a_failed_stage_returns(tmp_path, monkeypatch):
-    """The calling process fails on its first document at once; the child
-    writes its files later. main returns only after the child ended, and so
-    removes them."""
-    out = tmp_path / "out"
-    corpus(out, *(f"d{i}" for i in range(6)))
+    """The stage fails in the calling process while the child still writes
+    its files, more slowly: in the map, at the first document, or in tag's
+    own loop, at index 2, whose file name index 0 has taken. main returns
+    only after the child ended, and so removes them."""
     parent, tag_document = os.getpid(), cli.tag_document
 
     def slow_child(raw, tagger):
-        if os.getpid() == parent:
+        if os.getpid() != parent:
+            time.sleep(0.1)
+        elif raw.doc_id == "d0":
             raise TaggerLengthMismatch("the first document fails")
-        time.sleep(0.1)
         return tag_document(raw, tagger)
 
     monkeypatch.setattr(cli, "tag_document", slow_child)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    assert main(["tag", "--out", str(out)]) == 1
-    report = json.loads((out / "errors.json").read_text(encoding="utf-8"))
-    assert (report["document"], report["error"]) == ("d0", "TaggerLengthMismatch")
-    time.sleep(0.3)  # a child still running would write its files now
-    assert not list((out / "tagged").glob("*.tsv"))
+    for case, (first, third, failure) in enumerate([
+            ("d0", "d2", ("d0", "TaggerLengthMismatch")),
+            ("a/b", "a_b", ("a_b", "ConfigError"))]):
+        out = tmp_path / f"out{case}"
+        corpus(out, first, "d1", third, "d3", "d4", "d5")
+        assert main(["tag", "--out", str(out)]) == 1
+        report = json.loads((out / "errors.json").read_text(encoding="utf-8"))
+        assert (report["document"], report["error"]) == failure
+        time.sleep(0.3)  # a child still running would write its files now
+        assert not list((out / "tagged").glob("*.tsv"))
 
 
 def test_interrupt_stays_an_interrupt(tmp_path, monkeypatch):

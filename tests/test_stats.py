@@ -229,6 +229,39 @@ class TestBootstrap:
             bootstrap_mean_ci([1.0], iterations=0, seed=0)
 
 
+# A bootstrap subseed, as reports.subseed(1, 0, 0) derives it.
+SUBSEED = 5942101179225861032
+
+
+class TestDrawStream:
+    """Known answers for the draws every estimates.csv rests on, as numpy
+    2.4.6 gives them. NEP 19 keeps a bit generator's raw stream stable
+    across numpy versions but lets Generator methods change their
+    algorithm; an upgrade that changes either fails here, instead of
+    silently changing the bootstrap intervals."""
+
+    @pytest.mark.parametrize("seed, raw", [
+        (0, [11749869230777074271, 4976686463289251617, 755828109848996024]),
+        (1, [9441442522235856127, 17532960557476522086, 2659275481604167885]),
+        (SUBSEED, [14234197762657658048, 12191871809904778119, 12578548287453706349]),
+    ])
+    def test_pcg64_raw_stream(self, seed, raw):
+        bits = np.random.PCG64(np.random.SeedSequence(seed))
+        assert bits.random_raw(3).tolist() == raw
+
+    @pytest.mark.parametrize("seed, n, draws", [
+        (0, 17, [14, 10, 8, 4, 5, 0]),
+        (1, 162, [76, 82, 122, 153, 5, 23]),
+        (SUBSEED, 1618, [1579, 1248, 1368, 1069, 1616, 1103]),
+        (0, 32760, [27866, 20866, 16744, 8838, 10084, 1342]),
+        (SUBSEED, 32760, [31975, 25278, 27701, 21651, 32731, 22338]),
+    ])
+    def test_generator_integers(self, seed, n, draws):
+        """The draws of bootstrap_mean_ci: indices into a sample of size n."""
+        rng = np.random.default_rng(seed)
+        assert rng.integers(0, n, size=(2, 3)).ravel().tolist() == draws
+
+
 class TestRSquared:
     """R-squared as fit_model reports it: 1 - SS_res / SS_tot."""
 
