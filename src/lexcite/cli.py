@@ -44,12 +44,12 @@ stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
-tag and profile loop over their documents' values from
-`parallel.run_on_two_processes` as it yields them, under the rule and
-contract stated there, and close it before a failure of their own loop
-leaves the stage, so that its child has ended before main removes the
-stage's files. run forks there before compare loads numpy, so no other
-thread runs at the fork.
+tag and profile each map one function per document (make or read it,
+then write or profile it) with `parallel.run_on_two_processes`, under the
+rule and contract stated there. They loop over its values as it yields
+them and close it before a failure of their own loop leaves the stage, so
+that its child has ended before main removes the stage's files. run forks
+there before compare loads numpy, so no other thread runs at the fork.
 """
 
 from __future__ import annotations
@@ -262,6 +262,22 @@ def _stage_file(config: RunConfig, name: str) -> Path:
     return path
 
 
+def _tsv_files(directory: Path) -> list[Path]:
+    """The .tsv files of directory, sorted; none is a ConfigError."""
+    files = sorted(directory.glob("*.tsv"))
+    if not files:
+        raise ConfigError(f"no .tsv files in {directory}")
+    return files
+
+
+def _read_tagged(path: Path) -> TaggedDocument:
+    """The document in a tagged file; a failure to read it names the file."""
+    try:
+        return read_tagged(path)
+    except (LexciteError, OSError) as exc:
+        raise DocumentError(readable_name(path.name), exc)
+
+
 # ---------------------------------------------------------------- stages
 
 def stage_ingest(config: RunConfig) -> None:
@@ -303,24 +319,36 @@ def stage_ingest(config: RunConfig) -> None:
 
 
 def stage_tag(config: RunConfig) -> None:
-    """Write tagged/<doc>.tsv per document, from corpus.jsonl through the
-    built-in tagger or from the --import-tagged files, one at a time. Two
-    documents whose ids give one file name fail the stage at the second,
-    once it is written; a failure to write it is the error reported.
-    main has removed every earlier .tsv but those being imported, so tagged/
-    itself cannot be the import directory: profile would read both the
-    imported files and their copies. That is a ConfigError, raised before
-    anything is written."""
+    """Write tagged/<doc>.tsv per document through one map of one function:
+    make the document (tag a corpus.jsonl record, or `_read_tagged` an
+    --import-tagged file), then write it. Two documents whose ids give one
+    file name fail the stage at the second, once it is written; a failure to
+    write it is the error reported. main has removed every earlier .tsv but
+    those being imported, so tagged/ itself cannot be the import directory:
+    profile would read both the imported files and their copies. That is a
+    ConfigError, raised before anything is written."""
     tagged_dir = config.out / "tagged"
-    import_dir = None
-    if config.import_tagged is not None:
+    if config.import_tagged is None:
+        corpus = _stage_file(config, "corpus.jsonl")
+        items = lambda: read_corpus(corpus)
+        tagger = LexiconTagger()
+
+        def document(raw: RawDocument) -> TaggedDocument:
+            try:
+                return tag_document(raw, tagger)
+            except LexciteError as exc:
+                raise DocumentError(raw.doc_id, exc)
+    else:
         import_dir = _require(config, "import_tagged")
         if tagged_dir.is_dir() and os.path.samefile(import_dir, tagged_dir):
             raise ConfigError(f"--import-tagged {import_dir} is the tagged/ directory "
                               "of --out, which this stage rewrites")
+        files = _tsv_files(import_dir)
+        items, document = (lambda: files), _read_tagged
     tagged_dir.mkdir(parents=True, exist_ok=True)
 
-    def emit(doc: TaggedDocument) -> tuple[str, str]:
+    def write(item: RawDocument | Path) -> tuple[str, str]:
+        doc = document(item)
         name = _safe_name(doc.doc_id) + ".tsv"
         try:
             (tagged_dir / name).write_bytes(export_tagged(doc).encode("utf-8"))
@@ -328,33 +356,8 @@ def stage_tag(config: RunConfig) -> None:
             raise DocumentError(doc.doc_id, exc)
         return name, doc.doc_id
 
-    if import_dir is not None:
-        files = sorted(import_dir.glob("*.tsv"))
-        if not files:
-            raise ConfigError(f"no .tsv files in {import_dir}")
-
-        def import_one(path: Path) -> tuple[str, str]:
-            try:
-                doc = read_tagged(path)
-            except (LexciteError, OSError) as exc:
-                raise DocumentError(readable_name(path.name), exc)
-            return emit(doc)
-
-        written = run_on_two_processes(lambda: files, import_one)
-    else:
-        corpus = _stage_file(config, "corpus.jsonl")
-        tagger = LexiconTagger()
-
-        def tag_one(raw: RawDocument) -> tuple[str, str]:
-            try:
-                doc = tag_document(raw, tagger)
-            except LexciteError as exc:
-                raise DocumentError(raw.doc_id, exc)
-            return emit(doc)
-
-        written = run_on_two_processes(lambda: read_corpus(corpus), tag_one)
     first_ids: dict[str, str] = {}
-    with closing(written):
+    with closing(run_on_two_processes(items, write)) as written:
         for name, doc_id in written:
             if name in first_ids:
                 raise DocumentError(doc_id, ConfigError(
@@ -363,21 +366,18 @@ def stage_tag(config: RunConfig) -> None:
 
 
 def stage_profile(config: RunConfig) -> None:
+    """profiles.csv, from one map that reads and profiles each tagged/*.tsv."""
     tagged_dir = config.out / "tagged"
     if not tagged_dir.is_dir():
         raise ConfigError(f"missing tagged/; run the tag stage into {config.out} first")
-    files = sorted(tagged_dir.glob("*.tsv"))
-    if not files:
-        raise ConfigError(f"no .tsv files in {tagged_dir}")
+    files = _tsv_files(tagged_dir)
 
     def profile_one(path: Path) -> tuple[str, ComplexityProfile]:
-        document = readable_name(path.name)  # until the file is read
+        doc = _read_tagged(path)
         try:
-            doc = read_tagged(path)
-            document = doc.doc_id
             return path.name, complexity_profile(doc)
-        except (LexciteError, OSError) as exc:
-            raise DocumentError(document, exc)
+        except LexciteError as exc:
+            raise DocumentError(doc.doc_id, exc)
 
     named: dict[str, tuple[str, ComplexityProfile]] = {}
     with closing(run_on_two_processes(lambda: files, profile_one)) as profiles:
@@ -426,13 +426,21 @@ def _citation(row: list[str]) -> CitationRecord:
 
 
 def _baseline(row: list[str]) -> Baseline:
-    return Baseline(year=int(row[0]), domain=row[1], adc=parse_finite(row[2]),
-                    n=int(row[3]))
+    baseline = Baseline(year=int(row[0]), domain=row[1], adc=parse_finite(row[2]),
+                        n=int(row[3]))
+    if baseline.adc < 0:
+        raise ValueError(f"adc {row[2]!r} is negative")
+    if baseline.n < 1:
+        raise ValueError(f"n {row[3]!r} is below 1")
+    return baseline
 
 
 def _score(row: list[str]) -> NormalizedScore:
-    return NormalizedScore(doc_id=row[0], nc=parse_finite(row[1]),
-                           group=ImpactGroup(row[2]) if row[2] else None)
+    score = NormalizedScore(doc_id=row[0], nc=parse_finite(row[1]),
+                            group=ImpactGroup(row[2]) if row[2] else None)
+    if score.nc < 0:
+        raise ValueError(f"nc {row[1]!r} is negative")
+    return score
 
 
 def stage_normalize(config: RunConfig) -> None:

@@ -619,6 +619,23 @@ class TestIngest:
         assert "Figure 1" in text
         assert "Fig." not in text
 
+    def test_abbreviation_file_of_comments_only_rewrites_nothing(self, tmp_path):
+        """A table with no entry replaces the default table, so no
+        paragraph changes, not even at a default key."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        paragraph = "See Fig. 1 now, as Smith et al. found, e.g. in mice."
+        (src / "a.xml").write_text(
+            ARTICLE.format(doc_id="10.1/a").replace(
+                "The cats sleep. The cat sat because it was tired.", paragraph),
+            encoding="utf-8")
+        abbrev = tmp_path / "abbrev.tsv"
+        abbrev.write_text("# none of mine\n#Fig.\tFigure\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out),
+                     "--abbrev", str(abbrev)]) == 0
+        record = json.loads((out / "corpus.jsonl").read_text(encoding="utf-8"))
+        assert record["paragraphs"] == [paragraph]
 
     @pytest.mark.parametrize("line", [b"Fig. Figure", b"Fig\tFigure", b"Fig.\tFig\xffure"],
                              ids=["no-tab", "key-without-period", "not-utf-8"])
@@ -880,6 +897,35 @@ class TestImportTagged:
                                          "name holds a TAB")
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [("\tNN", "line 3: empty token surface"),
+                                               ("word\t", "line 3: empty tag")],
+                             ids=["empty-surface", "empty-tag"])
+    def test_empty_field_names_file_and_line(self, tmp_path, capsys, line, message):
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        (ext / "docE.tsv").write_text(f"#doc=E\nThe\tDT\n{line}\n\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["tag", "--out", str(out), "--import-tagged", str(ext)]) == 1
+        err = read_errors(out)
+        assert err == {"stage": "tag", "document": "docE.tsv", "error": "FormatError",
+                       "message": message}
+        assert not list((out / "tagged").iterdir())
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["tag", "profile"])
+    def test_no_tsv_files(self, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        tsv_dir = tmp_path / "ext" if stage == "tag" else out / "tagged"
+        tsv_dir.mkdir(parents=True)
+        (tsv_dir / "notes.txt").write_text("The\tDT\n\n", encoding="utf-8")
+        argv = [stage, "--out", str(out)]
+        if stage == "tag":
+            argv += ["--import-tagged", str(tsv_dir)]
+        assert main(argv) == 1
+        assert read_errors(out) == {"stage": stage, "document": "", "error": "ConfigError",
+                                    "message": f"no .tsv files in {tsv_dir}"}
+        assert f"error in {stage} stage" in capsys.readouterr().err
+
     def test_profile_rejects_repeated_doc_id(self, tmp_path, capsys):
         tagged = tmp_path / "tagged"
         tagged.mkdir()
@@ -1131,6 +1177,16 @@ class TestBadCells:
         self.write_inputs(tmp_path, nc_cell=nc_cell, group_cell=group_cell)
         assert main([stage, "--out", str(tmp_path)]) == 1
         self.assert_failed(tmp_path, capsys, stage, "d2")
+
+    @pytest.mark.parametrize("stage", ["group", "compare", "regress"])
+    def test_negative_score(self, tmp_path, capsys, stage):
+        """A negative nc is no normalized score: regress would drop it from
+        the log models and group would rank it last."""
+        self.write_inputs(tmp_path, nc_cell="-0.5")
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, stage, "d2")
+        assert read_errors(tmp_path)["message"] == \
+            "line 3: scores.csv: nc '-0.5' is negative"
 
     @pytest.mark.parametrize("count", ["1.5", "-3", ""])
     def test_bad_citation_count(self, tmp_path, capsys, count):
@@ -1424,6 +1480,47 @@ class TestNormalizeStage:
         err = read_errors(out)
         assert (err["stage"], err["document"], err["error"]) == \
             ("normalize", document, error)
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("adc, n, message", [
+        (-5.5, 4, "adc '-5.5' is negative"),
+        (2.0, 0, "n '0' is below 1"),
+        (2.0, -7, "n '-7' is below 1"),
+    ])
+    def test_bad_baseline_value_fails(self, tmp_path, capsys, adc, n, message):
+        """A mean of counts is not negative, and a cell holds at least one
+        paper; anything else would write a negative or wrong score."""
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2009, "Eco", 3], ["b", 2010, "Eco", 0]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"],
+                    [[2009, "Eco", 2.0, 2], [2010, "Eco", adc, n]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        err = read_errors(out)
+        assert err == {"stage": "normalize", "document": "", "error": "FormatError",
+                       "message": f"line 3: base.csv: {message}"}
+        assert not (out / "scores.csv").exists()
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    def test_zero_baseline_with_zero_citations_is_a_score(self, tmp_path):
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2010, "Eco", 0]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"], [[2010, "Eco", 0.0, 1]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 0
+        assert table_rows(out / "scores.csv") == [["a", "0.0", ""]]
+
+    def test_missing_citations_file(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.csv"
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(missing)]) == 1
+        assert read_errors(out) == {"stage": "normalize", "document": "",
+                                    "error": "ConfigError",
+                                    "message": f"path not found: {missing}"}
         assert "error in normalize stage" in capsys.readouterr().err
 
     def test_repeated_doc_id_rejected(self, tmp_path, capsys):
