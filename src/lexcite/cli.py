@@ -38,7 +38,9 @@ Each of these rules is declared once: _OPTIONS holds every option with its
 converter and help, _STAGE_FUNCS the stages in order, and _STAGE_OUTPUTS
 what each stage owns.
 
-Only compare and regress compute with arrays. Every function that uses
+Only compare and regress compute with arrays: each joins every
+profiles.csv row to its score as it reads it, and keeps only the scored
+rows (`reports.join_scores`). Every function that uses
 numpy imports it itself, so importing this module and running any other
 stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
@@ -60,7 +62,6 @@ import json
 import os
 import re
 import sys
-from array import array
 from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -88,7 +89,6 @@ from .ingest import (
 )
 from .metrics import (
     ComplexityProfile,
-    ProfileMatrix,
     VARIABLE_COLUMNS,
     complexity_profile,
     profile_cells,
@@ -282,8 +282,10 @@ def _read_tagged(path: Path) -> TaggedDocument:
 
 def stage_ingest(config: RunConfig) -> None:
     """Parse, rewrite and write one article at a time, in file-name order,
-    keeping only the reject rows and the ids written. rejects.csv is
-    written however the stage ends, with the rejects read until then."""
+    keeping only the reject rows and the ids written. A file that cannot be
+    read fails the stage, naming the file; one that cannot be parsed is a
+    reject. rejects.csv is written however the stage ends, with the rejects
+    read until then."""
     input_dir = _require(config, "input")
     if config.abbrev is None:
         table = AbbreviationTable()
@@ -299,7 +301,11 @@ def stage_ingest(config: RunConfig) -> None:
         nonlocal doc_id
         for path in xml_files:
             try:
-                doc = parse_jats(path.read_bytes())
+                data = path.read_bytes()
+            except OSError as exc:  # a failure, not a reject
+                raise DocumentError(readable_name(path.name), exc)
+            try:
+                doc = parse_jats(data)
                 doc_id = doc.doc_id
                 yield doc._replace(paragraphs=[normalize_abbreviations(p, table)
                                                for p in doc.paragraphs])
@@ -483,23 +489,6 @@ def stage_group(config: RunConfig) -> None:
     _write_scores(config, stratify(scores))
 
 
-def _read_profiles(config: RunConfig) -> ProfileMatrix:
-    """profiles.csv as one matrix, in file row order; NaN marks Absent. The
-    values go into one flat buffer as the rows are read."""
-    import numpy as np
-
-    doc_ids: list[str] = []
-    values = array("d")
-    for doc_id, cells in _read_rows(_stage_file(config, "profiles.csv"),
-                                    ["doc_id", *VARIABLE_COLUMNS],
-                                    lambda row: (row[0], profile_cells(row)),
-                                    lambda parsed: parsed[:1]):
-        doc_ids.append(doc_id)
-        values.extend(cells)
-    return ProfileMatrix(tuple(doc_ids), np.frombuffer(values, dtype=float).reshape(
-        len(doc_ids), len(VARIABLE_COLUMNS)))
-
-
 def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:
     scores = _read_scores(config)
     if scores and all(s.group is None for s in scores):
@@ -509,8 +498,12 @@ def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:
 
 def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The profiles joined to the grouped scores: values, nc and group
-    codes of the profile rows that have a score (`join_scores`)."""
-    return join_scores(_read_profiles(config), _grouped_scores(config))
+    codes of the profile rows that have a score (`join_scores`). A missing
+    profiles.csv fails first; then scores.csv is read whole, and then each
+    profiles.csv row is joined as it is read."""
+    profiles = _read_rows(_stage_file(config, "profiles.csv"), ["doc_id", *VARIABLE_COLUMNS],
+                          lambda row: (row[0], profile_cells(row)), lambda parsed: parsed[:1])
+    return join_scores(profiles, _grouped_scores(config))
 
 
 def stage_compare(config: RunConfig) -> None:

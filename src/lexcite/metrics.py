@@ -20,21 +20,19 @@ sentence's tokens and parallel tags: integer sums per fine tag and a set of
 surfaces, folded into lexical classes once per document, then one division
 per variable.
 
-The statistics read `profiles.csv` back as one `ProfileMatrix`: the doc ids
-in file row order plus an n x 12 float64 array, with NaN marking Absent.
+The statistics read `profiles.csv` back one row at a time (`profile_cells`),
+with NaN marking Absent, and keep only the rows that have a score
+(`reports.join_scores`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import EmptyDocument
 from .tableio import parse_finite
 from .tagging import LexClass, TaggedDocument, coarsen_tag
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # CSV column order for the profile table (after doc_id).
 VARIABLE_COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
@@ -59,18 +57,6 @@ class ComplexityProfile(NamedTuple):
     verb_ratio: float
     adj_ratio: float
     adv_ratio: float
-
-
-class ProfileMatrix:
-    """The profile table as one array: row i holds x1..x12 of doc_ids[i],
-    in file row order, with NaN marking an Absent value. A plain class, not
-    a tuple: tuple equality would compare the array element by element."""
-
-    __slots__ = ("doc_ids", "values")
-
-    def __init__(self, doc_ids: tuple[str, ...], values: np.ndarray):
-        self.doc_ids = doc_ids
-        self.values = values  # shape (len(doc_ids), 12), float64
 
 
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:

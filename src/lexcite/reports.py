@@ -14,8 +14,8 @@ group, about 12 per document, so `build_cdf_rows` yields its rows and
 `tableio.write_table` writes each one as it is made; the other builders
 return their few dozen rows as lists.
 
-Each stage reads profiles.csv once, as a `ProfileMatrix` with NaN marking
-Absent, and joins it to the scores once (`join_scores`): the rows that have
+Each stage joins the profiles.csv rows to the scores as it reads them
+(`join_scores`), with NaN marking Absent, and keeps only the rows that have
 a score, in file row order, as their n x 12 values, their nc and their
 group codes. Every builder takes those arrays. `group_samples` takes
 boolean-mask slices of one values column and the regression cohorts are
@@ -40,11 +40,12 @@ this module does not load numpy (see `lexcite.cli`).
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterator, Sequence
+from array import array
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
-from .metrics import VARIABLE_COLUMNS, ProfileMatrix
+from .metrics import VARIABLE_COLUMNS
 from .parallel import run_on_two_threads
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
 
@@ -85,23 +86,29 @@ def subseed(seed: int, var_index: int, group_index: int) -> int:
 
 
 def join_scores(
-    matrix: ProfileMatrix,
+    rows: Iterable[tuple[str, Iterable[float]]],
     scores: Sequence[NormalizedScore],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The profile rows that have a score, in file row order: their n x 12
-    values (NaN marks Absent), their nc, and their group codes (the index of
-    the group in GROUP_ORDER, or -1 when the score has no group).
+    """The profile rows, each (doc_id, x1..x12) with NaN marking Absent, that
+    have a score, in row order: their n x 12 values, their nc, and their
+    group codes (the index of the group in GROUP_ORDER, or -1 when the score
+    has no group). rows is read once, and only the scored rows are kept.
 
     Raises JoinMismatch when no row has a score."""
     import numpy as np
 
     index = {group: i for i, group in enumerate(GROUP_ORDER)}
     score_of = {s.doc_id: s for s in scores}
-    rows = [i for i, doc_id in enumerate(matrix.doc_ids) if doc_id in score_of]
-    if not rows:
+    values = array("d")
+    joined: list[NormalizedScore] = []
+    for doc_id, cells in rows:
+        score = score_of.get(doc_id)
+        if score is not None:
+            values.extend(cells)
+            joined.append(score)
+    if not joined:
         raise JoinMismatch("profiles and scores share no doc_ids")
-    joined = [score_of[matrix.doc_ids[i]] for i in rows]
-    return (matrix.values[rows],
+    return (np.frombuffer(values, dtype=float).reshape(len(joined), len(VARIABLE_COLUMNS)),
             np.array([s.nc for s in joined], dtype=float),
             np.array([-1 if s.group is None else index[s.group] for s in joined],
                      dtype=np.int8))

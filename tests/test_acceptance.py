@@ -36,7 +36,7 @@ from lexcite.impact import (
     normalize_citations,
     stratify,
 )
-from lexcite.metrics import ProfileMatrix, complexity_profile
+from lexcite.metrics import complexity_profile
 from lexcite.reports import build_comparison_rows, build_regression_rows, join_scores
 from lexcite.stats import bootstrap_mean_ci, fit_model, ks_two_sample
 from lexcite.tableio import read_table
@@ -51,8 +51,8 @@ def report(index: int, name: str, ok: bool, detail: str) -> None:
 
 
 def rand_profiles(rng, n, prefix="d"):
-    return ProfileMatrix(tuple(f"{prefix}{i:05d}" for i in range(n)),
-                         np.array([rng.uniform(0.5, 10, 12) for _ in range(n)]))
+    """n profile rows (doc_id, x1..x12) of uniform values."""
+    return [(f"{prefix}{i:05d}", rng.uniform(0.5, 10, 12)) for i in range(n)]
 
 
 # --------------------------------------------------------------- criterion 1
@@ -290,7 +290,7 @@ def test_criterion_5_regression_behavior():
     profiles = rand_profiles(rng, 60)
     coef = rng.uniform(-1.5, 1.5, 12)
     scores = [NormalizedScore(doc_id=doc_id, nc=float(40 + coef @ x))
-              for doc_id, x in zip(profiles.doc_ids, profiles.values)]
+              for doc_id, x in profiles]
     planted = fit_model(*join_scores(profiles, scores)[:2], 5)
     planted_ok = (planted.status == "Estimable"
                   and planted.r_squared >= 1 - 1e-9)
@@ -299,7 +299,7 @@ def test_criterion_5_regression_behavior():
     for _ in range(100):
         profs = rand_profiles(rng, 120)
         scrs = [NormalizedScore(doc_id=doc_id, nc=float(v))
-                for doc_id, v in zip(profs.doc_ids, rng.lognormal(0, 1, 120))]
+                for (doc_id, _), v in zip(profs, rng.lognormal(0, 1, 120))]
         values, nc, _ = join_scores(profs, scrs)
         r = {m: fit_model(values, nc, m).r_squared for m in (1, 2, 3, 4, 5, 6)}
         if not (r[1] >= r[2] - 1e-9 and r[2] >= r[5] - 1e-9
@@ -308,8 +308,7 @@ def test_criterion_5_regression_behavior():
 
     small_profiles = rand_profiles(rng, 17)
     small_scores = [NormalizedScore(doc_id=doc_id, nc=float(v))
-                    for doc_id, v in zip(small_profiles.doc_ids,
-                                         rng.lognormal(0, 1, 17))]
+                    for (doc_id, _), v in zip(small_profiles, rng.lognormal(0, 1, 17))]
     small = fit_model(*join_scores(small_profiles, small_scores)[:2], 1)
     rows = build_regression_rows(*join_scores(small_profiles, stratify(small_scores)))
     dash_ok = (small.status == "NonEstimable" and small.r_squared is None
@@ -387,19 +386,19 @@ def test_criterion_7_false_positive_control():
     n_docs = 3000
     values = rng.normal(10.0, 2.0, size=(n_docs, 12))
     nc = rng.exponential(1.0, n_docs)
-    profiles = ProfileMatrix(tuple(f"D{i:05d}" for i in range(n_docs)), values)
-    scores = stratify([NormalizedScore(doc_id=f"D{i:05d}", nc=float(nc[i]))
-                       for i in range(n_docs)])
-    joined, _, codes = join_scores(profiles, scores)
+    doc_ids = [f"D{i:05d}" for i in range(n_docs)]
+    scores = stratify([NormalizedScore(doc_id=doc_id, nc=float(nc[i]))
+                       for i, doc_id in enumerate(doc_ids)])
+    joined, _, codes = join_scores(zip(doc_ids, values), scores)
     null_rows = build_comparison_rows(joined, codes)
     flagged = sum(1 for r in null_rows if r[4] != "")
 
     high_ids = {s.doc_id for s in scores if s.group is ImpactGroup.HIGH}
     shifted_values = values.copy()
-    for i, doc_id in enumerate(profiles.doc_ids):
+    for i, doc_id in enumerate(doc_ids):
         if doc_id in high_ids:
             shifted_values[i, 0] += 5.0  # x1, mean sentence length
-    shifted, _, _ = join_scores(ProfileMatrix(profiles.doc_ids, shifted_values), scores)
+    shifted, _, _ = join_scores(zip(doc_ids, shifted_values), scores)
     planted_rows = build_comparison_rows(shifted, codes)
     planted = next(r for r in planted_rows
                    if r[0] == "x1" and r[1] == "High-Low")

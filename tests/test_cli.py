@@ -25,7 +25,7 @@ from lexcite import cli, reports
 from lexcite.cli import (
     DECISION_FLAGS,
     RunConfig,
-    _read_profiles,
+    _joined_inputs,
     build_config,
     build_parser,
     main,
@@ -363,6 +363,21 @@ class TestInputOutputErrors:
         assert main(["compare", "--out", str(tmp_path)]) == 1
         self.assert_failed(tmp_path, capsys, "compare", "")
         assert "profiles.csv" in read_errors(tmp_path)["message"]
+
+    def test_xml_is_directory_in_ingest(self, tmp_path, capsys):
+        """A file ingest cannot read fails the stage, naming the file, and
+        is no reject; rejects.csv keeps the rejects read before it."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "bad.xml").write_text("<article><unclosed>", encoding="utf-8")
+        (src / "good.xml").write_text(ARTICLE.format(doc_id="10.1/ok"), encoding="utf-8")
+        (src / "zz.xml").mkdir()
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
+        self.assert_failed(out, capsys, "ingest", "zz.xml")
+        assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
+            ["bad.xml", "MalformedXml"]]
+        assert not (out / "corpus.jsonl").exists()
 
     def test_tagged_tsv_is_directory_in_profile(self, tmp_path, capsys):
         tagged = tmp_path / "tagged"
@@ -1178,6 +1193,24 @@ class TestBadCells:
         assert main([stage, "--out", str(tmp_path)]) == 1
         self.assert_failed(tmp_path, capsys, stage, "d2")
 
+    @pytest.mark.parametrize("stage", ["compare", "regress"])
+    def test_scores_read_before_profile_rows(self, tmp_path, capsys, stage):
+        """compare and regress read scores.csv whole before they join the
+        rows of profiles.csv, so with both bad the scores.csv fault is the
+        one reported; a missing profiles.csv is still reported first."""
+        write_table(tmp_path / "profiles.csv", ["doc_id", "x1"], [["d1", 2.0]])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [["d1", "abc", "Low"]])
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        self.assert_failed(tmp_path, capsys, stage, "d1")
+        assert read_errors(tmp_path)["message"] == \
+            "line 2: scores.csv: could not convert string to float: 'abc'"
+        (tmp_path / "profiles.csv").unlink()
+        assert main([stage, "--out", str(tmp_path)]) == 1
+        err = read_errors(tmp_path)
+        assert (err["error"], err["document"]) == ("ConfigError", "")
+        assert err["message"].startswith("missing profiles.csv")
+
     @pytest.mark.parametrize("stage", ["group", "compare", "regress"])
     def test_negative_score(self, tmp_path, capsys, stage):
         """A negative nc is no normalized score: regress would drop it from
@@ -1393,20 +1426,24 @@ class TestProfileMatrixRoundTrip:
     @given(st.lists(st.lists(cell_values, min_size=12, max_size=12),
                     min_size=1, max_size=8))
     def test_values_and_absent_positions_survive(self, table):
-        # ProfileMatrix -> profiles.csv -> ProfileMatrix, as compare reads it
-        doc_ids = tuple(f"d{i}" for i in range(len(table)))
+        # matrix -> profiles.csv -> joined matrix, as compare reads it, with
+        # a scores.csv (in reverse order) that scores every row by its index
+        doc_ids = [f"d{i}" for i in range(len(table))]
         values = np.array(table, dtype=float)
         rows = [[doc_id, *(None if math.isnan(v) else float(v) for v in row)]
                 for doc_id, row in zip(doc_ids, values)]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             write_table(out / "profiles.csv", PROFILE_HEADER, rows)
-            again = _read_profiles(RunConfig(out=out))
-        assert again.doc_ids == doc_ids
-        assert again.values.shape == (len(table), 12)
-        assert np.array_equal(np.isnan(again.values), np.isnan(values))
-        assert np.array_equal(again.values, values, equal_nan=True)
-        assert all(np.signbit(again.values[~np.isnan(values)])
+            write_table(out / "scores.csv", ["doc_id", "nc", "group"],
+                        [[doc_id, float(i), "Low"] for i, doc_id in enumerate(doc_ids)][::-1])
+            again, nc, codes = _joined_inputs(RunConfig(out=out))
+        assert nc.tolist() == list(range(len(table)))  # file row order
+        assert codes.tolist() == [2] * len(table)
+        assert again.shape == (len(table), 12)
+        assert np.array_equal(np.isnan(again), np.isnan(values))
+        assert np.array_equal(again, values, equal_nan=True)
+        assert all(np.signbit(again[~np.isnan(values)])
                    == np.signbit(values[~np.isnan(values)]))
 
 

@@ -30,14 +30,6 @@ def clean_env(monkeypatch):
             monkeypatch.delenv(key)
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """A test that leaves a child process unreaped, or still running, fails."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # ------------------------------------------------------- the two maps
 
 def loop_until_failure(values) -> tuple[list, str | None]:

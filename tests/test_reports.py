@@ -9,13 +9,15 @@ import tracemalloc
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexcite.reports as reports_mod
 
 from lexcite.cli import RunConfig, _joined_inputs
 from lexcite.errors import JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
-from lexcite.metrics import VARIABLE_COLUMNS, ProfileMatrix
+from lexcite.metrics import VARIABLE_COLUMNS
 from lexcite.parallel import run_on_two_threads
 from lexcite.reports import (
     CDF_HEADER,
@@ -39,7 +41,8 @@ X1, X8 = 0, 7  # matrix columns of mean sentence length and adverb length
 
 
 def make_corpus(rng, sizes=(6, 8, 10)):
-    """Profiles plus grouped scores: sizes = (High, Medium, Low) counts."""
+    """Profile rows (doc_id, x1..x12) plus grouped scores: sizes = (High,
+    Medium, Low) counts."""
     doc_ids, values, scores = [], [], []
     i = 0
     for group, size in zip(GROUP_ORDER, sizes):
@@ -51,9 +54,7 @@ def make_corpus(rng, sizes=(6, 8, 10)):
                                           nc=float(rng.lognormal(0, 1)),
                                           group=group))
             i += 1
-    matrix = ProfileMatrix(tuple(doc_ids),
-                           np.array(values, dtype=float).reshape(-1, 12))
-    return matrix, scores
+    return list(zip(doc_ids, np.array(values, dtype=float).reshape(-1, 12))), scores
 
 
 def codes_of(rng, sizes=(6, 8, 10)):
@@ -117,7 +118,7 @@ class TestHelpers:
                   ImpactGroup.LOW]  # d11 has no score
         scores = [NormalizedScore(doc_id=d, nc=1.0, group=g)
                   for d, g in zip(doc_ids, groups)][::-1]
-        values, _, codes = join_scores(ProfileMatrix(doc_ids, values), scores)
+        values, _, codes = join_scores(zip(doc_ids, values), scores)
         samples = group_samples(values, codes, "x1")
         assert samples[ImpactGroup.HIGH][0].tolist() == [12.0, 7.0, 4.0]
         assert samples[ImpactGroup.MEDIUM][0].tolist() == [9.0, 2.0]
@@ -125,27 +126,57 @@ class TestHelpers:
         assert samples[ImpactGroup.LOW][1] == 1
 
 
+cells = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 1.5]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestJoin:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_plain_selection(self, data):
+        """join_scores is the list-comprehension selection of the scored
+        rows, in row order, to the bit; it raises JoinMismatch exactly when
+        no profile has a score."""
+        doc_ids = data.draw(st.lists(st.text("abcd", min_size=1, max_size=3),
+                                     unique=True, max_size=8))
+        rows = [(doc_id, data.draw(st.lists(cells, min_size=12, max_size=12)))
+                for doc_id in doc_ids]
+        scored = data.draw(st.lists(st.text("cdef", min_size=1, max_size=3),
+                                    unique=True, max_size=8))
+        scores = [NormalizedScore(doc_id, data.draw(st.floats(0, 1e6)),
+                                  data.draw(st.sampled_from([None, *GROUP_ORDER])))
+                  for doc_id in scored]
+        score_of = {s.doc_id: s for s in scores}
+        expected = [(cells, score_of[doc_id]) for doc_id, cells in rows if doc_id in score_of]
+        if not expected:
+            with pytest.raises(JoinMismatch):
+                join_scores(iter(rows), scores)
+            return
+        values, nc, codes = join_scores(iter(rows), scores)
+        assert values.shape == (len(expected), 12)
+        assert values.tobytes() == np.array([c for c, _ in expected], dtype=float).tobytes()
+        assert nc.tolist() == [s.nc for _, s in expected]
+        assert codes.tolist() == [-1 if s.group is None else GROUP_ORDER.index(s.group)
+                                  for _, s in expected]
+
     def test_scored_rows_in_file_order(self):
         values = np.arange(48, dtype=float).reshape(4, 12)
         values[2, X8] = np.nan
-        matrix = ProfileMatrix(("d0", "d1", "d2", "d3"), values)
         scores = [NormalizedScore("d3", 3.0, ImpactGroup.LOW),
                   NormalizedScore("e9", 9.0, ImpactGroup.MEDIUM),  # no profile
                   NormalizedScore("d2", 2.0, None),
                   NormalizedScore("d0", 0.5, ImpactGroup.HIGH)]  # d1: no score
-        joined, nc, codes = join_scores(matrix, scores)
+        joined, nc, codes = join_scores(zip(("d0", "d1", "d2", "d3"), values), scores)
         np.testing.assert_array_equal(joined, values[[0, 2, 3]])
         assert nc.tolist() == [0.5, 2.0, 3.0]
         assert codes.tolist() == [0, -1, 2]
 
     def test_join_mismatch(self):
         rng = np.random.default_rng(10)
-        matrix = ProfileMatrix(tuple(f"d{i:04d}" for i in range(5)),
-                               rng.uniform(0.5, 10, (5, 12)))
+        rows = zip((f"d{i:04d}" for i in range(5)), rng.uniform(0.5, 10, (5, 12)))
         scores = [NormalizedScore(doc_id="other", nc=1.0)]
         with pytest.raises(JoinMismatch):
-            join_scores(matrix, scores)
+            join_scores(rows, scores)
 
 
 class TestComparisonRows:
@@ -315,7 +346,7 @@ class TestEstimateThreads:
         values = np.full((5, 12), np.nan)
         values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
         doc_ids = tuple(f"d{i}" for i in range(5))
-        values, _, codes = join_scores(ProfileMatrix(doc_ids, values),
+        values, _, codes = join_scores(zip(doc_ids, values),
                                        [NormalizedScore(d, 1.0, ImpactGroup.LOW)
                                         for d in doc_ids])
         set_cpus(monkeypatch, 1)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from lexcite.errors import DegenerateResponseWarning, EmptySample
 from lexcite.impact import NormalizedScore
-from lexcite.metrics import ProfileMatrix
 from lexcite.reports import join_scores
 from lexcite.stats import (
     MODEL_IDS,
@@ -301,7 +300,7 @@ class TestRSquared:
         doc_ids = tuple(f"d{i:04d}" for i in range(30))
         scores = [NormalizedScore(doc_id=doc_id, nc=float(v))
                   for doc_id, v in zip(doc_ids, rng.lognormal(0, 1, 30))][:20]
-        joined, nc, _ = join_scores(ProfileMatrix(doc_ids, values), scores)
+        joined, nc, _ = join_scores(zip(doc_ids, values), scores)
         fit = fit_model(joined, nc, 5)
         alone = fit_model(values[:20], nc, 5)
         assert (fit.n_used, fit.n_dropped_absent) == (20, 0)
