@@ -50,8 +50,10 @@ tag and profile each map one function per document (make or read it,
 then write or profile it) with `parallel.run_on_two_processes`, under the
 rule and contract stated there. They loop over its values as it yields
 them and close it before a failure of their own loop leaves the stage, so
-that its child has ended before main removes the stage's files. run forks
-there before compare loads numpy, so no other thread runs at the fork.
+that its child has ended before main removes the stage's files. compare
+maps its bootstrap cells with the same map (`reports.build_estimate_rows`)
+after it has loaded numpy, whose OpenBLAS joins its threads before a fork;
+lexcite itself starts no thread.
 """
 
 from __future__ import annotations
@@ -427,8 +429,15 @@ def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
 
 
 def _citation(row: list[str]) -> CitationRecord:
-    return CitationRecord(doc_id=row[0], year=int(row[1]), domain=row[2],
-                          total_citations=int(row[3]))
+    """A citations.csv row. Its count must convert to a float, which keeps
+    every mean of counts finite."""
+    record = CitationRecord(doc_id=row[0], year=int(row[1]), domain=row[2],
+                            total_citations=int(row[3]))
+    try:
+        float(record.total_citations)
+    except OverflowError:
+        raise ValueError(f"total_citations {row[3]!r} is too large for a float") from None
+    return record
 
 
 def _baseline(row: list[str]) -> Baseline:

@@ -58,6 +58,10 @@ class ZeroBaselineNonzeroCitations(LexciteError):
     """A zero-mean cell contains a record with positive citations."""
 
 
+class ScoreOverflow(LexciteError):
+    """A record's citations over its cell mean exceed the largest float."""
+
+
 # --- stats engine ----------------------------------------------------------
 
 class EmptySample(LexciteError):

@@ -8,11 +8,13 @@ are then ranked by that score and split into the top 1% (High), the next 9%
 
 from __future__ import annotations
 
+import math
 import warnings
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import GroupEmptyWarning, MissingBaseline, ZeroBaselineNonzeroCitations
+from .errors import (GroupEmptyWarning, MissingBaseline, ScoreOverflow,
+                     ZeroBaselineNonzeroCitations)
 
 
 class ImpactGroup(str, Enum):
@@ -81,7 +83,9 @@ def normalize_citations(
     """Citations divided by the cell mean; group left unset.
 
     A zero-mean cell is only consistent with zero citations; anything else
-    signals a baseline computed from different records.
+    signals a baseline computed from different records. A quotient too
+    large for a float, which only a given mean far below the counts can
+    make, is ScoreOverflow.
     """
     cell = baselines.get((record.year, record.domain))
     if cell is None:
@@ -92,7 +96,11 @@ def normalize_citations(
         raise ZeroBaselineNonzeroCitations(
             f"{record.doc_id!r} has {record.total_citations} citations in a zero-mean cell"
         )
-    return NormalizedScore(doc_id=record.doc_id, nc=record.total_citations / cell.adc)
+    nc = record.total_citations / cell.adc
+    if not math.isfinite(nc):
+        raise ScoreOverflow(f"{record.doc_id!r} has {record.total_citations} citations "
+                            f"in a cell of mean {cell.adc!r}: too large a score")
+    return NormalizedScore(doc_id=record.doc_id, nc=nc)
 
 
 def stratify(scores: list[NormalizedScore]) -> list[NormalizedScore]:

@@ -1,20 +1,14 @@
 """The second CPU: when lexcite uses one, and how.
 
 The rule: work is split in two whenever the process may run on two or more
-CPUs (`usable_cpus`); a split into processes also needs `os.fork`. How many
-items there are decides nothing. Otherwise the caller does all the work.
+CPUs (`usable_cpus`) and `os.fork` exists. How many items there are decides
+nothing. Otherwise the caller does all the work.
 
-The contract: each map is the loop on one CPU that it stands for. It gives
+The contract: the map is the loop on one CPU that it stands for. It gives
 work(item) for every item, in item order. The failure raised is the one at
 the lowest item index, which is the one the loop would raise, and no item is
 started once it is raised. So the outputs, and the failure a stage reports,
 are byte-identical on one CPU and on two.
-
-There are two carriers. `run_on_two_threads` shares one in-order iterator
-between the calling thread and one helper thread; it suits `compare`'s
-bootstrap cells, since numpy releases the interpreter lock while it draws.
-`run_on_two_processes` gives the odd-indexed items to one forked child; it
-suits the Python loops of `tag` and `profile`.
 
 A forked child starts no interpreter and imports nothing: it runs on the
 parent's memory, copied as it is written. It sends each value through a pipe
@@ -22,21 +16,19 @@ as it makes it, pickled, and at its first failure that failure instead, and
 ends with `os._exit`, so no cleanup of the parent's runs twice. The parent
 reads each of the child's values when its index comes up, so neither process
 holds the other's share, and the pipe's buffer bounds how far the child runs
-ahead. Fork only where no other thread runs: `lexcite run` forks before
-`compare` loads numpy, whose BLAS starts threads.
+ahead. Fork only where no other thread runs. lexcite starts no thread. The
+OpenBLAS that numpy loads starts a pool of them, but joins it before each
+fork (its `pthread_atfork` handler) and restarts it at its next call; the
+bootstrap cells that `compare` forks for only draw, gather and take means.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import threading
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 from .errors import STAGE_FAILURES
-
-# (index of the item, exception): where a run over items stopped, and why
-Failure = tuple[int, BaseException]
 
 
 def usable_cpus() -> int:
@@ -44,45 +36,6 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def run_on_two_threads(tasks: Sequence, work: Callable[[object], object]) -> list:
-    """[work(task) for task in tasks], computed by the calling thread and,
-    when the process may use two or more CPUs, one helper thread, which take
-    tasks in order from one shared iterator. Once a task fails neither
-    thread starts another; the helper has ended before the failure at the
-    lowest task index is raised here."""
-    values: list = [None] * len(tasks)
-    pending = enumerate(tasks)
-    lock = threading.Lock()
-    failures: list[Failure] = []
-
-    def drain() -> None:
-        index = -1  # an interrupt before the first task comes first
-        try:
-            while True:
-                with lock:
-                    taken = None if failures else next(pending, None)
-                if taken is None:
-                    return
-                index, task = taken
-                values[index] = work(task)
-        except BaseException as exc:  # raised by the calling thread
-            with lock:
-                failures.append((index, exc))
-
-    helper = None
-    if usable_cpus() >= 2:
-        helper = threading.Thread(target=drain, name="lexcite-map")
-        helper.start()
-    try:
-        drain()
-    finally:
-        if helper is not None:
-            helper.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return values
 
 
 def run_on_two_processes(items: Callable[[], Iterable],

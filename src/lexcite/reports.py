@@ -30,8 +30,9 @@ lacking the variable), a GroupEmpty row is emitted instead of failing.
 Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
 another variable's interval. Because each cell has its own stream, the
-rows come from `parallel.run_on_two_threads`, under the rule and contract
-stated there, and the bytes do not depend on it.
+rows come from `parallel.run_on_two_processes`, under the rule and contract
+stated there, as tag and profile split their documents, and the bytes do
+not depend on it.
 
 Each function that builds an array imports numpy itself, so that importing
 this module does not load numpy (see `lexcite.cli`).
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS
-from .parallel import run_on_two_threads
+from .parallel import run_on_two_processes
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
 
 if TYPE_CHECKING:
@@ -178,7 +179,8 @@ def build_estimate_rows(
 ) -> list[list[object]]:
     """One bootstrap row per variable and group, in fixed row order. Each
     cell draws from its own subseed stream, so the rows are made by
-    `parallel.run_on_two_threads` and do not depend on how it splits them."""
+    `parallel.run_on_two_processes`, with the odd-indexed cells in one
+    forked child, and do not depend on how it splits them."""
     cells = []  # (variable, group, sample, excluded, subseed)
     for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
         samples = group_samples(values, codes, column)
@@ -195,7 +197,7 @@ def build_estimate_rows(
         return [column, group, est.point, est.ci_low, est.ci_high,
                 len(sample), excluded, STATUS_OK]
 
-    return run_on_two_threads(cells, estimate)
+    return list(run_on_two_processes(lambda: cells, estimate))
 
 
 def build_regression_rows(

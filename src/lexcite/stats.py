@@ -31,14 +31,14 @@ if TYPE_CHECKING:
 
 _SERIES_EPS = 1e-12
 # Resample index blocks are capped so bootstrap memory stays bounded (2^15
-# int64 indices, 256 KB, plus the gathered values). Two blocks are in
-# flight at once, one per thread (see `lexcite.parallel`), and the
-# helper thread's malloc arena keeps what it freed, which in `run` adds to
-# the later regress peak; larger blocks raised that peak.
-# Much smaller blocks give back the threading gain to per-call overhead
-# that holds the GIL. The block size does not change the estimates:
-# Generator.integers yields the same stream however the draws are split
-# into calls, which test_chunking_invariant pins.
+# int64 indices, 256 KB, plus the gathered values). One block is in flight
+# in each of the two processes that share the cells (see `lexcite.parallel`).
+# The child's memory ends with it, and the calling process frees its blocks
+# to its main malloc arena, which a later regress in `run` reuses; no
+# other arena keeps them. Much smaller blocks lose to per-call overhead.
+# The block size does not change the estimates: Generator.integers yields
+# the same stream however the draws are split into calls, which
+# test_chunking_invariant pins.
 _BOOTSTRAP_BLOCK_CELLS = 2 ** 15
 
 # Column layout per model family: 1/3 full quadratic, 2/4 squares+linear,

@@ -1541,6 +1541,40 @@ class TestNormalizeStage:
         assert not (out / "scores.csv").exists()
         assert "error in normalize stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", [False, True], ids=["computed", "given"])
+    def test_count_too_large_for_a_float(self, tmp_path, capsys, given):
+        """A count that no float holds fails as a bad cell of its row, with
+        computed and with given baselines."""
+        count = "1" + "0" * 400
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2010, "Eco", count]])
+        argv = ["normalize", "--out", str(tmp_path / "out"), "--citations", str(citations)]
+        if given:
+            baselines = tmp_path / "base.csv"
+            write_table(baselines, ["year", "domain", "adc", "n"], [[2010, "Eco", 2.0, 1]])
+            argv += ["--baselines", str(baselines)]
+        assert main(argv) == 1
+        assert read_errors(tmp_path / "out") == {
+            "stage": "normalize", "document": "a", "error": "FormatError",
+            "message": f"line 2: citations.csv: total_citations '{count}' is too "
+                       "large for a float"}
+        assert "error in normalize stage" in capsys.readouterr().err
+
+    def test_score_too_large_for_a_float(self, tmp_path, capsys):
+        """A score of inf would pass normalize and fail the stage after it."""
+        citations = tmp_path / "citations.csv"
+        self.write_citations(citations, [["a", 2010, "Eco", 100000000000]])
+        baselines = tmp_path / "base.csv"
+        write_table(baselines, ["year", "domain", "adc", "n"], [[2010, "Eco", 1e-300, 1]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == \
+            ("normalize", "a", "ScoreOverflow")
+        assert not (out / "scores.csv").exists()
+        assert "error in normalize stage" in capsys.readouterr().err
+
     def test_zero_baseline_with_zero_citations_is_a_score(self, tmp_path):
         citations = tmp_path / "citations.csv"
         self.write_citations(citations, [["a", 2010, "Eco", 0]])

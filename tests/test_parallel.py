@@ -1,4 +1,4 @@
-"""Both maps of lexcite.parallel, the text stages on one and on two
+"""The map of lexcite.parallel, the text stages on one and on two
 processes, and errors that cross a pipe."""
 
 import ast
@@ -30,7 +30,7 @@ def clean_env(monkeypatch):
             monkeypatch.delenv(key)
 
 
-# ------------------------------------------------------- the two maps
+# ------------------------------------------------------------- the map
 
 def loop_until_failure(values) -> tuple[list, str | None]:
     """The values an iterable gives, up to its failure, and that failure."""
@@ -52,7 +52,7 @@ LARGE = 1 << 17
        failing=st.sets(st.integers(min_value=0, max_value=8), max_size=3),
        large=st.booleans())
 def test_both_maps_are_the_loop(values, failing, large):
-    """For any items and any failing indices, each map gives the values of
+    """For any items and any failing indices, the map gives the values of
     the loop on one CPU and raises its failure, on one CPU and on two, also
     when each value is larger than the pipe's buffer."""
     items = list(enumerate(values))
@@ -68,11 +68,6 @@ def test_both_maps_are_the_loop(values, failing, large):
         with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
             assert loop_until_failure(parallel.run_on_two_processes(
                 lambda: items, work)) == want
-            try:
-                assert parallel.run_on_two_threads(items, work) == want[0]
-                assert want[1] is None
-            except LexciteError as exc:
-                assert str(exc) == want[1]
 
 
 def test_early_stop_starts_no_later_item():
@@ -95,14 +90,13 @@ def test_early_stop_starts_no_later_item():
 
 
 def test_the_rule_lives_in_parallel():
-    """No lexcite module but parallel imports a threading or process module,
-    forks, or asks how many CPUs it may use."""
-    banned = {"threading", "_thread", "multiprocessing", "concurrent",
-              "fork", "forkpty", "usable_cpus"}
+    """No lexcite module imports a threading module, and none but parallel
+    imports a process module, forks, or asks how many CPUs it may use."""
+    threads = {"threading", "_thread"}
+    processes = {"multiprocessing", "concurrent", "fork", "forkpty", "usable_cpus"}
     found = []
     for path in sorted(Path(parallel.__file__).parent.glob("*.py")):
-        if path.name == "parallel.py":
-            continue
+        banned = threads if path.name == "parallel.py" else threads | processes
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [getattr(node, "module", None) or "",

@@ -2,8 +2,7 @@
 
 import math
 import os
-import sys
-import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,10 +14,9 @@ from hypothesis import strategies as st
 import lexcite.reports as reports_mod
 
 from lexcite.cli import RunConfig, _joined_inputs
-from lexcite.errors import JoinMismatch
+from lexcite.errors import FormatError, JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from lexcite.metrics import VARIABLE_COLUMNS
-from lexcite.parallel import run_on_two_threads
 from lexcite.reports import (
     CDF_HEADER,
     COHORT_ORDER,
@@ -287,61 +285,37 @@ def set_cpus(monkeypatch, count):
                         raising=False)
 
 
-class TestEstimateThreads:
-    """build_estimate_rows computes the cells on the calling thread and, with
-    two or more CPUs, one helper thread; the rows do not depend on this."""
+class TestEstimateProcesses:
+    """build_estimate_rows computes the even-indexed cells in the calling
+    process and, with two or more CPUs, the odd-indexed ones in one forked
+    child; the rows do not depend on this."""
 
-    def count_threads(self, monkeypatch):
-        started = []
+    def rows_and_forks(self, monkeypatch, cpus, *args):
+        """build_estimate_rows(*args) as if the process could use `cpus`
+        CPUs, and how many times it forked."""
+        forks = []
+        fork = os.fork
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def counted_fork():
+            forks.append(True)
+            return fork()
 
-        monkeypatch.setattr(threading, "Thread", Counted)
-        return started
+        with monkeypatch.context() as patched:
+            set_cpus(patched, cpus)
+            patched.setattr(os, "fork", counted_fork)
+            return build_estimate_rows(*args), len(forks)
 
-    def forbid_threads(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading, "Thread", refuse)
-
-    def test_one_cpu_inline_equals_two_threads(self, monkeypatch):
+    def test_one_and_two_cpus_same_rows(self, monkeypatch):
         values, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
-        set_cpus(monkeypatch, 1)
-        self.forbid_threads(monkeypatch)
-        inline = build_estimate_rows(values, codes, 300, 0.95, 3)
-        monkeypatch.undo()
-
-        # The first cell (x1, High) waits until another cell has finished,
-        # so the cells finish out of order whatever the timing.
-        set_cpus(monkeypatch, 2)
-        started = self.count_threads(monkeypatch)
-        first_seed = subseed(3, 1, 0)
-        finished = []
-        other_done = threading.Event()
-        original = reports_mod.bootstrap_mean_ci
-
-        def ordered(values, iterations, level, seed):
-            if seed == first_seed:
-                assert other_done.wait(timeout=30)
-            result = original(values, iterations=iterations, level=level, seed=seed)
-            finished.append(seed)
-            if seed != first_seed:
-                other_done.set()
-            return result
-
-        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", ordered)
-        threaded = build_estimate_rows(values, codes, 300, 0.95, 3)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert finished[0] != first_seed and len(finished) == 36
-        assert threaded == inline
+        one, two = (self.rows_and_forks(monkeypatch, cpus, values, codes, 300, 0.95, 3)
+                    for cpus in (1, 2))
+        assert (one[1], two[1]) == (0, 1)
+        assert len(one[0]) == 36
+        assert two[0] == one[0]
 
     def test_one_cell_same_on_one_and_two_cpus(self, monkeypatch):
-        """No count of cells decides the split: a single cell gives the same
-        rows on one CPU, with no thread started, and on two."""
+        """No count of cells decides the split: a single non-empty cell gives
+        the same rows on one CPU and on two, where it forks once."""
         # Only the Low group, and every variable but x1 Absent: one cell.
         values = np.full((5, 12), np.nan)
         values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -349,67 +323,74 @@ class TestEstimateThreads:
         values, _, codes = join_scores(zip(doc_ids, values),
                                        [NormalizedScore(d, 1.0, ImpactGroup.LOW)
                                         for d in doc_ids])
-        set_cpus(monkeypatch, 1)
-        self.forbid_threads(monkeypatch)
-        inline = build_estimate_rows(values, codes, 100, 0.95, 0)
-        monkeypatch.undo()
-        set_cpus(monkeypatch, 2)
-        started = self.count_threads(monkeypatch)
-        threaded = build_estimate_rows(values, codes, 100, 0.95, 0)
-        assert len(started) == 1
-        assert [r[7] for r in inline].count(STATUS_OK) == 1
-        assert threaded == inline
+        one, two = (self.rows_and_forks(monkeypatch, cpus, values, codes, 100, 0.95, 0)
+                    for cpus in (1, 2))
+        assert (one[1], two[1]) == (0, 1)
+        assert [r[7] for r in one[0]].count(STATUS_OK) == 1
+        assert two[0] == one[0]
 
-    def test_each_cell_taken_once(self, monkeypatch):
-        """With thread switches as often as the interpreter allows, every
-        task still runs exactly once, and its value lands at its index."""
-        set_cpus(monkeypatch, 2)
-        runs = [0] * 5000
-
-        def work(task):
-            runs[task] += 1
-            return -task
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            values = run_on_two_threads(range(len(runs)), work)
-        finally:
-            sys.setswitchinterval(interval)
-        assert runs == [1] * len(runs)
-        assert values == [-task for task in range(len(runs))]
-
-    @pytest.mark.parametrize("first", ["helper", "caller"])
-    def test_cell_error_raised_in_caller(self, monkeypatch, first):
-        """Every cell fails, and the `first` thread fails sooner than the
-        other. The caller raises the failure of the lowest cell, which the
-        loop on one thread raises, once the helper has ended."""
+    @pytest.mark.parametrize("failing", ["all", "odd"])
+    def test_cell_error_raised_in_caller(self, monkeypatch, tmp_path, failing):
+        """With every cell failing, and the child failing first, the caller
+        raises the failure of cell 0, which the loop on one CPU raises. With
+        only the odd cells failing, cell 1's failure crosses the pipe as
+        itself. Either way the caller starts no cell after the failure."""
         values, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
         set_cpus(monkeypatch, 2)
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        failed = threading.Event()
         cell_of = {subseed(0, var, group): 3 * (var - 1) + group
                    for var in range(1, 13) for group in range(3)}
+        caller, child_failed = os.getpid(), tmp_path / "child-failed"
+        started = []
 
-        class CellFailed(Exception):
-            pass
+        def failing_cell(values, iterations, level, seed):
+            cell = cell_of[seed]
+            if os.getpid() == caller:
+                started.append(cell)
+            if failing == "odd" and cell % 2 == 0:
+                return original(values, iterations=iterations, level=level,
+                                seed=seed)
+            if os.getpid() == caller:
+                deadline = time.monotonic() + 30
+                while not child_failed.exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            else:
+                child_failed.touch()
+            raise FormatError(cell, "this cell fails")
 
-        def failing(values, iterations, level, seed):
-            on_helper = threading.current_thread() is not threading.main_thread()
-            if on_helper != (first == "helper"):
-                # so the first thread is sure to take a cell and fail
-                assert failed.wait(timeout=30)
-            failed.set()
-            raise CellFailed(cell_of[seed])
-
-        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing)
-        before = threading.active_count()
-        with pytest.raises(CellFailed) as raised:
+        original = reports_mod.bootstrap_mean_ci
+        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing_cell)
+        with pytest.raises(FormatError) as raised:
             build_estimate_rows(values, codes, 100, 0.95, 0)
-        assert raised.value.args == (0,)
-        assert threading.active_count() == before
-        assert hooked == []
+        want = 0 if failing == "all" else 1
+        assert type(raised.value) is FormatError
+        assert raised.value.line_number == want
+        assert str(raised.value) == f"line {want}: this cell fails"
+        assert started == [0]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_forks_with_one_thread_after_blas(self, monkeypatch):
+        """BLAS has started its threads, yet the process that forks for the
+        cells has one thread just after the fork: OpenBLAS joins its pool
+        before a fork."""
+        np.linalg.lstsq(np.eye(40), np.ones(40), rcond=None)
+        readings, listening = [], [True]
+
+        def threads_now():
+            if listening:
+                with open("/proc/self/status", encoding="ascii") as status:
+                    readings.extend(int(line.split()[1]) for line in status
+                                    if line.startswith("Threads:"))
+
+        os.register_at_fork(after_in_parent=threads_now)  # cannot be removed
+        values, codes = codes_of(np.random.default_rng(15))
+        set_cpus(monkeypatch, 2)
+        try:
+            build_estimate_rows(values, codes, 100, 0.95, 0)
+        finally:
+            listening.clear()
+        assert readings == [1]
 
 
 class TestRegressionRows:
