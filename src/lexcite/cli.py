@@ -2,41 +2,32 @@
 
 Stages hand off through files in the output directory so any stage can be
 replaced externally (for example, splicing in a different tagger's output
-at the tag stage):
-
-    ingest     article XML dir            -> corpus.jsonl, rejects.csv
-    tag        corpus.jsonl               -> tagged/<doc>.tsv
-    profile    tagged/*.tsv               -> profiles.csv
-    normalize  citations.csv [baselines]  -> baselines.csv, scores.csv
-    group      scores.csv                 -> scores.csv (groups filled)
-    compare    profiles + grouped scores  -> comparison.csv, cdf.csv, estimates.csv
-    regress    profiles + grouped scores  -> regression.csv
-    run        all of the above in order
+at the tag stage); run runs them all in order.
 
 Option precedence is flags > LEXCITE_* environment variables > defaults;
 an unrecognized LEXCITE_* variable is an error rather than a silent no-op.
 Outputs carry no timestamps and all randomness flows from the recorded
 seed, so a rerun with identical inputs is byte-identical.
 
-A configuration mistake (an empty path among them), or an --out that
-cannot be created, prints one error line and exits 2. Otherwise main
-removes any errors.json an earlier invocation left, then runs the stages in
-turn, and any failure of errors.STAGE_FAILURES (a LexciteError, an OSError
-or a MemoryError) that a stage raises ends the run with exit 1 and an
-errors.json written by main, the one place that knows which stage is
-running. Stages raise plain errors, wrapped in DocumentError where they
-know the input document: a failure to read a file names the file, and a
-failure after reading names the document's id.
+Each rule is declared once: _OPTIONS holds every option with its converter
+and help, and _STAGES the stages in order, each with its function, the
+options it requires, the stage files it reads and the globs it owns in
+--out. A configuration mistake (a bad option value, an empty path among
+them, or a fault of the whole invocation against _STAGES) prints one error
+line and exits 2 before any stage runs, with nothing in --out written or
+removed. Otherwise main removes any errors.json an earlier invocation left,
+then runs the stages in turn, and any failure of errors.STAGE_FAILURES (a
+LexciteError, an OSError or a MemoryError) that a stage raises ends the run
+with exit 1 and an errors.json written by main, the one place that knows
+which stage is running. Stages raise plain errors, wrapped in DocumentError
+where they know the input document: a failure to read a file names the
+file, and a failure after reading names the document's id.
 
 Outputs depend only on the inputs, not on what --out held before. main
 removes the files a stage owns before the stage runs, and again if it fails
 (in a run, also those of every later stage), but never a file the
 invocation was given to read. So no stage reads an output of an earlier
-invocation. group owns nothing, because scores.csv is also its input.
-
-Each of these rules is declared once: _OPTIONS holds every option with its
-converter and help, _STAGE_FUNCS the stages in order, and _STAGE_OUTPUTS
-what each stage owns.
+invocation.
 
 Only compare and regress compute with arrays: each joins every
 profiles.csv row to its score as it reads it, and keeps only the scored
@@ -64,12 +55,13 @@ import json
 import os
 import re
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import __version__
-from .errors import STAGE_FAILURES, ConfigError, FormatError, LexciteError, MissingMetadata
+from .errors import (STAGE_FAILURES, ConfigError, DataError, FormatError, LexciteError,
+                     MissingMetadata)
 from .impact import (
     Baseline,
     CitationRecord,
@@ -248,27 +240,11 @@ def _safe_name(doc_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
 
 
-def _require(config: RunConfig, option: str) -> Path:
-    value: Path | None = getattr(config, option)
-    if value is None:
-        raise ConfigError(f"{_flag(option)} is required")
-    if not value.exists():
-        raise ConfigError(f"path not found: {value}")
-    return value
-
-
-def _stage_file(config: RunConfig, name: str) -> Path:
-    path = config.out / name
-    if not path.exists():
-        raise ConfigError(f"missing {name}; run the earlier stages into {config.out} first")
-    return path
-
-
 def _tsv_files(directory: Path) -> list[Path]:
-    """The .tsv files of directory, sorted; none is a ConfigError."""
+    """The .tsv files of directory, sorted; none is a DataError."""
     files = sorted(directory.glob("*.tsv"))
     if not files:
-        raise ConfigError(f"no .tsv files in {directory}")
+        raise DataError(f"no .tsv files in {directory}")
     return files
 
 
@@ -288,14 +264,11 @@ def stage_ingest(config: RunConfig) -> None:
     read fails the stage, naming the file; one that cannot be parsed is a
     reject. rejects.csv is written however the stage ends, with the rejects
     read until then."""
-    input_dir = _require(config, "input")
-    if config.abbrev is None:
-        table = AbbreviationTable()
-    else:
-        table = AbbreviationTable.from_file(_require(config, "abbrev"))
-    xml_files = sorted(input_dir.glob("*.xml"))
+    table = AbbreviationTable() if config.abbrev is None else \
+        AbbreviationTable.from_file(config.abbrev)
+    xml_files = sorted(config.input.glob("*.xml"))
     if not xml_files:
-        raise ConfigError(f"no .xml files in {input_dir}")
+        raise DataError(f"no .xml files in {config.input}")
     rejects: list[list[object]] = []
     doc_id = ""  # parsed last; write_corpus refuses it at once if it repeats
 
@@ -323,7 +296,7 @@ def stage_ingest(config: RunConfig) -> None:
                     rejects, config.metadata())
     if not written:
         raise DocumentError(readable_name(xml_files[0].name),
-                            ConfigError("every input file was rejected"))
+                            DataError("every input file was rejected"))
 
 
 def stage_tag(config: RunConfig) -> None:
@@ -331,14 +304,10 @@ def stage_tag(config: RunConfig) -> None:
     make the document (tag a corpus.jsonl record, or `_read_tagged` an
     --import-tagged file), then write it. Two documents whose ids give one
     file name fail the stage at the second, once it is written; a failure to
-    write it is the error reported. main has removed every earlier .tsv but
-    those being imported, so tagged/ itself cannot be the import directory:
-    profile would read both the imported files and their copies. That is a
-    ConfigError, raised before anything is written."""
+    write it is the error reported."""
     tagged_dir = config.out / "tagged"
     if config.import_tagged is None:
-        corpus = _stage_file(config, "corpus.jsonl")
-        items = lambda: read_corpus(corpus)
+        items = lambda: read_corpus(config.out / "corpus.jsonl")
         tagger = LexiconTagger()
 
         def document(raw: RawDocument) -> TaggedDocument:
@@ -347,11 +316,7 @@ def stage_tag(config: RunConfig) -> None:
             except LexciteError as exc:
                 raise DocumentError(raw.doc_id, exc)
     else:
-        import_dir = _require(config, "import_tagged")
-        if tagged_dir.is_dir() and os.path.samefile(import_dir, tagged_dir):
-            raise ConfigError(f"--import-tagged {import_dir} is the tagged/ directory "
-                              "of --out, which this stage rewrites")
-        files = _tsv_files(import_dir)
+        files = _tsv_files(config.import_tagged)
         items, document = (lambda: files), _read_tagged
     tagged_dir.mkdir(parents=True, exist_ok=True)
 
@@ -368,17 +333,14 @@ def stage_tag(config: RunConfig) -> None:
     with closing(run_on_two_processes(items, write)) as written:
         for name, doc_id in written:
             if name in first_ids:
-                raise DocumentError(doc_id, ConfigError(
+                raise DocumentError(doc_id, DataError(
                     f"doc ids {first_ids[name]!r} and {doc_id!r} collide on file {name}"))
             first_ids[name] = doc_id
 
 
 def stage_profile(config: RunConfig) -> None:
     """profiles.csv, from one map that reads and profiles each tagged/*.tsv."""
-    tagged_dir = config.out / "tagged"
-    if not tagged_dir.is_dir():
-        raise ConfigError(f"missing tagged/; run the tag stage into {config.out} first")
-    files = _tsv_files(tagged_dir)
+    files = _tsv_files(config.out / "tagged")
 
     def profile_one(path: Path) -> tuple[str, ComplexityProfile]:
         doc = _read_tagged(path)
@@ -391,7 +353,7 @@ def stage_profile(config: RunConfig) -> None:
     with closing(run_on_two_processes(lambda: files, profile_one)) as profiles:
         for name, profile in profiles:
             if profile.doc_id in named:
-                raise DocumentError(profile.doc_id, ConfigError(
+                raise DocumentError(profile.doc_id, DataError(
                     f"files {named[profile.doc_id][0]} and {name} name one document"))
             named[profile.doc_id] = name, profile
     write_table(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
@@ -408,7 +370,7 @@ def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
     its document."""
     table = read_table(path)
     if table.header != header:
-        raise ConfigError(f"{readable_name(path.name)} columns {table.header} != {header}")
+        raise DataError(f"{readable_name(path.name)} columns {table.header} != {header}")
     seen: set[tuple] = set()
     for line, row in table.rows:
         try:
@@ -428,44 +390,16 @@ def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
         yield value
 
 
-def _citation(row: list[str]) -> CitationRecord:
-    """A citations.csv row. Its count must convert to a float, which keeps
-    every mean of counts finite."""
-    record = CitationRecord(doc_id=row[0], year=int(row[1]), domain=row[2],
-                            total_citations=int(row[3]))
-    try:
-        float(record.total_citations)
-    except OverflowError:
-        raise ValueError(f"total_citations {row[3]!r} is too large for a float") from None
-    return record
-
-
-def _baseline(row: list[str]) -> Baseline:
-    baseline = Baseline(year=int(row[0]), domain=row[1], adc=parse_finite(row[2]),
-                        n=int(row[3]))
-    if baseline.adc < 0:
-        raise ValueError(f"adc {row[2]!r} is negative")
-    if baseline.n < 1:
-        raise ValueError(f"n {row[3]!r} is below 1")
-    return baseline
-
-
-def _score(row: list[str]) -> NormalizedScore:
-    score = NormalizedScore(doc_id=row[0], nc=parse_finite(row[1]),
-                            group=ImpactGroup(row[2]) if row[2] else None)
-    if score.nc < 0:
-        raise ValueError(f"nc {row[1]!r} is negative")
-    return score
-
-
 def stage_normalize(config: RunConfig) -> None:
-    records = list(_read_rows(_require(config, "citations"),
-                              ["doc_id", "year", "domain", "total_citations"], _citation,
-                              lambda rec: (rec.doc_id,)))
+    records = list(_read_rows(
+        config.citations, ["doc_id", "year", "domain", "total_citations"],
+        lambda row: CitationRecord(row[0], int(row[1]), row[2], int(row[3])),
+        lambda rec: (rec.doc_id,)))
     if config.baselines is not None:
-        baselines = list(_read_rows(_require(config, "baselines"),
-                                    ["year", "domain", "adc", "n"], _baseline,
-                                    lambda b: (b.year, b.domain)))
+        baselines = list(_read_rows(
+            config.baselines, ["year", "domain", "adc", "n"],
+            lambda row: Baseline(int(row[0]), row[1], parse_finite(row[2]), int(row[3])),
+            lambda b: (b.year, b.domain)))
     else:
         baselines = compute_baselines(records)
     lookup = baseline_map(baselines)
@@ -489,8 +423,11 @@ def _write_scores(config: RunConfig, scores: list[NormalizedScore]) -> None:
 
 
 def _read_scores(config: RunConfig) -> list[NormalizedScore]:
-    return list(_read_rows(_stage_file(config, "scores.csv"),
-                           ["doc_id", "nc", "group"], _score, lambda s: (s.doc_id,)))
+    return list(_read_rows(
+        config.out / "scores.csv", ["doc_id", "nc", "group"],
+        lambda row: NormalizedScore(row[0], parse_finite(row[1]),
+                                    ImpactGroup(row[2]) if row[2] else None),
+        lambda s: (s.doc_id,)))
 
 
 def stage_group(config: RunConfig) -> None:
@@ -498,21 +435,16 @@ def stage_group(config: RunConfig) -> None:
     _write_scores(config, stratify(scores))
 
 
-def _grouped_scores(config: RunConfig) -> list[NormalizedScore]:
-    scores = _read_scores(config)
-    if scores and all(s.group is None for s in scores):
-        raise ConfigError("scores.csv has no groups; run the group stage first")
-    return scores
-
-
 def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The profiles joined to the grouped scores: values, nc and group
-    codes of the profile rows that have a score (`join_scores`). A missing
-    profiles.csv fails first; then scores.csv is read whole, and then each
-    profiles.csv row is joined as it is read."""
-    profiles = _read_rows(_stage_file(config, "profiles.csv"), ["doc_id", *VARIABLE_COLUMNS],
+    codes of the profile rows that have a score (`join_scores`). scores.csv
+    is read whole, and then each profiles.csv row is joined as it is read."""
+    profiles = _read_rows(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
                           lambda row: (row[0], profile_cells(row)), lambda parsed: parsed[:1])
-    return join_scores(profiles, _grouped_scores(config))
+    scores = _read_scores(config)
+    if scores and all(s.group is None for s in scores):
+        raise DataError("scores.csv has no groups; run the group stage first")
+    return join_scores(profiles, scores)
 
 
 def stage_compare(config: RunConfig) -> None:
@@ -533,30 +465,70 @@ def stage_regress(config: RunConfig) -> None:
                 config.metadata())
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "tag": stage_tag,
-    "profile": stage_profile,
-    "normalize": stage_normalize,
-    "group": stage_group,
-    "compare": stage_compare,
-    "regress": stage_regress,
-}
-STAGE_ORDER = tuple(_STAGE_FUNCS)
+class _Stage(NamedTuple):
+    """A stage: its function, the options it requires, the stage files it
+    reads from --out in the order it reads them (a name ending in / is a
+    directory, owned by a glob in it), and the globs it owns there."""
 
-# What each stage owns in --out, as globs: main removes these before the
-# stage runs and again if it fails, so that no stage reads what an earlier
-# invocation wrote. group is left out, because scores.csv is also its
-# input. rejects.csv is left out, because ingest writes it even when it
-# fails, and errors.json is main's own.
-_STAGE_OUTPUTS = {
-    "ingest": ("corpus.jsonl",),
-    "tag": ("tagged/*.tsv",),
-    "profile": ("profiles.csv",),
-    "normalize": ("baselines.csv", "scores.csv"),
-    "compare": ("comparison.csv", "cdf.csv", "estimates.csv"),
-    "regress": ("regression.csv",),
+    func: Callable[[RunConfig], None]
+    requires: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()
+    owns: tuple[str, ...] = ()
+
+
+# group owns nothing, because scores.csv is also its input. No stage owns
+# rejects.csv, which ingest writes even when it fails, or main's errors.json.
+# tag reads no corpus.jsonl under --import-tagged, and the directory it
+# rewrites cannot be the one imported: profile would read each file twice.
+_STAGES = {
+    "ingest": _Stage(stage_ingest, requires=("input",), owns=("corpus.jsonl",)),
+    "tag": _Stage(stage_tag, reads=("corpus.jsonl",), owns=("tagged/*.tsv",)),
+    "profile": _Stage(stage_profile, reads=("tagged/",), owns=("profiles.csv",)),
+    "normalize": _Stage(stage_normalize, requires=("citations",),
+                        owns=("baselines.csv", "scores.csv")),
+    "group": _Stage(stage_group, reads=("scores.csv",)),
+    "compare": _Stage(stage_compare, reads=("profiles.csv", "scores.csv"),
+                      owns=("comparison.csv", "cdf.csv", "estimates.csv")),
+    "regress": _Stage(stage_regress, reads=("profiles.csv", "scores.csv"),
+                      owns=("regression.csv",)),
 }
+STAGE_ORDER = tuple(_STAGES)
+# main calls each stage through this dict, whose values benchmark/tracer.py
+# rebinds to time them (ROADMAP item 10).
+_STAGE_FUNCS = {name: stage.func for name, stage in _STAGES.items()}
+
+
+def _check_invocation(config: RunConfig, stages: tuple[str, ...]) -> None:
+    """Raise a ConfigError for the invocation's first fault, touching nothing:
+    an --out that cannot be created, a required option not set, a missing
+    given path, a stage file read that neither --out holds nor an earlier
+    stage writes, or an --import-tagged that is tagged/ of --out."""
+    existing = next((p for p in (config.out, *config.out.parents) if p.exists()), config.out)
+    if not existing.is_dir():
+        raise ConfigError(f"--out {config.out} cannot be created: {existing} is not a directory")
+    for stage in stages:
+        for option in _STAGES[stage].requires:
+            if getattr(config, option) is None:
+                raise ConfigError(f"{_flag(option)} is required")
+    for option, (convert, _) in _OPTIONS.items():
+        given = getattr(config, option)
+        if convert is Path and option != "out" and given is not None and not given.exists():
+            raise ConfigError(f"path not found: {given}")
+    owned: list[str] = []
+    for stage in stages:
+        tag_imports = stage == "tag" and config.import_tagged is not None
+        for name in () if tag_imports else _STAGES[stage].reads:
+            path = config.out / name
+            there = path.is_dir() if name.endswith("/") else path.exists()
+            if not there and not any(g.startswith(name) for g in owned):
+                raise ConfigError(f"missing {name}; run the earlier stages into "
+                                  f"{config.out} first")
+        owned += _STAGES[stage].owns
+    tagged = config.out / "tagged"
+    if ("tag" in stages and config.import_tagged is not None and tagged.is_dir()
+            and os.path.samefile(config.import_tagged, tagged)):
+        raise ConfigError(f"--import-tagged {config.import_tagged} is the tagged/ "
+                          "directory of --out, which the tag stage rewrites")
 
 
 def _given_input(config: RunConfig, path: Path) -> bool:
@@ -574,14 +546,11 @@ def _remove_outputs(config: RunConfig, stages: tuple[str, ...]) -> None:
     given to read, as far as the file system lets it (a directory in an
     output's place stays)."""
     for stage in stages:
-        for pattern in _STAGE_OUTPUTS.get(stage, ()):
+        for pattern in _STAGES[stage].owns:
             for path in config.out.glob(pattern):
-                if _given_input(config, path):
-                    continue
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                if not _given_input(config, path):
+                    with suppress(OSError):
+                        path.unlink()
 
 
 # ------------------------------------------------------------------ main
@@ -608,14 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    stages = STAGE_ORDER if args.command == "run" else (args.command,)
     try:
         config = build_config(args)
+        _check_invocation(config, stages)
         config.out.mkdir(parents=True, exist_ok=True)
         (config.out / "errors.json").unlink(missing_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stages = STAGE_ORDER if args.command == "run" else (args.command,)
     for done, stage in enumerate(stages):
         try:
             _remove_outputs(config, (stage,))

@@ -75,7 +75,11 @@ class JoinMismatch(LexciteError):
 # --- cli -------------------------------------------------------------------
 
 class ConfigError(LexciteError):
-    """Run configuration is invalid or contains unknown keys."""
+    """A mistake in the invocation, found before any stage runs."""
+
+
+class DataError(LexciteError):
+    """A stage's inputs, valid line by line, cannot make its outputs."""
 
 
 class DegenerateResponseWarning(UserWarning):

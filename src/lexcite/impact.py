@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (GroupEmptyWarning, MissingBaseline, ScoreOverflow,
                      ZeroBaselineNonzeroCitations)
@@ -26,39 +26,51 @@ class ImpactGroup(str, Enum):
 GROUP_ORDER = (ImpactGroup.HIGH, ImpactGroup.MEDIUM, ImpactGroup.LOW)
 
 
-class _CitationFields(NamedTuple):
-    doc_id: str
-    year: int
-    domain: str
-    total_citations: int
+def _record(fields: str) -> type:
+    """A namedtuple whose _make, and so _replace, calls the record's checks."""
+    base = namedtuple("_Record", fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
-class CitationRecord(_CitationFields):
+class CitationRecord(_record("doc_id year domain total_citations")):
+    """A count that a float holds, which keeps every mean of counts finite."""
+
     __slots__ = ()
 
     def __new__(cls, doc_id: str, year: int, domain: str, total_citations: int):
         if total_citations < 0:
             raise ValueError(f"negative citations for {doc_id!r}")
+        try:
+            float(total_citations)
+        except OverflowError:
+            raise ValueError(f"total_citations '{total_citations}' is too large "
+                             "for a float") from None
         return super().__new__(cls, doc_id, year, domain, total_citations)
 
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
+
+class Baseline(_record("year domain adc n")):
+    """Mean citations (adc) over the n >= 1 papers in one year x domain cell."""
+
+    __slots__ = ()
+
+    def __new__(cls, year: int, domain: str, adc: float, n: int):
+        if adc < 0:
+            raise ValueError(f"adc '{adc!r}' is negative")
+        if n < 1:
+            raise ValueError(f"n '{n!r}' is below 1")
+        return super().__new__(cls, year, domain, adc, n)
 
 
-class Baseline(NamedTuple):
-    """Mean citations (adc) over the n papers in one year x domain cell."""
+class NormalizedScore(_record("doc_id nc group")):
+    """A count over a mean of counts, so not negative."""
 
-    year: int
-    domain: str
-    adc: float
-    n: int
+    __slots__ = ()
 
-
-class NormalizedScore(NamedTuple):
-    doc_id: str
-    nc: float
-    group: ImpactGroup | None = None
+    def __new__(cls, doc_id: str, nc: float, group: ImpactGroup | None = None):
+        if nc < 0:
+            raise ValueError(f"nc '{nc!r}' is negative")
+        return super().__new__(cls, doc_id, nc, group)
 
 
 def compute_baselines(records: list[CitationRecord]) -> list[Baseline]:

@@ -170,15 +170,18 @@ def bootstrap_mean_ci(
     means = np.empty(iterations, dtype=float)
     block = max(1, _BOOTSTRAP_BLOCK_CELLS // n)
     done = 0
-    while done < iterations:
-        rows = min(block, iterations - done)
-        idx = rng.integers(0, n, size=(rows, n))
-        means[done:done + rows] = data[idx].mean(axis=1)
-        done += rows
+    # a sum past the largest float is inf, unwarned; write_table refuses it
+    with np.errstate(over="ignore"):
+        while done < iterations:
+            rows = min(block, iterations - done)
+            idx = rng.integers(0, n, size=(rows, n))
+            means[done:done + rows] = data[idx].mean(axis=1)
+            done += rows
+        point = float(data.mean())
     means.sort()
     alpha = (1.0 - level) / 2.0
     return BootstrapEstimate(
-        point=float(data.mean()),
+        point=point,
         ci_low=_nearest_rank(means, alpha),
         ci_high=_nearest_rank(means, 1.0 - alpha),
         iterations=iterations,

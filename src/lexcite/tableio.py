@@ -30,7 +30,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 
 def write_table(
@@ -41,9 +41,10 @@ def write_table(
 ) -> None:
     """Write a metadata block, header row, and data rows to path, taking the
     rows from any iterable as they are written. A metadata key or value, or
-    a header, that would not read back is a ValueError. On any error,
-    whether raised by rows or by the write, path keeps its old bytes and no
-    temporary file is left."""
+    a header, that would not read back is a ValueError; a float cell that
+    parse_finite would refuse is a DataError naming the file, the row and
+    its leading cells. On any error, whether raised by rows or by the write,
+    path keeps its old bytes and no temporary file is left."""
     path, metadata = Path(path), metadata or {}
     for key, value in metadata.items():
         line = f"{key}={value}"
@@ -58,11 +59,21 @@ def write_table(
                 fh.write(f"#{key}={value}\r\n")
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(_finite(path, rows))
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def _finite(path: Path, rows: Iterable[Sequence[object]]) -> Iterator[Sequence[object]]:
+    for number, row in enumerate(rows, 1):
+        for cell in row:
+            if isinstance(cell, float) and cell - cell != 0.0:  # inf or nan
+                lead = itertools.takewhile(lambda c: not isinstance(c, float), row)
+                raise DataError(f"{readable_name(path.name)}: row {number} "
+                                f"({', '.join(map(str, lead))}): non-finite value {cell!r}")
+        yield row
 
 
 class Table(NamedTuple):

@@ -93,6 +93,19 @@ def read_errors(out: Path) -> dict:
     return json.loads((out / "errors.json").read_text(encoding="utf-8"))
 
 
+def assert_config_fault(out: Path, capsys, message: str, earlier: str | None = None) -> None:
+    """A configuration mistake: one `error: ` line holding message on
+    stderr, and no errors.json but the one an earlier invocation left, which
+    names the stage earlier."""
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    assert message in stderr
+    if earlier is None:
+        assert not (out / "errors.json").exists()
+    else:
+        assert read_errors(out)["stage"] == earlier
+
+
 class TestBuildConfig:
     def test_defaults(self, tmp_path):
         config = build_config(parse(["run", "--out", str(tmp_path)]), {})
@@ -206,26 +219,17 @@ def test_numpy_loaded_only_by_array_stages(tmp_path):
 
 class TestStageGating:
     def test_profile_without_tagged_dir(self, tmp_path, capsys):
-        code = main(["profile", "--out", str(tmp_path)])
-        assert code == 1
-        err = read_errors(tmp_path)
-        assert err["stage"] == "profile"
-        assert "tagged" in err["message"]
-        assert "error in profile stage" in capsys.readouterr().err
+        assert main(["profile", "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, f"missing tagged/; run the earlier stages "
+                                              f"into {tmp_path} first")
 
     def test_tag_without_corpus(self, tmp_path, capsys):
-        code = main(["tag", "--out", str(tmp_path)])
-        assert code == 1
-        assert read_errors(tmp_path)["stage"] == "tag"
-        assert "error in tag stage" in capsys.readouterr().err
+        assert main(["tag", "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, "missing corpus.jsonl")
 
     def test_normalize_without_citations_flag(self, tmp_path, capsys):
-        code = main(["normalize", "--out", str(tmp_path)])
-        assert code == 1
-        err = read_errors(tmp_path)
-        assert err["stage"] == "normalize"
-        assert "--citations" in err["message"]
-        assert "error in normalize stage" in capsys.readouterr().err
+        assert main(["normalize", "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, "error: --citations is required")
 
     def test_compare_before_group(self, tmp_path, capsys):
         write_table(tmp_path / "profiles.csv",
@@ -338,11 +342,95 @@ class TestStageNamedByMain:
             for other in cli.STAGE_ORDER:
                 monkeypatch.setitem(cli._STAGE_FUNCS, other, lambda config: None)
         monkeypatch.setitem(cli._STAGE_FUNCS, stage, fail)
-        argv = [stage if command == "stage" else "run", "--out", str(tmp_path)]
+        # what the invocation check asks for: the required options, and the
+        # stage files that the stage reads
+        out = tmp_path / "out"
+        (out / "tagged").mkdir(parents=True)
+        for name_in_out in ("corpus.jsonl", "profiles.csv", "scores.csv"):
+            (out / name_in_out).touch()
+        argv = [stage if command == "stage" else "run", "--out", str(out),
+                "--input", str(tmp_path), "--citations", str(out / "scores.csv")]
         assert main(argv) == 1
-        assert read_errors(tmp_path) == {"stage": stage, "document": document,
-                                         "error": name, "message": message}
+        assert read_errors(out) == {"stage": stage, "document": document,
+                                    "error": name, "message": message}
         assert capsys.readouterr().err == f"error in {stage} stage: {message}\n"
+
+
+# (command, its options, the files put in --out, the message), where {tmp}
+# is the test's directory and {out} the --out directory
+CORPUS, CITATIONS = str(MINICORPUS), str(MINICORPUS / "citations.csv")
+CONFIG_FAULTS = [
+    ("run", ["--input", CORPUS], [], "--citations is required"),
+    ("normalize", [], [], "--citations is required"),
+    ("run", ["--citations", CITATIONS], [], "--input is required"),
+    ("ingest", [], [], "--input is required"),
+    ("run", ["--input", CORPUS, "--citations", "{tmp}/nowhere.csv"], [],
+     "path not found: {tmp}/nowhere.csv"),
+    ("normalize", ["--citations", "{tmp}/nowhere.csv"], [], "path not found: {tmp}/nowhere.csv"),
+    ("ingest", ["--input", CORPUS, "--abbrev", "{tmp}/nowhere.tsv"], [],
+     "path not found: {tmp}/nowhere.tsv"),
+    ("tag", ["--import-tagged", "{tmp}/nowhere"], [], "path not found: {tmp}/nowhere"),
+    ("tag", [], [], "missing corpus.jsonl; run the earlier stages into {out} first"),
+    ("profile", [], [], "missing tagged/"),
+    ("profile", [], ["tagged"], "missing tagged/"),
+    ("group", [], [], "missing scores.csv"),
+    ("compare", [], ["scores.csv"], "missing profiles.csv"),
+    ("regress", [], ["scores.csv"], "missing profiles.csv"),
+    ("compare", [], ["profiles.csv"], "missing scores.csv"),
+    ("regress", [], ["profiles.csv"], "missing scores.csv"),
+    ("tag", ["--import-tagged", "{out}/tagged"], ["tagged/a.tsv"],
+     "--import-tagged {out}/tagged is the tagged/ directory of --out"),
+    ("run", ["--input", CORPUS, "--citations", CITATIONS, "--import-tagged", "{out}/tagged"],
+     ["tagged/a.tsv"], "--import-tagged {out}/tagged is the tagged/ directory of --out"),
+]
+
+
+def listing(directory: Path) -> dict[str, bytes | None]:
+    """Every file (its bytes) and directory (None) under directory."""
+    return {str(p.relative_to(directory)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(directory.rglob("*"))}
+
+
+class TestConfigFaultChangesNothing:
+    """A configuration mistake, whatever the command, is found before any
+    stage runs: exit 2, one error line, and --out as it was."""
+
+    # an absent --out, where the fault needs no file in it
+    @pytest.mark.parametrize("command, options, files, message, out_state", [
+        pytest.param(*case, state, id=f"{case[0]}-{case[3].split(' ')[0]}-{i}-{state}")
+        for i, case in enumerate(CONFIG_FAULTS)
+        for state in ("planted", "absent") if state == "planted" or not case[2]])
+    def test_out_unchanged(self, tmp_path, capsys, command, options, files, message,
+                           out_state):
+        out = tmp_path / "out"
+        if out_state == "planted":
+            out.mkdir()
+            (out / "planted.txt").write_bytes(b"kept\r\n")
+            (out / "errors.json").write_text('{"stage": "earlier"}\n', encoding="utf-8")
+            for name in files:
+                (out / name).parent.mkdir(exist_ok=True)
+                (out / name).write_bytes(b"#doc=a\nThe\tDT\n\n")
+            before = listing(out)
+        names = {"tmp": tmp_path, "out": out}
+        argv = [command, "--out", str(out), "--iterations", "50",
+                *(option.format(**names) for option in options)]
+        assert main(argv) == 2
+        assert_config_fault(out, capsys, "error: " + message.format(**names),
+                            earlier="earlier" if out_state == "planted" else None)
+        if out_state == "planted":
+            assert listing(out) == before
+        else:
+            assert not out.exists()
+
+    def test_every_read_is_an_earlier_output(self):
+        """Each stage file a stage reads is owned by an earlier stage, so a
+        run never needs a file in --out; main calls the stages in order."""
+        owned: list[str] = []
+        for stage in cli.STAGE_ORDER:
+            for name in cli._STAGES[stage].reads:
+                assert any(glob.startswith(name) for glob in owned), (stage, name)
+            owned += cli._STAGES[stage].owns
+        assert tuple(cli._STAGE_FUNCS) == cli.STAGE_ORDER
 
 
 class TestInputOutputErrors:
@@ -937,7 +1025,7 @@ class TestImportTagged:
         if stage == "tag":
             argv += ["--import-tagged", str(tsv_dir)]
         assert main(argv) == 1
-        assert read_errors(out) == {"stage": stage, "document": "", "error": "ConfigError",
+        assert read_errors(out) == {"stage": stage, "document": "", "error": "DataError",
                                     "message": f"no .tsv files in {tsv_dir}"}
         assert f"error in {stage} stage" in capsys.readouterr().err
 
@@ -949,7 +1037,7 @@ class TestImportTagged:
                                                 encoding="utf-8")
         assert main(["profile", "--out", str(tmp_path)]) == 1
         err = read_errors(tmp_path)
-        assert (err["stage"], err["document"], err["error"]) == ("profile", "X", "ConfigError")
+        assert (err["stage"], err["document"], err["error"]) == ("profile", "X", "DataError")
         assert "a.tsv" in err["message"] and "b.tsv" in err["message"]
         assert not (tmp_path / "profiles.csv").exists()
         assert "error in profile stage" in capsys.readouterr().err
@@ -1005,13 +1093,11 @@ class TestTagOwnsTaggedDir:
         if alias:
             import_dir = tmp_path / "link"
             import_dir.symlink_to(tagged, target_is_directory=True)
-        assert main(["tag", "--out", str(out), "--import-tagged", str(import_dir)]) == 1
-        err = read_errors(out)
-        assert (err["stage"], err["error"]) == ("tag", "ConfigError")
-        assert "tagged/" in err["message"]
+        assert main(["tag", "--out", str(out), "--import-tagged", str(import_dir)]) == 2
+        assert_config_fault(out, capsys, f"error: --import-tagged {import_dir} is the "
+                                         "tagged/ directory of --out")
         assert [p.name for p in tagged.iterdir()] == ["external_a.tsv"]
         assert source.read_bytes() == text
-        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::lexcite.errors.GroupEmptyWarning")
@@ -1031,11 +1117,10 @@ class TestFailedStageLeavesNoOutput:
         assert main(["ingest", "--input", str(bad), "--out", str(out)]) == 1
         assert not (out / "corpus.jsonl").exists()
         assert [row[0] for row in table_rows(out / "rejects.csv")] == ["bad.xml"]
-        assert main(["tag", "--out", str(out)]) == 1
-        err = read_errors(out)
-        assert err["stage"] == "tag" and "corpus.jsonl" in err["message"]
-        assert not list((out / "tagged").glob("*.tsv"))
-        assert "Traceback" not in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["tag", "--out", str(out)]) == 2
+        assert_config_fault(out, capsys, "missing corpus.jsonl", earlier="ingest")
+        assert not (out / "tagged").exists()
 
     def test_failed_profile_after_good_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1044,9 +1129,9 @@ class TestFailedStageLeavesNoOutput:
         assert main(["profile", "--out", str(out)]) == 1
         assert read_errors(out)["stage"] == "profile"
         assert not (out / "profiles.csv").exists()
-        assert main(["compare", "--out", str(out)]) == 1
-        assert "profiles.csv" in read_errors(out)["message"]
-        assert "Traceback" not in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["compare", "--out", str(out)]) == 2
+        assert_config_fault(out, capsys, "missing profiles.csv", earlier="profile")
 
     def test_failed_run_removes_later_outputs(self, tmp_path, capsys):
         out, citations = tmp_path / "out", tmp_path / "citations.csv"
@@ -1070,10 +1155,9 @@ class TestFailedStageLeavesNoOutput:
         assert read_errors(out)["stage"] == "normalize"
         assert not (out / "scores.csv").exists()
         assert not (out / "baselines.csv").exists()
-        assert main(["compare", "--out", str(out)]) == 1
-        err = read_errors(out)
-        assert err["stage"] == "compare" and "scores.csv" in err["message"]
-        assert "Traceback" not in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["compare", "--out", str(out)]) == 2
+        assert_config_fault(out, capsys, "missing scores.csv", earlier="normalize")
 
     def test_baselines_read_from_out_are_kept(self, tmp_path, capsys):
         out, citations = tmp_path / "out", tmp_path / "citations.csv"
@@ -1160,6 +1244,31 @@ class TestRegressAnswersEveryCell:
                 assert (r2, n_used, n_dropped) == ("-", "0", "3")
 
 
+def test_mean_too_large_for_a_float_fails_compare(tmp_path):
+    """A bootstrap mean past the largest float is no number that lexcite
+    reads back: compare fails, naming the cell, with no warning on stderr."""
+    out = tmp_path / "out"
+    with pytest.warns(GroupEmptyWarning):
+        assert main(["run", "--input", CORPUS, "--citations", CITATIONS, "--out", str(out),
+                     "--iterations", "50"]) == 0
+    table = read_table(out / "profiles.csv")
+    rows = [row for _, row in table.rows]
+    for row in rows:
+        if row[0] == "ECO.2009.0001":
+            row[1] = "1e308"
+    write_table(out / "profiles.csv", table.header, rows, table.metadata)
+    env = dict(os.environ, PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lexcite.cli", "compare", "--out", str(out),
+         "--iterations", "50"], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    err = read_errors(out)
+    assert (err["stage"], err["document"], err["error"]) == ("compare", "", "DataError")
+    assert "(x1, Medium): non-finite value inf" in err["message"]
+    assert result.stderr == f"error in compare stage: {err['message']}\n"
+    assert not (out / "estimates.csv").exists()
+
+
 class TestBadCells:
     """A cell that does not parse fails its stage through errors.json,
     naming the document, never with a traceback."""
@@ -1197,7 +1306,8 @@ class TestBadCells:
     def test_scores_read_before_profile_rows(self, tmp_path, capsys, stage):
         """compare and regress read scores.csv whole before they join the
         rows of profiles.csv, so with both bad the scores.csv fault is the
-        one reported; a missing profiles.csv is still reported first."""
+        one reported; a missing profiles.csv is a configuration mistake,
+        found before either is read."""
         write_table(tmp_path / "profiles.csv", ["doc_id", "x1"], [["d1", 2.0]])
         write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
                     [["d1", "abc", "Low"]])
@@ -1206,10 +1316,8 @@ class TestBadCells:
         assert read_errors(tmp_path)["message"] == \
             "line 2: scores.csv: could not convert string to float: 'abc'"
         (tmp_path / "profiles.csv").unlink()
-        assert main([stage, "--out", str(tmp_path)]) == 1
-        err = read_errors(tmp_path)
-        assert (err["error"], err["document"]) == ("ConfigError", "")
-        assert err["message"].startswith("missing profiles.csv")
+        assert main([stage, "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, "error: missing profiles.csv", earlier=stage)
 
     @pytest.mark.parametrize("stage", ["group", "compare", "regress"])
     def test_negative_score(self, tmp_path, capsys, stage):
@@ -1484,7 +1592,7 @@ class TestNormalizeStage:
                      "--citations", str(citations)]) == 1
         err = read_errors(out)
         assert err["stage"] == "normalize"
-        assert err["error"] == "ConfigError"
+        assert err["error"] == "DataError"
         capsys.readouterr()
 
     def test_zero_baseline_nonzero_citations_fails(self, tmp_path, capsys):
@@ -1588,11 +1696,9 @@ class TestNormalizeStage:
     def test_missing_citations_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
         out = tmp_path / "out"
-        assert main(["normalize", "--out", str(out), "--citations", str(missing)]) == 1
-        assert read_errors(out) == {"stage": "normalize", "document": "",
-                                    "error": "ConfigError",
-                                    "message": f"path not found: {missing}"}
-        assert "error in normalize stage" in capsys.readouterr().err
+        assert main(["normalize", "--out", str(out), "--citations", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: path not found: {missing}\n"
+        assert not out.exists()
 
     def test_repeated_doc_id_rejected(self, tmp_path, capsys):
         citations = tmp_path / "citations.csv"

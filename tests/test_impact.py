@@ -82,6 +82,30 @@ class TestNormalize:
         with pytest.raises(ValueError):
             CitationRecord("d", 2010, "e", 1)._replace(total_citations=-1)
 
+    def test_count_beyond_the_float_range_rejected(self):
+        # compute_baselines would divide it into a bare OverflowError
+        with pytest.raises(ValueError, match="too large for a float"):
+            compute_baselines([CitationRecord("a", 2010, "Eco", 10**400)])
+        with pytest.raises(ValueError, match="too large for a float"):
+            CitationRecord("a", 2010, "Eco", 1)._replace(total_citations=10**400)
+
+    @pytest.mark.parametrize("adc, n, message", [(-5.5, 4, "adc '-5.5' is negative"),
+                                                 (2.0, 0, "n '0' is below 1")])
+    def test_baseline_values_checked(self, adc, n, message):
+        with pytest.raises(ValueError, match=message):
+            Baseline(2010, "e", adc, n)
+        with pytest.raises(ValueError, match=message):
+            Baseline(2010, "e", 2.0, 4)._replace(adc=adc, n=n)
+        with pytest.raises(ValueError, match=message):
+            Baseline._make([2010, "e", adc, n])
+
+    def test_negative_score_rejected(self):
+        with pytest.raises(ValueError, match="nc '-0.5' is negative"):
+            NormalizedScore("d", -0.5)
+        with pytest.raises(ValueError, match="nc '-0.5' is negative"):
+            NormalizedScore("d", 0.5)._replace(nc=-0.5)
+        assert NormalizedScore("d", -0.0).nc == 0.0
+
     def test_group_unset(self):
         lookup = baseline_map([Baseline(2010, "e", 5.0, 2)])
         assert normalize_citations(CitationRecord("d", 2010, "e", 1), lookup).group is None

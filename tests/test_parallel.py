@@ -236,9 +236,9 @@ FAILURES = {
     "bad-record-odd-line": (minicorpus_with_bad_line(5), "tag", ("", "FormatError")),
     "bad-record-even-line": (minicorpus_with_bad_line(4), "tag", ("", "FormatError")),
     "collision-across-shares": (lambda out: corpus(out, "a/b", "a_b", "c"), "tag",
-                                ("a_b", "ConfigError")),
+                                ("a_b", "DataError")),
     "one-document-two-files": (tagged(x="#doc=d\n" + GOOD, y="#doc=d\n" + GOOD), "profile",
-                               ("d", "ConfigError")),
+                               ("d", "DataError")),
     "empty-document-in-child": (tagged(a=GOOD, b=".\t.\n\n", c=GOOD), "profile",
                                 ("b", "EmptyDocument")),
     # the child fails at index 1 and the parent at index 2: 1 comes first
@@ -246,7 +246,7 @@ FAILURES = {
                                 ("b", "EmptyDocument")),
     # the child's a_b collides at index 1; both fail to read index 2
     "collision-before-failure": (corpus_with_bad_line(3, "a/b", "a_b", "c"), "tag",
-                                 ("a_b", "ConfigError")),
+                                 ("a_b", "DataError")),
     # the child fails at index 1; the parent's index 2 repeats index 0's document
     "failure-before-collision": (tagged(a="#doc=d\n" + GOOD, b=".\t.\n\n",
                                         c="#doc=d\n" + GOOD), "profile",
@@ -414,7 +414,7 @@ def test_child_reaped_before_a_failed_stage_returns(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     for case, (first, third, failure) in enumerate([
             ("d0", "d2", ("d0", "TaggerLengthMismatch")),
-            ("a/b", "a_b", ("a_b", "ConfigError"))]):
+            ("a/b", "a_b", ("a_b", "DataError"))]):
         out = tmp_path / f"out{case}"
         corpus(out, first, "d1", third, "d3", "d4", "d5")
         assert main(["tag", "--out", str(out)]) == 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcite.errors import FormatError
+from lexcite.errors import DataError, FormatError
 from lexcite.ingest import AbbreviationTable, read_corpus
 from lexcite.metrics import profile_cells
 from lexcite.tableio import read_table, write_table
@@ -86,8 +86,11 @@ class TestWriteRead:
     @settings(max_examples=300, deadline=None)
     @given(tables())
     def test_round_trip(self, table):
-        # write_table refuses with ValueError what would not read back
+        # write_table refuses with ValueError what would not read back, and
+        # with DataError exactly the rows that hold a float that is not finite
         header, rows, metadata = table
+        non_finite = any(isinstance(c, float) and not math.isfinite(c)
+                         for row in rows for c in row)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             try:
@@ -95,10 +98,30 @@ class TestWriteRead:
             except ValueError:
                 assert not path.exists()
                 return
+            except DataError:
+                assert non_finite
+                assert not path.exists()
+                return
+            assert not non_finite
             table = read_back(path)
             assert table[:3] == (metadata, header,
                                  [[expected_cell(c) for c in row] for row in rows])
             assert table[3] == expected_lines(metadata, header, rows)
+
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cell_refused(self, tmp_path, cell):
+        """parse_finite's rule on the write side: the error names the file,
+        the row and the row's cells before its first float, and the file
+        keeps its old bytes."""
+        path = tmp_path / "est.csv"
+        write_table(path, ["a"], [["old"]])
+        old = path.read_bytes()
+        rows = [["x1", "Low", 1.0, 2.0], ["x1", "Medium", 3.0, cell], ["x2", "Low", 1.0, 1.0]]
+        with pytest.raises(DataError) as raised:
+            write_table(path, ["variable", "group", "point", "ci_high"], rows)
+        assert str(raised.value) == f"est.csv: row 2 (x1, Medium): non-finite value {cell!r}"
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 
     @pytest.mark.parametrize("header, metadata", [
         (["a"], {"k": "x\ry"}), (["a"], {"": "v"}), (["#a"], None),
