@@ -38,13 +38,12 @@ the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
 tag and profile each map one function per document (make or read it,
-then write or profile it) with `parallel.run_on_two_processes`, under the
-rule and contract stated there. They loop over its values as it yields
-them and close it before a failure of their own loop leaves the stage, so
-that its child has ended before main removes the stage's files. compare
-maps its bootstrap cells with the same map (`reports.build_estimate_rows`)
-after it has loaded numpy, whose OpenBLAS joins its threads before a fork;
-lexcite itself starts no thread.
+then write or profile it), and compare one per variable (its cdf.csv and
+estimates.csv rows), with `parallel.run_on_two_processes`, under the rule
+and contract stated there. Each loops over the map's values as it yields
+them and closes it before a failure of its own loop leaves the stage, so
+that its child has ended before main removes the stage's files. numpy's
+OpenBLAS joins its threads before compare forks; lexcite starts none.
 """
 
 from __future__ import annotations
@@ -97,6 +96,7 @@ from .reports import (
     build_comparison_rows,
     build_estimate_rows,
     build_regression_rows,
+    group_samples,
     join_scores,
 )
 from .tableio import parse_finite, read_table, readable_name, write_table
@@ -448,15 +448,30 @@ def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def stage_compare(config: RunConfig) -> None:
+    """comparison.csv; then cdf.csv, taking each variable's rows as one map
+    of one function per variable yields them, and estimates.csv."""
     values, _, codes = _joined_inputs(config)
     meta = config.metadata()
     write_table(config.out / "comparison.csv", COMPARISON_HEADER,
                 build_comparison_rows(values, codes), meta)
-    write_table(config.out / "cdf.csv", CDF_HEADER,
-                build_cdf_rows(values, codes), meta)
-    write_table(config.out / "estimates.csv", ESTIMATES_HEADER,
-                build_estimate_rows(values, codes, config.iterations,
-                                    config.level, config.seed), meta)
+
+    def variable_rows(column: str) -> tuple[list, list]:
+        samples = group_samples(values, codes, column)
+        return (build_estimate_rows(column, samples, config.iterations,
+                                    config.level, config.seed),
+                build_cdf_rows(column, samples))  # made after the bootstrap: it holds none
+
+    estimates: list[list[object]] = []
+
+    def cdf_rows(per_variable: Iterator[tuple[list, list]]) -> Iterator[tuple]:
+        for variable_estimates, variable_cdf in per_variable:
+            estimates.extend(variable_estimates)
+            yield from variable_cdf
+            del variable_cdf  # so that no two variables' rows are held at once
+
+    with closing(run_on_two_processes(lambda: VARIABLE_COLUMNS, variable_rows)) as per_variable:
+        write_table(config.out / "cdf.csv", CDF_HEADER, cdf_rows(per_variable), meta)
+    write_table(config.out / "estimates.csv", ESTIMATES_HEADER, estimates, meta)
 
 
 def stage_regress(config: RunConfig) -> None:

@@ -8,31 +8,29 @@ R-squared, or "-" where `stats.fit_model`, run on every cohort, finds the
 fit NonEstimable.
 
 Row order is fixed everywhere: variables x1..x12, groups High/Medium/Low,
-pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts all/High/
-Medium/Low. cdf.csv has a row per distinct value of each variable in each
-group, about 12 per document, so `build_cdf_rows` yields its rows and
-`tableio.write_table` writes each one as it is made; the other builders
-return their few dozen rows as lists.
+pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts
+all/High/Medium/Low. `build_cdf_rows` and `build_estimate_rows` make one
+variable's rows from its `group_samples` (`cli.stage_compare` maps them),
+so of cdf.csv's rows, about 12 per document, one variable's are held at once.
 
 Each stage joins the profiles.csv rows to the scores as it reads them
 (`join_scores`), with NaN marking Absent, and keeps only the rows that have
 a score, in file row order, as their n x 12 values, their nc and their
-group codes. Every builder takes those arrays. `group_samples` takes
-boolean-mask slices of one values column and the regression cohorts are
-boolean masks over the rows, so both keep file row order and the bootstrap
-sees its sample in the same order on every run. A profile without a score
-counts nowhere; a score without a group counts in the "all" regression
-cohort only. Documents whose value for a variable is Absent are excluded
-from that variable's rows and counted in the n_excluded column. When the
-effective sample for a group is empty (an empty stratum, or every document
-lacking the variable), a GroupEmpty row is emitted instead of failing.
+group codes, which `group_samples` and the other two builders take.
+`group_samples` takes boolean-mask slices of one values column and the
+regression cohorts are boolean masks over the rows, so both keep file row
+order and the bootstrap sees its sample in the same order on every run. A
+profile without a score counts nowhere; a score without a group counts in
+the "all" regression cohort only. Documents whose value for a variable is
+Absent are excluded from that variable's rows and counted in the n_excluded
+column. When the effective sample for a group is empty (an empty stratum,
+or every document lacking the variable), a GroupEmpty row is emitted
+instead of failing.
 
 Bootstrap subseeds are derived from the root seed by hashing the variable
 index and group index, so adding or removing one variable never perturbs
-another variable's interval. Because each cell has its own stream, the
-rows come from `parallel.run_on_two_processes`, under the rule and contract
-stated there, as tag and profile split their documents, and the bytes do
-not depend on it.
+another variable's interval, and the rows do not depend on which process
+makes them. No builder forks.
 
 Each function that builds an array imports numpy itself, so that importing
 this module does not load numpy (see `lexcite.cli`).
@@ -42,12 +40,11 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import JoinMismatch
 from .impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from .metrics import VARIABLE_COLUMNS
-from .parallel import run_on_two_processes
 from .stats import MODEL_IDS, bootstrap_mean_ci, ecdf_steps, fit_model, ks_two_sample
 
 if TYPE_CHECKING:
@@ -154,50 +151,38 @@ def build_comparison_rows(
 
 
 def build_cdf_rows(
-    values: np.ndarray,
-    codes: np.ndarray,
-) -> Iterator[tuple[str, str, float, float]]:
-    """Yield the ECDF step rows one at a time, in row order, so that the
-    writer never holds them all."""
-    for column in VARIABLE_COLUMNS:
-        samples = group_samples(values, codes, column)
-        for group in GROUP_ORDER:
-            sample, _ = samples[group]
-            if len(sample) == 0:
-                continue
-            name = group.value
-            for x, f in ecdf_steps(sample):
-                yield column, name, x, f
+    column: str,
+    samples: dict[ImpactGroup, tuple[np.ndarray, int]],
+) -> list[tuple[str, str, float, float]]:
+    """One variable's ECDF step rows, from its `group_samples`, group by
+    group; a group with no present value has none."""
+    return [(column, group.value, x, f)
+            for group in GROUP_ORDER if len(samples[group][0])
+            for x, f in ecdf_steps(samples[group][0])]
 
 
 def build_estimate_rows(
-    values: np.ndarray,
-    codes: np.ndarray,
+    column: str,
+    samples: dict[ImpactGroup, tuple[np.ndarray, int]],
     iterations: int,
     level: float,
     seed: int,
 ) -> list[list[object]]:
-    """One bootstrap row per variable and group, in fixed row order. Each
-    cell draws from its own subseed stream, so the rows are made by
-    `parallel.run_on_two_processes`, with the odd-indexed cells in one
-    forked child, and do not depend on how it splits them."""
-    cells = []  # (variable, group, sample, excluded, subseed)
-    for var_index, column in enumerate(VARIABLE_COLUMNS, start=1):
-        samples = group_samples(values, codes, column)
-        for group_index, group in enumerate(GROUP_ORDER):
-            cells.append((column, group.value, *samples[group],
-                          subseed(seed, var_index, group_index)))
-
-    def estimate(cell: tuple[str, str, np.ndarray, int, int]) -> list[object]:
-        column, group, sample, excluded, cell_seed = cell
+    """One variable's bootstrap row per group, from its `group_samples`, each
+    drawn from the group's own subseed stream."""
+    var_index = VARIABLE_COLUMNS.index(column) + 1
+    rows: list[list[object]] = []
+    for group_index, group in enumerate(GROUP_ORDER):
+        sample, excluded = samples[group]
         if len(sample) == 0:
-            return [column, group, None, None, None, 0, excluded, STATUS_GROUP_EMPTY]
+            rows.append([column, group.value, None, None, None, 0, excluded,
+                         STATUS_GROUP_EMPTY])
+            continue
         est = bootstrap_mean_ci(sample, iterations=iterations, level=level,
-                                seed=cell_seed)
-        return [column, group, est.point, est.ci_low, est.ci_high,
-                len(sample), excluded, STATUS_OK]
-
-    return list(run_on_two_processes(lambda: cells, estimate))
+                                seed=subseed(seed, var_index, group_index))
+        rows.append([column, group.value, est.point, est.ci_low, est.ci_high,
+                     len(sample), excluded, STATUS_OK])
+    return rows
 
 
 def build_regression_rows(
@@ -208,13 +193,11 @@ def build_regression_rows(
     """One row per model and cohort; '-' marks a NonEstimable fit."""
     import numpy as np
 
-    cohorts = {"all": np.ones(len(codes), dtype=bool)}
-    for code, group in enumerate(GROUP_ORDER):
-        cohorts[group.value] = codes == code
+    members_of = [np.ones(len(codes), dtype=bool),  # all, then each group
+                  *(codes == code for code in range(len(GROUP_ORDER)))]
     rows: list[list[object]] = []
     for model_id in MODEL_IDS:
-        for cohort in COHORT_ORDER:
-            members = cohorts[cohort]
+        for cohort, members in zip(COHORT_ORDER, members_of):
             fit = fit_model(values[members], nc[members], model_id)
             r2 = "-" if fit.r_squared is None else fit.r_squared
             rows.append([model_id, cohort, r2, fit.n_used,

@@ -1269,6 +1269,38 @@ def test_mean_too_large_for_a_float_fails_compare(tmp_path):
     assert not (out / "estimates.csv").exists()
 
 
+def test_huge_predictor_makes_its_fits_non_estimable(tmp_path):
+    """An x1 of 1e308 makes the designs of models 2, 5 and 6 on the whole
+    corpus non-finite: regress writes those three rows as "-", with no
+    warning, and keeps every other row, such as the Low fits of models 5
+    and 6, which do not hold the Medium document."""
+    out = tmp_path / "out"
+    with pytest.warns(GroupEmptyWarning):
+        assert main(["run", "--input", CORPUS, "--citations", CITATIONS, "--out", str(out),
+                     "--iterations", "50"]) == 0
+    regression = lambda: {tuple(row[:2]): row for _, row in
+                          read_table(out / "regression.csv").rows}
+    before = regression()
+    table = read_table(out / "profiles.csv")
+    rows = [row for _, row in table.rows]
+    for row in rows:
+        if row[0] == "ECO.2009.0001":
+            row[1] = "1e308"
+    write_table(out / "profiles.csv", table.header, rows, table.metadata)
+    env = dict(os.environ, PYTHONPATH=str(Path(lexcite.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lexcite.cli", "regress", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    after = regression()
+    turned = {key for key in before if after[key] != before[key]}
+    assert turned == {("2", "all"), ("5", "all"), ("6", "all")}
+    for key in turned:
+        assert before[key][2] != "-" and after[key][2] == "-"
+        assert after[key][3:] == before[key][3:]
+    assert before["5", "Low"][2] != "-" and before["6", "Low"][2] != "-"
+
+
 class TestBadCells:
     """A cell that does not parse fails its stage through errors.json,
     naming the document, never with a traceback."""

@@ -50,7 +50,7 @@ from lexcite.cli import main
 from lexcite.errors import GroupEmptyWarning
 from lexcite.impact import GROUP_ORDER
 from lexcite.metrics import VARIABLE_COLUMNS
-from lexcite.reports import build_cdf_rows, build_comparison_rows
+from lexcite.reports import build_cdf_rows, build_comparison_rows, group_samples
 from lexcite.stats import (MODEL_IDS, _LOG_RESPONSE_MODELS, _expand_design,
                            _standardize, fit_model, ks_two_sample,
                            stars_for_p)
@@ -123,7 +123,8 @@ def test_generated_samples(sizes, data):
                                          max_size=12 * len(codes))),
                       dtype=float).reshape(len(codes), 12)
     samples = samples_of(values, codes)
-    check_cdf(samples, build_cdf_rows(values, codes))
+    check_cdf(samples, [row for column in VARIABLE_COLUMNS
+                        for row in build_cdf_rows(column, group_samples(values, codes, column))])
     check_d(samples, build_comparison_rows(values, codes))
 
 

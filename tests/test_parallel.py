@@ -1,10 +1,12 @@
-"""The map of lexcite.parallel, the text stages on one and on two
-processes, and errors that cross a pipe."""
+"""The map of lexcite.parallel, the stages that map (tag and profile per
+document, compare per variable) on one and on two processes, and errors
+that cross a pipe."""
 
 import ast
 import json
 import os
 import pickle
+import random
 import signal
 import time
 from importlib.resources import files
@@ -15,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcite import cli, errors, parallel
-from lexcite.cli import DocumentError, main
-from lexcite.errors import EmptyDocument, FormatError, LexciteError, TaggerLengthMismatch
+from lexcite import cli, errors, parallel, reports
+from lexcite.cli import DocumentError, RunConfig, main
+from lexcite.errors import (EmptyDocument, FormatError, GroupEmptyWarning, LexciteError,
+                            TaggerLengthMismatch)
 from lexcite.ingest import RawDocument, write_corpus
+from lexcite.metrics import VARIABLE_COLUMNS
+from lexcite.tableio import read_table, write_table
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
 
@@ -448,3 +453,127 @@ def test_interrupt_stays_an_interrupt(tmp_path, monkeypatch):
     (child,) = children
     with pytest.raises(ChildProcessError):
         os.waitpid(child, os.WNOHANG)  # already reaped
+
+
+# ---------------------------------------------------- compare, per variable
+
+COMPARE_FILES = ("comparison.csv", "cdf.csv", "estimates.csv")
+
+
+def compare_inputs(out: Path, sizes=(3, 40, 500), present=VARIABLE_COLUMNS) -> None:
+    """profiles.csv and scores.csv of generated documents, sizes = (High,
+    Medium, Low) counts. The variables not in present are Absent, and every
+    present value has two decimals, so that some repeat."""
+    rng = random.Random(13)
+    out.mkdir()
+    profiles, scores = [], []
+    for group, size in zip(("High", "Medium", "Low"), sizes):
+        for _ in range(size):
+            doc_id = f"d{len(profiles):04d}"
+            profiles.append([doc_id, *(round(rng.uniform(1, 9), 2) if column in present
+                                       else None for column in VARIABLE_COLUMNS)])
+            scores.append([doc_id, rng.expovariate(1.0), group])
+    write_table(out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS], profiles)
+    write_table(out / "scores.csv", ["doc_id", "nc", "group"], scores)
+
+
+def compare_on(monkeypatch, cpus: int, out: Path) -> dict[str, bytes]:
+    """The files compare writes in out as if the process could use `cpus`
+    CPUs, after checking that it forked once on two CPUs and never on one."""
+    assert run_on(monkeypatch, cpus, "compare", "--out", out, "--iterations", 300) == (
+        0, cpus - 1)
+    return {name: (out / name).read_bytes() for name in COMPARE_FILES}
+
+
+@pytest.mark.parametrize("inputs", ["bundled-corpus", "generated"])
+def test_compare_bytes_equal_on_one_and_two_processes(tmp_path, monkeypatch, inputs):
+    out = tmp_path / "out"
+    if inputs == "generated":
+        compare_inputs(out)
+    else:
+        with pytest.warns(GroupEmptyWarning):
+            assert run_on(monkeypatch, 1, "run", "--input", MINICORPUS, "--citations",
+                          MINICORPUS / "citations.csv", "--out", out) == (0, 0)
+    one, two = (compare_on(monkeypatch, cpus, out) for cpus in (1, 2))
+    assert len(list(read_table(out / "estimates.csv").rows)) == 36
+    assert two == one
+
+
+def test_compare_one_variable_forks_once(tmp_path, monkeypatch):
+    """No count of variables or cells decides the split: with only x1
+    present, and only in the Low group, one non-empty cell gives the same
+    bytes on one CPU and on two, where compare forks once."""
+    out = tmp_path / "out"
+    compare_inputs(out, sizes=(0, 0, 5), present=("x1",))
+    one, two = (compare_on(monkeypatch, cpus, out) for cpus in (1, 2))
+    statuses = [row[-1] for _, row in read_table(out / "estimates.csv").rows]
+    assert statuses.count("Ok") == 1 and len(statuses) == 36
+    assert two == one
+
+
+@pytest.mark.parametrize("failing", ["all", "odd"])
+def test_compare_raises_the_lowest_variables_failure(tmp_path, monkeypatch, failing):
+    """With every variable failing, and the child failing first, compare
+    raises the failure of x1's first group, which the loop on one CPU
+    raises. With only the child's variables (x2, x4, ...) failing, x2's
+    first group's failure crosses the pipe as itself. Either way the
+    calling process starts no variable after the failure."""
+    out = tmp_path / "out"
+    compare_inputs(out)
+    cell_of = {reports.subseed(0, var, group): 3 * (var - 1) + group
+               for var in range(1, 13) for group in range(3)}
+    caller, child_failed = os.getpid(), tmp_path / "child-failed"
+    started = []
+
+    def failing_cell(sample, iterations, level, seed):
+        cell = cell_of[seed]
+        if os.getpid() == caller:
+            started.append(cell)
+        if failing == "odd" and cell // 3 % 2 == 0:
+            return original(sample, iterations=iterations, level=level, seed=seed)
+        if os.getpid() == caller:
+            deadline = time.monotonic() + 30
+            while not child_failed.exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        else:
+            child_failed.touch()
+        raise FormatError(cell, "this cell fails")
+
+    original = reports.bootstrap_mean_ci
+    monkeypatch.setattr(reports, "bootstrap_mean_ci", failing_cell)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with pytest.raises(FormatError) as raised:
+        cli.stage_compare(RunConfig(out=out, iterations=100))
+    want = 0 if failing == "all" else 3
+    assert type(raised.value) is FormatError
+    assert str(raised.value) == f"line {want}: this cell fails"
+    assert started == ([0] if failing == "all" else [0, 1, 2])
+    assert not (out / "cdf.csv").exists() and not (out / "estimates.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_compare_forks_with_one_thread_after_blas(tmp_path, monkeypatch):
+    """BLAS has started its threads, yet the process that forks for
+    compare has one thread just after the fork: OpenBLAS joins its pool
+    before a fork."""
+    import numpy as np
+
+    np.linalg.lstsq(np.eye(40), np.ones(40), rcond=None)
+    readings, listening = [], [True]
+
+    def threads_now():
+        if listening:
+            with open("/proc/self/status", encoding="ascii") as status:
+                readings.extend(int(line.split()[1]) for line in status
+                                if line.startswith("Threads:"))
+
+    os.register_at_fork(after_in_parent=threads_now)  # cannot be removed
+    out = tmp_path / "out"
+    compare_inputs(out)
+    try:
+        compare_on(monkeypatch, 2, out)
+    finally:
+        listening.clear()
+    assert readings == [1]

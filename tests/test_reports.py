@@ -1,8 +1,8 @@
-"""Report-row builders: fixed row order, GroupEmpty handling, subseeds."""
+"""Report-row builders: fixed row order, GroupEmpty handling, subseeds, and
+none forks."""
 
 import math
 import os
-import time
 import tracemalloc
 
 import numpy as np
@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lexcite.reports as reports_mod
-
+from lexcite import parallel
 from lexcite.cli import RunConfig, _joined_inputs
-from lexcite.errors import FormatError, JoinMismatch
+from lexcite.errors import JoinMismatch
 from lexcite.impact import GROUP_ORDER, ImpactGroup, NormalizedScore
 from lexcite.metrics import VARIABLE_COLUMNS
 from lexcite.reports import (
@@ -59,6 +58,13 @@ def codes_of(rng, sizes=(6, 8, 10)):
     """make_corpus's joined values and the group code of each of their rows."""
     values, _, codes = join_scores(*make_corpus(rng, sizes))
     return values, codes
+
+
+def every_variable(build, values, codes, *args):
+    """build's rows for each variable in turn, from its group_samples, as
+    compare makes them."""
+    return [row for column in VARIABLE_COLUMNS
+            for row in build(column, group_samples(values, codes, column), *args)]
 
 
 class TestHelpers:
@@ -220,7 +226,7 @@ class TestCdfRows:
     def test_heights_and_order(self):
         rng = np.random.default_rng(7)
         values, codes = codes_of(rng, sizes=(2, 2, 2))
-        rows = list(build_cdf_rows(values, codes))
+        rows = every_variable(build_cdf_rows, values, codes)
         assert [r[0] for r in rows[:2]] == ["x1", "x1"]
         assert rows[0][1] == "High"
         by_key = {}
@@ -234,7 +240,7 @@ class TestCdfRows:
     def test_empty_group_skipped(self):
         rng = np.random.default_rng(8)
         values, codes = codes_of(rng, sizes=(0, 2, 2))
-        rows = list(build_cdf_rows(values, codes))
+        rows = every_variable(build_cdf_rows, values, codes)
         assert all(r[1] != "High" for r in rows)
 
 
@@ -242,8 +248,7 @@ class TestEstimateRows:
     def test_order_and_status(self):
         rng = np.random.default_rng(9)
         values, codes = codes_of(rng, sizes=(3, 3, 3))
-        rows = build_estimate_rows(values, codes, iterations=200,
-                                   level=0.95, seed=0)
+        rows = every_variable(build_estimate_rows, values, codes, 200, 0.95, 0)
         assert len(rows) == 36
         assert [r[1] for r in rows[:3]] == ["High", "Medium", "Low"]
         assert all(r[7] == STATUS_OK for r in rows)
@@ -253,8 +258,7 @@ class TestEstimateRows:
     def test_empty_group_row(self):
         rng = np.random.default_rng(10)
         values, codes = codes_of(rng, sizes=(0, 3, 3))
-        rows = build_estimate_rows(values, codes, iterations=100,
-                                   level=0.95, seed=0)
+        rows = every_variable(build_estimate_rows, values, codes, 100, 0.95, 0)
         assert rows[0][1] == "High"
         assert rows[0][7] == STATUS_GROUP_EMPTY
         assert rows[0][2] is None and rows[0][5] == 0
@@ -263,134 +267,34 @@ class TestEstimateRows:
         """Changing one variable's data must not shift another's interval."""
         rng = np.random.default_rng(11)
         values, codes = codes_of(rng, sizes=(4, 4, 4))
-        before = build_estimate_rows(values, codes, iterations=300,
-                                     level=0.95, seed=7)
+        before = every_variable(build_estimate_rows, values, codes, 300, 0.95, 7)
         values[:, X1] += 100.0
-        after = build_estimate_rows(values, codes, iterations=300,
-                                    level=0.95, seed=7)
+        after = every_variable(build_estimate_rows, values, codes, 300, 0.95, 7)
         assert before[0] != after[0]  # x1 rows moved
         assert before[3:] == after[3:]  # x2..x12 rows byte-for-byte stable
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         values, codes = codes_of(rng, sizes=(3, 3, 3))
-        a = build_estimate_rows(values, codes, 200, 0.95, 5)
-        b = build_estimate_rows(values, codes, 200, 0.95, 5)
+        a = every_variable(build_estimate_rows, values, codes, 200, 0.95, 5)
+        b = every_variable(build_estimate_rows, values, codes, 200, 0.95, 5)
         assert a == b
 
 
-def set_cpus(monkeypatch, count):
-    """Make the process look as if it may run on `count` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
+def test_no_builder_forks(monkeypatch):
+    """Every builder runs on a view of two CPUs, where the map would fork,
+    without forking: only the stages that map do (`lexcite.cli`)."""
+    def no_fork():
+        raise AssertionError("a reports builder forked")
 
-
-class TestEstimateProcesses:
-    """build_estimate_rows computes the even-indexed cells in the calling
-    process and, with two or more CPUs, the odd-indexed ones in one forked
-    child; the rows do not depend on this."""
-
-    def rows_and_forks(self, monkeypatch, cpus, *args):
-        """build_estimate_rows(*args) as if the process could use `cpus`
-        CPUs, and how many times it forked."""
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(True)
-            return fork()
-
-        with monkeypatch.context() as patched:
-            set_cpus(patched, cpus)
-            patched.setattr(os, "fork", counted_fork)
-            return build_estimate_rows(*args), len(forks)
-
-    def test_one_and_two_cpus_same_rows(self, monkeypatch):
-        values, codes = codes_of(np.random.default_rng(13), sizes=(3, 40, 500))
-        one, two = (self.rows_and_forks(monkeypatch, cpus, values, codes, 300, 0.95, 3)
-                    for cpus in (1, 2))
-        assert (one[1], two[1]) == (0, 1)
-        assert len(one[0]) == 36
-        assert two[0] == one[0]
-
-    def test_one_cell_same_on_one_and_two_cpus(self, monkeypatch):
-        """No count of cells decides the split: a single non-empty cell gives
-        the same rows on one CPU and on two, where it forks once."""
-        # Only the Low group, and every variable but x1 Absent: one cell.
-        values = np.full((5, 12), np.nan)
-        values[:, X1] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        doc_ids = tuple(f"d{i}" for i in range(5))
-        values, _, codes = join_scores(zip(doc_ids, values),
-                                       [NormalizedScore(d, 1.0, ImpactGroup.LOW)
-                                        for d in doc_ids])
-        one, two = (self.rows_and_forks(monkeypatch, cpus, values, codes, 100, 0.95, 0)
-                    for cpus in (1, 2))
-        assert (one[1], two[1]) == (0, 1)
-        assert [r[7] for r in one[0]].count(STATUS_OK) == 1
-        assert two[0] == one[0]
-
-    @pytest.mark.parametrize("failing", ["all", "odd"])
-    def test_cell_error_raised_in_caller(self, monkeypatch, tmp_path, failing):
-        """With every cell failing, and the child failing first, the caller
-        raises the failure of cell 0, which the loop on one CPU raises. With
-        only the odd cells failing, cell 1's failure crosses the pipe as
-        itself. Either way the caller starts no cell after the failure."""
-        values, codes = codes_of(np.random.default_rng(14), sizes=(3, 40, 500))
-        set_cpus(monkeypatch, 2)
-        cell_of = {subseed(0, var, group): 3 * (var - 1) + group
-                   for var in range(1, 13) for group in range(3)}
-        caller, child_failed = os.getpid(), tmp_path / "child-failed"
-        started = []
-
-        def failing_cell(values, iterations, level, seed):
-            cell = cell_of[seed]
-            if os.getpid() == caller:
-                started.append(cell)
-            if failing == "odd" and cell % 2 == 0:
-                return original(values, iterations=iterations, level=level,
-                                seed=seed)
-            if os.getpid() == caller:
-                deadline = time.monotonic() + 30
-                while not child_failed.exists():
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-            else:
-                child_failed.touch()
-            raise FormatError(cell, "this cell fails")
-
-        original = reports_mod.bootstrap_mean_ci
-        monkeypatch.setattr(reports_mod, "bootstrap_mean_ci", failing_cell)
-        with pytest.raises(FormatError) as raised:
-            build_estimate_rows(values, codes, 100, 0.95, 0)
-        want = 0 if failing == "all" else 1
-        assert type(raised.value) is FormatError
-        assert raised.value.line_number == want
-        assert str(raised.value) == f"line {want}: this cell fails"
-        assert started == [0]
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="needs /proc/self/status")
-    def test_forks_with_one_thread_after_blas(self, monkeypatch):
-        """BLAS has started its threads, yet the process that forks for the
-        cells has one thread just after the fork: OpenBLAS joins its pool
-        before a fork."""
-        np.linalg.lstsq(np.eye(40), np.ones(40), rcond=None)
-        readings, listening = [], [True]
-
-        def threads_now():
-            if listening:
-                with open("/proc/self/status", encoding="ascii") as status:
-                    readings.extend(int(line.split()[1]) for line in status
-                                    if line.startswith("Threads:"))
-
-        os.register_at_fork(after_in_parent=threads_now)  # cannot be removed
-        values, codes = codes_of(np.random.default_rng(15))
-        set_cpus(monkeypatch, 2)
-        try:
-            build_estimate_rows(values, codes, 100, 0.95, 0)
-        finally:
-            listening.clear()
-        assert readings == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parallel.usable_cpus() == 2
+    values, nc, codes = join_scores(*make_corpus(np.random.default_rng(17), (3, 5, 40)))
+    assert len(build_comparison_rows(values, codes)) == 36
+    assert len(every_variable(build_cdf_rows, values, codes)) == 12 * 48
+    assert len(every_variable(build_estimate_rows, values, codes, 100, 0.95, 0)) == 36
+    assert len(build_regression_rows(values, nc, codes)) == 24
 
 
 class TestRegressionRows:
@@ -485,7 +389,8 @@ class TestStreamedMemory:
         values, _, codes = _joined_inputs(config)
         ecdf_steps([1.0])  # numpy loads what ecdf_steps needs on its first call
         path = config.out / "cdf.csv"
-        _, peak = traced_peak(lambda: write_table(
-            path, CDF_HEADER, build_cdf_rows(values, codes), config.metadata()))
+        rows = (row for column in VARIABLE_COLUMNS
+                for row in build_cdf_rows(column, group_samples(values, codes, column)))
+        _, peak = traced_peak(lambda: write_table(path, CDF_HEADER, rows, config.metadata()))
         assert path.stat().st_size > 4_000_000  # about 12 x 10 k step rows
         assert peak < 0.5 * path.stat().st_size
