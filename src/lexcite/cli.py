@@ -17,11 +17,11 @@ them, or a fault of the whole invocation against _STAGES) prints one error
 line and exits 2 before any stage runs, with nothing in --out written or
 removed. Otherwise main removes any errors.json an earlier invocation left,
 then runs the stages in turn, and any failure of errors.STAGE_FAILURES (a
-LexciteError, an OSError or a MemoryError) that a stage raises ends the run
-with exit 1 and an errors.json written by main, the one place that knows
-which stage is running. Stages raise plain errors, wrapped in DocumentError
-where they know the input document: a failure to read a file names the
-file, and a failure after reading names the document's id.
+LexciteError, OSError or MemoryError, or a warning raised as an error) that
+a stage raises ends the run with exit 1 and an errors.json written by main,
+the one place that knows the running stage. Stages raise plain errors,
+wrapped in DocumentError where they know the input document: a failure to
+read a file names the file, and one after reading names the document's id.
 
 Outputs depend only on the inputs, not on what --out held before. main
 removes the files a stage owns before the stage runs, and again if it fails
@@ -38,12 +38,11 @@ the same way only ingest loads the XML parser. Every text input is read
 through tableio, under one rule for its encoding and line ends.
 
 tag and profile each map one function per document (make or read it,
-then write or profile it), and compare one per variable (its cdf.csv and
-estimates.csv rows), with `parallel.run_on_two_processes`, under the rule
+then write or profile it), and compare one per variable (its rows of all
+three tables), with `parallel.run_on_two_processes`, under the rule
 and contract stated there. Each loops over the map's values as it yields
 them and closes it before a failure of its own loop leaves the stage, so
-that its child has ended before main removes the stage's files. numpy's
-OpenBLAS joins its threads before compare forks; lexcite starts none.
+that its child has ended before main removes the stage's files.
 """
 
 from __future__ import annotations
@@ -448,29 +447,30 @@ def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def stage_compare(config: RunConfig) -> None:
-    """comparison.csv; then cdf.csv, taking each variable's rows as one map
-    of one function per variable yields them, and estimates.csv."""
+    """cdf.csv, taking each variable's rows as one map of one function per
+    variable yields them; then comparison.csv and estimates.csv."""
     values, _, codes = _joined_inputs(config)
     meta = config.metadata()
-    write_table(config.out / "comparison.csv", COMPARISON_HEADER,
-                build_comparison_rows(values, codes), meta)
 
-    def variable_rows(column: str) -> tuple[list, list]:
+    def variable_rows(column: str) -> tuple[list, list, list]:
         samples = group_samples(values, codes, column)
-        return (build_estimate_rows(column, samples, config.iterations,
+        return (build_comparison_rows(column, samples),
+                build_estimate_rows(column, samples, config.iterations,
                                     config.level, config.seed),
                 build_cdf_rows(column, samples))  # made after the bootstrap: it holds none
 
-    estimates: list[list[object]] = []
+    comparison, estimates = [], []  # the map's 3 + 3 rows per variable
 
-    def cdf_rows(per_variable: Iterator[tuple[list, list]]) -> Iterator[tuple]:
-        for variable_estimates, variable_cdf in per_variable:
+    def cdf_rows(per_variable: Iterator[tuple[list, list, list]]) -> Iterator[tuple]:
+        for variable_comparison, variable_estimates, variable_cdf in per_variable:
+            comparison.extend(variable_comparison)
             estimates.extend(variable_estimates)
             yield from variable_cdf
             del variable_cdf  # so that no two variables' rows are held at once
 
     with closing(run_on_two_processes(lambda: VARIABLE_COLUMNS, variable_rows)) as per_variable:
         write_table(config.out / "cdf.csv", CDF_HEADER, cdf_rows(per_variable), meta)
+    write_table(config.out / "comparison.csv", COMPARISON_HEADER, comparison, meta)
     write_table(config.out / "estimates.csv", ESTIMATES_HEADER, estimates, meta)
 
 

@@ -13,9 +13,9 @@ class LexciteError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-# The failures a stage reports: main writes errors.json for them, and a
-# forked worker sends them back to the calling process as they are.
-STAGE_FAILURES = (LexciteError, OSError, MemoryError)
+# The failures a stage reports (a warning too, where the filter raises it):
+# main writes errors.json for them; a forked worker sends them back as such.
+STAGE_FAILURES = (LexciteError, OSError, MemoryError, Warning)
 
 
 # --- corpus ingest ---------------------------------------------------------

@@ -19,7 +19,7 @@ holds the other's share, and the pipe's buffer bounds how far the child runs
 ahead. Fork only where no other thread runs. lexcite starts no thread. The
 OpenBLAS that numpy loads starts a pool of them, but joins it before each
 fork (its `pthread_atfork` handler) and restarts it at its next call;
-`compare`'s child only sorts, draws, gathers and takes means: no BLAS call.
+`compare`'s child only sorts, searches, draws, gathers and averages: no BLAS.
 """
 
 from __future__ import annotations

@@ -9,14 +9,15 @@ fit NonEstimable.
 
 Row order is fixed everywhere: variables x1..x12, groups High/Medium/Low,
 pairs High-Medium, High-Low, Medium-Low, models 1..6, cohorts
-all/High/Medium/Low. `build_cdf_rows` and `build_estimate_rows` make one
-variable's rows from its `group_samples` (`cli.stage_compare` maps them),
-so of cdf.csv's rows, about 12 per document, one variable's are held at once.
+all/High/Medium/Low. `build_comparison_rows`, `build_estimate_rows` and
+`build_cdf_rows` each make one variable's rows from its `group_samples`
+(`cli.stage_compare` maps them), so of cdf.csv's rows, about 12 per
+document, one variable's are held at once.
 
 Each stage joins the profiles.csv rows to the scores as it reads them
 (`join_scores`), with NaN marking Absent, and keeps only the rows that have
 a score, in file row order, as their n x 12 values, their nc and their
-group codes, which `group_samples` and the other two builders take.
+group codes, which `group_samples` and `build_regression_rows` take.
 `group_samples` takes boolean-mask slices of one values column and the
 regression cohorts are boolean masks over the rows, so both keep file row
 order and the bootstrap sees its sample in the same order on every run. A
@@ -131,22 +132,21 @@ def group_samples(
 
 
 def build_comparison_rows(
-    values: np.ndarray,
-    codes: np.ndarray,
+    column: str,
+    samples: dict[ImpactGroup, tuple[np.ndarray, int]],
 ) -> list[list[object]]:
+    """One variable's KS row per group pair, from its `group_samples`."""
     rows: list[list[object]] = []
-    for column in VARIABLE_COLUMNS:
-        samples = group_samples(values, codes, column)
-        for ga, gb in GROUP_PAIRS:
-            pair = f"{ga.value}-{gb.value}"
-            (va, ea), (vb, eb) = samples[ga], samples[gb]
-            if len(va) == 0 or len(vb) == 0:
-                rows.append([column, pair, None, None, "",
-                             len(va), len(vb), ea + eb, STATUS_GROUP_EMPTY])
-                continue
-            ks = ks_two_sample(va, vb)
-            rows.append([column, pair, ks.d_statistic, ks.p_value,
-                         stars_text(ks.stars), ks.n1, ks.n2, ea + eb, STATUS_OK])
+    for ga, gb in GROUP_PAIRS:
+        pair = f"{ga.value}-{gb.value}"
+        (va, ea), (vb, eb) = samples[ga], samples[gb]
+        if len(va) == 0 or len(vb) == 0:
+            rows.append([column, pair, None, None, "",
+                         len(va), len(vb), ea + eb, STATUS_GROUP_EMPTY])
+            continue
+        ks = ks_two_sample(va, vb)
+        rows.append([column, pair, ks.d_statistic, ks.p_value,
+                     stars_text(ks.stars), ks.n1, ks.n2, ea + eb, STATUS_OK])
     return rows
 
 

@@ -36,8 +36,9 @@ from lexcite.impact import (
     normalize_citations,
     stratify,
 )
-from lexcite.metrics import complexity_profile
-from lexcite.reports import build_comparison_rows, build_regression_rows, join_scores
+from lexcite.metrics import VARIABLE_COLUMNS, complexity_profile
+from lexcite.reports import (build_comparison_rows, build_regression_rows, group_samples,
+                             join_scores)
 from lexcite.stats import bootstrap_mean_ci, fit_model, ks_two_sample
 from lexcite.tableio import read_table
 from lexcite.tagging import import_tagged
@@ -381,6 +382,12 @@ def test_criterion_6_normalization_invariants():
 
 # --------------------------------------------------------------- criterion 7
 
+def comparison_rows(values, codes):
+    """The 36 KS rows, variable by variable, as compare makes them."""
+    return [row for column in VARIABLE_COLUMNS
+            for row in build_comparison_rows(column, group_samples(values, codes, column))]
+
+
 def test_criterion_7_false_positive_control():
     rng = np.random.default_rng(42)
     n_docs = 3000
@@ -390,7 +397,7 @@ def test_criterion_7_false_positive_control():
     scores = stratify([NormalizedScore(doc_id=doc_id, nc=float(nc[i]))
                        for i, doc_id in enumerate(doc_ids)])
     joined, _, codes = join_scores(zip(doc_ids, values), scores)
-    null_rows = build_comparison_rows(joined, codes)
+    null_rows = comparison_rows(joined, codes)
     flagged = sum(1 for r in null_rows if r[4] != "")
 
     high_ids = {s.doc_id for s in scores if s.group is ImpactGroup.HIGH}
@@ -399,7 +406,7 @@ def test_criterion_7_false_positive_control():
         if doc_id in high_ids:
             shifted_values[i, 0] += 5.0  # x1, mean sentence length
     shifted, _, _ = join_scores(zip(doc_ids, shifted_values), scores)
-    planted_rows = build_comparison_rows(shifted, codes)
+    planted_rows = comparison_rows(shifted, codes)
     planted = next(r for r in planted_rows
                    if r[0] == "x1" and r[1] == "High-Low")
     # frozen measurements: 0/36 null flags; planted d 0.8896, p 8.0e-21

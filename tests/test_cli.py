@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -1553,6 +1554,42 @@ def test_memory_error_fails_the_stage(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / name).exists()
     stderr = capsys.readouterr().err
     assert stderr == "error in compare stage: no room for the draws\n"
+
+
+class TestWarningsAsErrors:
+    """A warning that the warnings filter raises fails its stage like any
+    other failure: exit 1 and an errors.json naming the stage and the
+    warning's class, with no traceback."""
+
+    def run_main(self, capsys, *argv: str) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(list(argv)) == 1
+        return capsys.readouterr().err
+
+    def test_group_empty_warning_fails_group(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        stderr = self.run_main(capsys, "run", "--input", CORPUS, "--citations", CITATIONS,
+                               "--out", str(out), "--iterations", "50")
+        err = read_errors(out)
+        assert (err["stage"], err["document"], err["error"]) == (
+            "group", "", "GroupEmptyWarning")
+        assert "High group empty" in err["message"]
+        assert stderr == f"error in group stage: {err['message']}\n"
+        assert (out / "profiles.csv").exists() and not (out / "comparison.csv").exists()
+
+    def test_degenerate_response_warning_fails_regress(self, tmp_path, capsys):
+        values = np.random.default_rng(3).uniform(1, 9, (40, 12)).tolist()
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER,
+                    [[f"d{i:02d}", *row] for i, row in enumerate(values)])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"],
+                    [[f"d{i:02d}", 1.5, "High" if i < 3 else "Low"] for i in range(40)])
+        stderr = self.run_main(capsys, "regress", "--out", str(tmp_path))
+        assert read_errors(tmp_path) == {
+            "stage": "regress", "document": "", "error": "DegenerateResponseWarning",
+            "message": "constant response; R-squared reported as 0"}
+        assert stderr == "error in regress stage: constant response; R-squared reported as 0\n"
+        assert not (tmp_path / "regression.csv").exists()
 
 
 cell_values = st.one_of(

@@ -36,6 +36,9 @@ these statistics exactly from the same inputs:
 """
 import itertools
 import math
+import random
+import string
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
@@ -55,6 +58,7 @@ from lexcite.stats import (MODEL_IDS, _LOG_RESPONSE_MODELS, _expand_design,
                            _standardize, fit_model, ks_two_sample,
                            stars_for_p)
 from lexcite.tableio import read_table
+from test_acceptance import oracle_profile
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
 
@@ -125,7 +129,9 @@ def test_generated_samples(sizes, data):
     samples = samples_of(values, codes)
     check_cdf(samples, [row for column in VARIABLE_COLUMNS
                         for row in build_cdf_rows(column, group_samples(values, codes, column))])
-    check_d(samples, build_comparison_rows(values, codes))
+    check_d(samples, [row for column in VARIABLE_COLUMNS
+                      for row in build_comparison_rows(column,
+                                                       group_samples(values, codes, column))])
 
 
 @pytest.fixture(scope="module")
@@ -386,3 +392,152 @@ def test_ks_asymptotic_p_gap(n1, n2):
         stars_differ += result.stars != stars_for_p(float(exact))
     assert len(seen) == len(ks_splits(n1, n2))
     assert stars_differ == KS_STARS_DIFFER[n1, n2]
+
+
+# ------------------------------------------------------ across the stages
+
+TAGS = ("NN", "NNS", "NNP", "VB", "VBD", "VBZ", "VBP", "VBG", "VBN", "MD",
+        "JJ", "JJR", "RB", "RBR", "DT", "IN", "PRP", "CC")
+PUNCT = ((".", "."), (",", ","), ("(", "("), (")", ")"), ("5", "CD"), ("3.5", "CD"))
+
+
+def generated_document(rng: random.Random, vocabulary: list[str],
+                       adverbs: bool) -> list[list[tuple[str, str]]]:
+    """One to four sentences of (surface, tag) pairs: words of vocabulary,
+    some capitalized, with any tag, and now and then punctuation or a
+    number. A noun, a verb, an adjective and, unless adverbs is false (the
+    adverb length is then Absent), an adverb are each placed somewhere, so
+    that most documents have every variable."""
+    tags = TAGS if adverbs else tuple(t for t in TAGS if not t.startswith("RB"))
+
+    def word(tag: str) -> tuple[str, str]:
+        surface = rng.choice(vocabulary)
+        return surface.capitalize() if rng.random() < 0.2 else surface, tag
+
+    sentences = [[rng.choice(PUNCT) if rng.random() < 0.2 else word(rng.choice(tags))
+                  for _ in range(rng.randint(0, 7))] for _ in range(rng.randint(1, 4))]
+    for tag in ("NN", "VBD", "JJ", "RB")[:4 if adverbs else 3]:
+        sentence = rng.choice(sentences)
+        sentence.insert(rng.randint(0, len(sentence)), word(tag))
+    return sentences
+
+
+def oracle_groups(records: list[tuple[str, int, str, int]]) -> dict[str, tuple[float, str]]:
+    """doc_id -> (nc, group) by the documented rules, on their own: nc is the
+    count over its (year, domain) cell's mean count (0 in a zero-mean cell),
+    and of the N documents ranked by descending nc, then ascending doc_id,
+    the first N // 100 are High and the next up to N // 10 Medium."""
+    cells: dict[tuple[int, str], list[int]] = {}
+    for _, year, domain, count in records:
+        cells.setdefault((year, domain), []).append(count)
+    nc = {}
+    for doc_id, year, domain, count in records:
+        counts = cells[year, domain]
+        nc[doc_id] = count / (sum(counts) / len(counts)) if sum(counts) else 0.0
+    ranked = sorted(nc, key=lambda doc_id: (-nc[doc_id], doc_id))
+    n = len(ranked)
+    return {doc_id: (nc[doc_id], "High" if rank < n // 100 else
+                     "Medium" if rank < n // 10 else "Low")
+            for rank, doc_id in enumerate(ranked)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(cited=st.integers(100, 130), profiled=st.integers(26, 60),
+       uncited=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_pipeline_referee(cited, profiled, uncited, seed):
+    """From tagged TSVs and citations.csv, tag --import-tagged through
+    regress, every number of compare and regress against the referees.
+    Of 100 to 130 cited documents, up to 60 have a profile (so no 91-column
+    fit is estimable), and up to 3 profiled documents have no citation
+    record. Each profiles.csv row is oracle_profile's within 1e-12; the
+    test's own stratification of the records and its own join of
+    profiles.csv then give each (variable, group) sample in profile row
+    order, from which every cdf.csv row, d, n and point and every R2 is
+    refereed."""
+    rng = random.Random(seed)
+    records = [(f"p{i:03d}", rng.choice((2010, 2011)), rng.choice(("Eco", "Psy")),
+                rng.randint(0, 400)) for i in range(cited)]
+    doc_ids = [doc_id for doc_id, *_ in rng.sample(records, profiled)]
+    doc_ids += [f"u{i}" for i in range(uncited)]
+    vocabulary = ["".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 12)))
+                  for _ in range(40)]
+    documents = {doc_id: generated_document(rng, vocabulary, adverbs=rng.random() < 0.9)
+                 for doc_id in doc_ids}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        imported, out = root / "imported", root / "out"
+        imported.mkdir()
+        for doc_id, sentences in documents.items():
+            (imported / f"{doc_id}.tsv").write_text(
+                f"#doc={doc_id}\n" + "".join("".join(f"{surface}\t{tag}\n" for surface, tag in s)
+                                             + "\n" for s in sentences), encoding="utf-8")
+        (root / "citations.csv").write_text(
+            "doc_id,year,domain,total_citations\n" +
+            "".join(f"{doc_id},{year},{domain},{count}\n"
+                    for doc_id, year, domain, count in records), encoding="utf-8")
+        for argv in (["tag", "--import-tagged", str(imported)], ["profile"],
+                     ["normalize", "--citations", str(root / "citations.csv")], ["group"],
+                     ["compare", "--iterations", "20"], ["regress"]):
+            assert main([*argv, "--out", str(out)]) == 0
+        tables = {name: rows_of(out / f"{name}.csv") for name in
+                  ("profiles", "scores", "cdf", "comparison", "estimates", "regression")}
+
+    groups = oracle_groups(records)
+    assert {doc_id: (float(nc), group) for doc_id, nc, group in tables["scores"]} == groups
+    assert [row[0] for row in tables["profiles"]] == sorted(documents)
+    samples = {(column, group.value): [] for column in VARIABLE_COLUMNS
+               for group in GROUP_ORDER}
+    absent = dict.fromkeys(samples, 0)
+    joined = []
+    for doc_id, *cells in tables["profiles"]:
+        values = [float(cell) if cell else None for cell in cells]
+        for got, want in zip(values, oracle_profile(documents[doc_id])):
+            assert (got is None) == (want is None) and (
+                want is None or abs(got - want) <= 1e-12), doc_id
+        if doc_id not in groups:
+            continue
+        joined.append((values, groups[doc_id]))
+        for column, value in zip(VARIABLE_COLUMNS, values):
+            key = column, groups[doc_id][1]
+            if value is None:
+                absent[key] += 1
+            else:
+                samples[key].append(value)
+
+    # every table in its documented row order
+    cdf = [(column, group, float(x), float(f)) for column, group, x, f in tables["cdf"]]
+    assert [key for key, _ in itertools.groupby(row[:2] for row in cdf)] == [
+        key for key, sample in samples.items() if sample]
+    assert check_cdf(samples, cdf) == len(cdf)
+    comparison = [(column, pair, float(d) if d else None)
+                  for column, pair, d, *_ in tables["comparison"]]
+    assert [row[:2] for row in comparison] == [
+        (column, pair) for column in VARIABLE_COLUMNS
+        for pair in ("High-Medium", "High-Low", "Medium-Low")]
+    check_d(samples, comparison)
+    for column, pair, _, _, _, n1, n2, excluded, _ in tables["comparison"]:
+        first, second = ((column, group) for group in pair.split("-"))
+        assert (int(n1), int(n2), int(excluded)) == (
+            len(samples[first]), len(samples[second]), absent[first] + absent[second])
+    assert [tuple(row[:2]) for row in tables["estimates"]] == list(samples)
+    for column, group, point, _, _, n, excluded, _ in tables["estimates"]:
+        sample = samples[column, group]
+        assert (int(n), int(excluded)) == (len(sample), absent[column, group])
+        if not sample:
+            assert point == ""
+            continue
+        # numpy's mean of the sample in row order; adding n values that are
+        # not negative, in any order, errs by under n - 1 units of roundoff
+        assert float(point) == float(np.mean(sample)), (column, group)
+        assert ulps_from_mean(float(point), sample) <= len(sample), (column, group)
+
+    values = np.array([[math.nan if v is None else v for v in row] for row, _ in joined])
+    nc = np.array([score for _, (score, _) in joined])
+    cohort_of = np.array([group for _, (_, group) in joined])
+    assert [tuple(row[:2]) for row in tables["regression"]] == [
+        (str(model), cohort) for model in MODEL_IDS
+        for cohort in ("all", "High", "Medium", "Low")]
+    for model, cohort, r2, n_used, _ in tables["regression"]:
+        members = np.ones(len(joined), dtype=bool) if cohort == "all" else cohort_of == cohort
+        check_r2(values[members], nc[members], int(model),
+                 None if r2 == "-" else float(r2), int(n_used))

@@ -9,6 +9,7 @@ import pickle
 import random
 import signal
 import time
+import warnings
 from importlib.resources import files
 from pathlib import Path
 from unittest import mock
@@ -121,7 +122,7 @@ def test_the_rule_lives_in_parallel():
 
 def _error_cases():
     for error_type in vars(errors).values():
-        if isinstance(error_type, type) and issubclass(error_type, LexciteError):
+        if isinstance(error_type, type) and issubclass(error_type, (LexciteError, Warning)):
             if error_type is FormatError:
                 yield FormatError(3, "x")
             else:
@@ -389,6 +390,22 @@ def test_killed_child_fails_the_stage(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_warning_raised_in_the_child_crosses_the_pipe(tmp_path, monkeypatch, capsys):
+    """A warning that the filter raises in the child's share fails the stage
+    as itself, as it would in the calling process."""
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
+    in_child_only(monkeypatch, lambda: warnings.warn("the child warns", RuntimeWarning))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tag", "--out", str(out)]) == 1
+    assert json.loads((out / "errors.json").read_text(encoding="utf-8")) == {
+        "stage": "tag", "document": "", "error": "RuntimeWarning",
+        "message": "the child warns"}
+    assert not list((out / "tagged").glob("*.tsv"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unexpected_child_error_keeps_its_traceback(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
@@ -549,7 +566,54 @@ def test_compare_raises_the_lowest_variables_failure(tmp_path, monkeypatch, fail
     assert type(raised.value) is FormatError
     assert str(raised.value) == f"line {want}: this cell fails"
     assert started == ([0] if failing == "all" else [0, 1, 2])
-    assert not (out / "cdf.csv").exists() and not (out / "estimates.csv").exists()
+    assert not any((out / name).exists() for name in COMPARE_FILES)
+
+
+def test_compare_splits_each_variable_once(tmp_path, monkeypatch):
+    """One pass over the variables: compare groups each variable's values
+    once, for its rows of all three tables, so on one CPU it calls
+    group_samples 12 times, in variable order."""
+    out = tmp_path / "out"
+    compare_inputs(out)
+    columns, original = [], reports.group_samples
+
+    def counted(values, codes, column):
+        columns.append(column)
+        return original(values, codes, column)
+
+    monkeypatch.setattr(cli, "group_samples", counted)
+    monkeypatch.setattr(reports, "group_samples", counted)
+    compare_on(monkeypatch, 1, out)
+    assert columns == list(VARIABLE_COLUMNS)
+
+
+def test_compare_failure_follows_variable_order_across_tables(tmp_path, monkeypatch):
+    """A variable makes its KS rows and then its bootstrap rows, so a
+    bootstrap failure of x2 (the child's share) comes before a KS failure
+    of x3 (the calling process's), on one CPU and on two."""
+    out = tmp_path / "out"
+    compare_inputs(out)
+    comparison_rows, estimate_rows = cli.build_comparison_rows, cli.build_estimate_rows
+
+    def ks_fails_at_x3(column, samples):
+        if column == "x3":
+            raise FormatError(3, "x3's KS fails")
+        return comparison_rows(column, samples)
+
+    def bootstrap_fails_at_x2(column, samples, *args):
+        if column == "x2":
+            raise FormatError(2, "x2's bootstrap fails")
+        return estimate_rows(column, samples, *args)
+
+    monkeypatch.setattr(cli, "build_comparison_rows", ks_fails_at_x3)
+    monkeypatch.setattr(cli, "build_estimate_rows", bootstrap_fails_at_x2)
+    for cpus in (1, 2):
+        assert run_on(monkeypatch, cpus, "compare", "--out", out, "--iterations", 50) == (
+            1, cpus - 1)
+        assert json.loads((out / "errors.json").read_text(encoding="utf-8")) == {
+            "stage": "compare", "document": "", "error": "FormatError",
+            "message": "line 2: x2's bootstrap fails"}
+        assert not any((out / name).exists() for name in COMPARE_FILES)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

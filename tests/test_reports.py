@@ -187,7 +187,7 @@ class TestComparisonRows:
     def test_row_order_and_count(self):
         rng = np.random.default_rng(3)
         values, codes = codes_of(rng)
-        rows = build_comparison_rows(values, codes)
+        rows = every_variable(build_comparison_rows, values, codes)
         assert len(rows) == 36
         assert [r[0] for r in rows[:3]] == ["x1", "x1", "x1"]
         assert [r[1] for r in rows[:3]] == ["High-Medium", "High-Low",
@@ -198,14 +198,14 @@ class TestComparisonRows:
     def test_sample_sizes_reported(self):
         rng = np.random.default_rng(4)
         values, codes = codes_of(rng, sizes=(3, 5, 7))
-        rows = build_comparison_rows(values, codes)
+        rows = every_variable(build_comparison_rows, values, codes)
         high_medium = rows[0]
         assert (high_medium[5], high_medium[6]) == (3, 5)
 
     def test_group_empty_row(self):
         rng = np.random.default_rng(5)
         values, codes = codes_of(rng, sizes=(0, 5, 7))
-        rows = build_comparison_rows(values, codes)
+        rows = every_variable(build_comparison_rows, values, codes)
         assert rows[0][1] == "High-Medium"
         assert rows[0][8] == STATUS_GROUP_EMPTY
         assert rows[0][2] is None and rows[0][3] is None and rows[0][4] == ""
@@ -215,7 +215,7 @@ class TestComparisonRows:
         rng = np.random.default_rng(6)
         values, codes = codes_of(rng, sizes=(2, 2, 2))
         values[:2, X8] = np.nan  # High docs lack x8
-        rows = build_comparison_rows(values, codes)
+        rows = every_variable(build_comparison_rows, values, codes)
         x8_rows = [r for r in rows if r[0] == "x8"]
         assert x8_rows[0][8] == STATUS_GROUP_EMPTY  # High-Medium
         assert x8_rows[0][7] == 2  # both High docs excluded
@@ -291,7 +291,7 @@ def test_no_builder_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert parallel.usable_cpus() == 2
     values, nc, codes = join_scores(*make_corpus(np.random.default_rng(17), (3, 5, 40)))
-    assert len(build_comparison_rows(values, codes)) == 36
+    assert len(every_variable(build_comparison_rows, values, codes)) == 36
     assert len(every_variable(build_cdf_rows, values, codes)) == 12 * 48
     assert len(every_variable(build_estimate_rows, values, codes, 100, 0.95, 0)) == 36
     assert len(build_regression_rows(values, nc, codes)) == 24
