@@ -35,7 +35,8 @@ rows (`reports.join_scores`). Every function that uses
 numpy imports it itself, so importing this module and running any other
 stage never loads numpy, and a one-stage process does not pay for it. In
 the same way only ingest loads the XML parser. Every text input is read
-through tableio, under one rule for its encoding and line ends.
+through tableio, under one rule for its encoding and line ends and one for
+the spelling of its numbers.
 
 tag and profile each map one function per document (make or read it,
 then write or profile it), and compare one per variable (its rows of all
@@ -98,7 +99,7 @@ from .reports import (
     group_samples,
     join_scores,
 )
-from .tableio import parse_finite, read_table, readable_name, write_table
+from .tableio import parse_finite, parse_int, read_table, readable_name, write_table
 from .tagging import (
     LexiconTagger,
     TaggedDocument,
@@ -118,9 +119,9 @@ _OPTIONS = {
     "citations": (Path, "citations CSV (doc_id, year, domain, total_citations)"),
     "baselines": (Path, "externally computed baselines CSV (year, domain, adc, n)"),
     "out": (Path, "output directory for all stage files"),
-    "seed": (int, "root random seed"),
-    "iterations": (int, "bootstrap iterations"),
-    "level": (float, "confidence level"),
+    "seed": (parse_int, "root random seed"),
+    "iterations": (parse_int, "bootstrap iterations"),
+    "level": (parse_finite, "confidence level"),
     "abbrev": (Path, "abbreviation table TSV (key, expansion)"),
     "import_tagged": (Path, "directory of externally tagged .tsv files to use "
                             "instead of the built-in tagger"),
@@ -169,16 +170,15 @@ class RunConfig(NamedTuple):
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def metadata(self) -> dict[str, str]:
-        meta = {
+        return {
             "tool": "lexcite",
             "version": __version__,
             "seed": str(self.seed),
             "iterations": str(self.iterations),
             "level": repr(self.level),
             "config_hash": self.config_hash(),
+            **DECISION_FLAGS,
         }
-        meta.update(DECISION_FLAGS)
-        return meta
 
 
 class DocumentError(LexciteError):
@@ -392,12 +392,13 @@ def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
 def stage_normalize(config: RunConfig) -> None:
     records = list(_read_rows(
         config.citations, ["doc_id", "year", "domain", "total_citations"],
-        lambda row: CitationRecord(row[0], int(row[1]), row[2], int(row[3])),
+        lambda row: CitationRecord(row[0], parse_int(row[1]), row[2], parse_int(row[3])),
         lambda rec: (rec.doc_id,)))
     if config.baselines is not None:
         baselines = list(_read_rows(
             config.baselines, ["year", "domain", "adc", "n"],
-            lambda row: Baseline(int(row[0]), row[1], parse_finite(row[2]), int(row[3])),
+            lambda row: Baseline(parse_int(row[0]), row[1], parse_finite(row[2]),
+                                 parse_int(row[3])),
             lambda b: (b.year, b.domain)))
     else:
         baselines = compute_baselines(records)
@@ -547,13 +548,9 @@ def _check_invocation(config: RunConfig, stages: tuple[str, ...]) -> None:
 
 
 def _given_input(config: RunConfig, path: Path) -> bool:
-    """Whether path is a file the invocation was given to read: an option's
-    file, or a .tsv of --import-tagged."""
-    pairs = [(path, config.citations), (path, config.baselines), (path, config.abbrev)]
-    if path.suffix == ".tsv":
-        pairs.append((path.parent, config.import_tagged))
-    return any(given is not None and given.exists() and os.path.samefile(own, given)
-               for own, given in pairs)
+    """Whether path is the file of --citations, --baselines or --abbrev."""
+    return any(given is not None and given.exists() and os.path.samefile(path, given)
+               for given in (config.citations, config.baselines, config.abbrev))
 
 
 def _remove_outputs(config: RunConfig, stages: tuple[str, ...]) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, MalformedXml, MissingMetadata
-from .tableio import read_lines, readable_name
+from .tableio import parse_int, read_lines, readable_name
 
 if TYPE_CHECKING:
     from xml.etree import ElementTree
@@ -97,12 +97,8 @@ class AbbreviationTable:
         for key, expansion in self.entries.items():
             _check_entry(key, expansion)
         # Longest key first so that e.g. "et al." wins over a bare "al.".
-        ordered = sorted(self.entries, key=len, reverse=True)
-        if ordered:
-            alternation = "|".join(re.escape(k) for k in ordered)
-            self._pattern = re.compile(r"(?<![\w.])(?:%s)" % alternation)
-        else:
-            self._pattern = None
+        alternation = "|".join(map(re.escape, sorted(self.entries, key=len, reverse=True)))
+        self._pattern = re.compile(r"(?<![\w.])(?:%s)" % alternation) if alternation else None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AbbreviationTable":
@@ -237,16 +233,11 @@ def parse_jats(source: str | bytes) -> RawDocument:
 
     preferred = [n for n in ids if n.get("pub-id-type") == PREFERRED_ID_TYPE]
     doc_id = _first_text(preferred) or _first_text(ids)
-    year_text = _first_text(years)
-    # isdecimal, not isdigit: int() rejects digits such as "²"
-    if not year_text.isdecimal():
-        raise MissingMetadata(f"no usable year for {doc_id!r}")
-    year_digits = year_text.lstrip("0")
-    # int() refuses thousands of digits; a year this long is out of range
-    if len(year_digits) > len(str(YEAR_MAX)):
-        raise MissingMetadata(f"year of {len(year_digits)} digits outside "
-                              f"[{YEAR_MIN}, {YEAR_MAX}] for {doc_id!r}")
-    return RawDocument(doc_id=doc_id, year=int(year_digits or "0"),
+    try:
+        year = parse_int(_first_text(years), max_digits=len(str(YEAR_MAX)))
+    except ValueError:
+        raise MissingMetadata(f"no usable year for {doc_id!r}") from None
+    return RawDocument(doc_id=doc_id, year=year,
                        domain=_first_text(domains), paragraphs=paragraphs,
                        journal=_first_text(journals))
 
@@ -260,10 +251,10 @@ def document_to_json(doc: RawDocument) -> str:
 def document_from_json(line: str) -> RawDocument:
     """The document in one corpus line: a JSON object with exactly the
     CORPUS_FIELDS, where doc_id, domain and journal are strings, year is an
-    integer and paragraphs is a list of strings, and every string is text
-    that encodes as UTF-8 (a JSON escape can name a lone surrogate). Any
-    other line is a ValueError."""
-    record = json.loads(line)
+    integer (`parse_int`) and paragraphs is a list of strings, and every
+    string is text that encodes as UTF-8 (a JSON escape can name a lone
+    surrogate). Any other line is a ValueError."""
+    record = json.loads(line, parse_int=parse_int)
     if not isinstance(record, dict) or set(record) != set(CORPUS_FIELDS):
         raise ValueError(f"want an object with the fields {', '.join(CORPUS_FIELDS)}")
     paragraphs = record["paragraphs"]

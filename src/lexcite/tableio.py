@@ -5,7 +5,8 @@ form ``#key=value``, followed by a standard CSV header row and data rows
 (RFC 4180 quoting, CRLF line endings). Rows go straight to the standard
 csv writer, which writes a float with repr (the shortest form that reads
 back to the same float), None as an empty cell and anything else with str.
-Cells read back as strings; the stage that reads a table parses them.
+Cells read back as strings; the stage that reads a table parses them. Every
+number that lexcite reads from text is parsed by parse_int or parse_finite.
 Nothing time-dependent goes into the metadata, so a rerun with identical
 inputs produces byte-identical files.
 
@@ -175,9 +176,28 @@ def _table_rows(path: Path) -> Iterator:
             raise FormatError(offset + 1, f"{name}: missing CSV header row")
 
 
+INT_DIGITS_MAX = 4300  # int()'s default limit on Python 3.11; 3.10 has none
+
+
+def parse_int(text: str, max_digits: int = INT_DIGITS_MAX) -> int:
+    """text as an integer: ASCII digits after an optional "-", of which at
+    most max_digits follow the leading zeros. ValueError for anything else."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > max_digits:
+        raise ValueError(f"integer of {len(digits)} digits; at most {max_digits}")
+    return -int(digits) if text[:1] == "-" else int(digits)
+
+
 def parse_finite(cell: str) -> float:
-    """A cell as a finite float; ValueError for anything else, nan and inf
+    """A cell as a finite float: parse_int's spelling with an optional
+    decimal point and exponent. ValueError for anything else, nan and inf
     included."""
+    # on ASCII text that passes this test, float() takes that spelling, nan and inf
+    if not cell.isascii() or "_" in cell or cell != cell.strip() or cell[:1] == "+":
+        raise ValueError(f"could not convert string to float: {cell!r}")
     value = float(cell)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {cell!r}")

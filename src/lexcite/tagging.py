@@ -26,7 +26,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
 from .ingest import RawDocument, usable_doc_id
-from .tableio import read_lines, read_utf8, readable_name
+from .tableio import parse_int, read_lines, read_utf8, readable_name
 
 
 class LexClass(str, Enum):
@@ -208,7 +208,7 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
 # with a TAB is always a token line, so a token may start with "#". Lines
 # end by the rule of every text input (tableio), so a token may hold any
 # character but TAB, "\r" and "\n". The ID of a "#doc=" line may not be empty.
-# A "#clauses=" value is at most CLAUSE_DIGITS_MAX decimal digits.
+# A "#clauses=" value is a parse_int of at most CLAUSE_DIGITS_MAX digits, not negative.
 
 CLAUSE_DIGITS_MAX = 9
 
@@ -278,15 +278,12 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             if not doc_id:
                 raise FormatError(lineno, "#doc= names no document")
         elif line.startswith("#clauses="):
-            value = line[len("#clauses="):].strip()
-            # isdecimal, not isdigit: int() rejects digits such as "²", and
-            # it refuses a value of thousands of digits
-            if not value.isdecimal():
-                raise FormatError(lineno, f"bad clause count {value!r}")
-            if len(value) > CLAUSE_DIGITS_MAX:
-                raise FormatError(lineno, f"clause count of {len(value)} digits; "
-                                          f"at most {CLAUSE_DIGITS_MAX}")
-            clause_override = int(value)
+            try:
+                clause_override = parse_int(line[len("#clauses="):].strip(), CLAUSE_DIGITS_MAX)
+                if clause_override < 0:
+                    raise ValueError(f"{clause_override} is negative")
+            except ValueError as exc:
+                raise FormatError(lineno, f"bad clause count: {exc}") from None
         elif line.startswith("#"):
             raise FormatError(lineno, f"unknown directive {line.strip()!r}")
         else:
@@ -315,11 +312,18 @@ def export_tagged(doc: TaggedDocument) -> str:
 
 # --- built-in tagger ---------------------------------------------------------
 
+# Punctuation's tags; any other non-word is CD when it holds a digit, else SYM.
+_PUNCTUATION_TAGS = {**dict.fromkeys(".!?", "."), ",": ",", **dict.fromkeys(":;", ":"),
+                     **dict.fromkeys("([{", "("), **dict.fromkeys(")]}", ")"),
+                     **dict.fromkeys("\"'`“”‘’", "''")}
+
+
 def load_lexicon(path: str | Path | None = None) -> dict[str, str]:
     """Load the word TAB tag TAB count lexicon at path, or the bundled
     data/lexicon.tsv, keeping each word's most frequent tag (ties broken by
     tag string for determinism). A line of another shape, or with a count
-    that is not an integer, is a FormatError naming the file and the line."""
+    that is not an integer (`parse_int`), is a FormatError naming the file
+    and the line."""
     path = Path(__file__).parent / "data" / "lexicon.tsv" if path is None else Path(path)
     best: dict[str, tuple[int, str]] = {}
     for lineno, line in read_lines(path):
@@ -327,7 +331,7 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, str]:
             continue
         try:
             word, tag, count = line.split("\t")
-            key = (int(count), tag)
+            key = (parse_int(count), tag)
         except ValueError:
             raise FormatError(lineno, f"{readable_name(path.name)}: not word TAB tag "
                                       f"TAB integer count: {line!r}") from None
@@ -407,16 +411,4 @@ class LexiconTagger:
 def _symbol_tag(surface: str) -> str:
     if any(c.isdigit() for c in surface):
         return "CD"
-    if surface in {".", "!", "?"}:
-        return "."
-    if surface == ",":
-        return ","
-    if surface in {":", ";"}:
-        return ":"
-    if surface in {"(", "[", "{"}:
-        return "("
-    if surface in {")", "]", "}"}:
-        return ")"
-    if surface in {'"', "'", "`", "“", "”", "‘", "’"}:
-        return "''"
-    return "SYM"
+    return _PUNCTUATION_TAGS.get(surface, "SYM")

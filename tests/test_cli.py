@@ -154,6 +154,26 @@ class TestBuildConfig:
                 build_config(
                     parse(["run", "--out", str(tmp_path), "--level", bad]), {})
 
+    @pytest.mark.parametrize("option, text", [
+        ("iterations", "1_000"), ("iterations", " 100"), ("iterations", "١٠٠"),
+        ("seed", "+1"), ("seed", "7 "), ("level", "0_9"), ("level", "nan"),
+        ("level", "+0.9"), ("level", "０.９")])
+    def test_number_spelling_refused(self, tmp_path, option, text):
+        """Flags and LEXCITE_* variables spell numbers by tableio's one rule."""
+        flag = "--" + option
+        with pytest.raises(ConfigError, match=rf"^bad value for {flag}: "):
+            build_config(parse(["run", "--out", str(tmp_path), flag, text]), {})
+        variable = "LEXCITE_" + option.upper()
+        with pytest.raises(ConfigError, match=rf"^bad value for {variable}: "):
+            build_config(parse(["run", "--out", str(tmp_path)]), {variable: text})
+
+    def test_iterations_spelling_exits_2(self, tmp_path, capsys, monkeypatch):
+        assert main(["group", "--out", str(tmp_path), "--iterations", "1_000"]) == 2
+        assert_config_fault(tmp_path, capsys, "bad value for --iterations: '1_000'")
+        monkeypatch.setenv("LEXCITE_ITERATIONS", "1_000")
+        assert main(["group", "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, "bad value for LEXCITE_ITERATIONS: '1_000'")
+
     def test_config_hash_tracks_parameters(self, tmp_path):
         base = RunConfig(out=tmp_path)
         assert base.config_hash() == RunConfig(out=tmp_path).config_hash()
@@ -568,7 +588,7 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
         assert [row[:2] for row in table_rows(out / "rejects.csv")] == [
             ["long.xml", "MissingMetadata"]]
-        assert "year of 5000 digits" in table_rows(out / "rejects.csv")[0][2]
+        assert table_rows(out / "rejects.csv")[0][2] == "no usable year for '10.1/long'"
         assert '"10.1/ok"' in (out / "corpus.jsonl").read_text(encoding="utf-8")
         assert "Traceback" not in capsys.readouterr().err
 
@@ -1373,6 +1393,46 @@ class TestBadCells:
                      "--citations", str(citations)]) == 1
         self.assert_failed(out, capsys, "normalize", "b")
         assert read_errors(out)["message"].startswith("line 4: citations.csv")
+
+    @pytest.mark.parametrize("column, cell", [
+        (3, "1_000"), (3, "+7"), (3, " 7"), (3, "7 "), (1, "٢٠٠٩"), (1, "２００９"), (3, "𝟕"),
+    ], ids=["underscore", "plus-sign", "leading-space", "trailing-space",
+            "arabic-indic-year", "fullwidth-year", "mathematical-digit"])
+    def test_citation_number_spelling(self, tmp_path, capsys, column, cell):
+        """A year or count in citations.csv is spelled by tableio's one rule."""
+        citations = tmp_path / "citations.csv"
+        row = ["b", "2010", "Eco", "7"]
+        row[column] = cell
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4], row])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations)]) == 1
+        assert read_errors(out) == {
+            "stage": "normalize", "document": "b", "error": "FormatError",
+            "message": f"line 3: citations.csv: not an integer: {cell!r}"}
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int() digit limit to lift")
+    def test_count_of_5000_digits_without_int_limit(self, tmp_path):
+        """lexcite's own digit limit decides, so Python 3.10, whose int() has
+        none, writes the same errors.json as 3.11."""
+        citations = tmp_path / "citations.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4], ["b", 2010, "Eco", "9" * 5000]])
+        limit = sys.get_int_max_str_digits()
+        reports = []
+        try:
+            for digits in (limit, 0):
+                sys.set_int_max_str_digits(digits)
+                out = tmp_path / f"out{digits}"
+                assert main(["normalize", "--out", str(out), "--citations", str(citations)]) == 1
+                reports.append(read_errors(out))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert reports[0] == reports[1] == {
+            "stage": "normalize", "document": "b", "error": "FormatError",
+            "message": "line 3: citations.csv: integer of 5000 digits; at most 4300"}
 
     def test_bad_baseline_cell(self, tmp_path, capsys):
         citations = tmp_path / "citations.csv"

@@ -316,7 +316,8 @@ def test_run_failure_same_on_one_and_two_processes(tmp_path, monkeypatch, stage)
 
 
 @pytest.mark.parametrize("stage", ["tag", "profile"])
-@pytest.mark.parametrize("value", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+@pytest.mark.parametrize("value", ["²", "9" * 5000, "𝟑"],
+                         ids=["superscript", "5000-digits", "mathematical-digit"])
 def test_clause_value_int_refuses_fails_the_stage(tmp_path, monkeypatch, capsys, stage,
                                                   value):
     """A "#clauses=" value that int() would refuse is a FormatError naming

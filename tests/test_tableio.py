@@ -1,6 +1,7 @@
 """CSV table serialization: metadata block, CRLF, repr floats, round trips;
 and the one text rule of every line-based input."""
 
+import ast
 import math
 import re
 import tempfile
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcite import cli, tableio
 from lexcite.errors import DataError, FormatError
 from lexcite.ingest import AbbreviationTable, read_corpus
 from lexcite.metrics import profile_cells
-from lexcite.tableio import read_table, write_table
+from lexcite.tableio import INT_DIGITS_MAX, parse_finite, parse_int, read_table, write_table
 from lexcite.tagging import load_lexicon, read_tagged
 
 
@@ -288,6 +290,79 @@ class TestParseOptionalFloat:
     def test_bad_cell_rejected(self, cell):
         with pytest.raises(ValueError):
             profile_cells(["d", "1.0", cell])
+
+
+class TestNumberRule:
+    """The one spelling of every number lexcite reads: ASCII digits after an
+    optional "-", and for a float an optional decimal point and exponent."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_round_trip(self, x):
+        """repr, which write_table uses, reads back to the same float, the
+        sign of a zero included."""
+        y = parse_finite(repr(x))
+        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+
+    @given(st.integers())
+    def test_int_round_trip(self, n):
+        assert parse_int(str(n)) == n
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), ("-7", -7), ("007", 7), ("-0", 0), ("0" * 5000 + "7", 7),
+        ("9" * INT_DIGITS_MAX, 10 ** INT_DIGITS_MAX - 1),
+    ], ids=["plain", "negative", "leading-zeros", "minus-zero", "5000-leading-zeros",
+            "most-digits"])
+    def test_int_accepted(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "-", "+7", " 7", "7 ", "7\n", "1_000", "٢٠٠٩", "２０１０", "𝟑", "²", "7.0", "1e3",
+        "0x7", "--7", "- 7"])
+    def test_int_refused(self, text):
+        with pytest.raises(ValueError, match=r"^not an integer: "):
+            parse_int(text)
+
+    def test_int_digit_limit(self):
+        with pytest.raises(ValueError, match=r"^integer of 4301 digits; at most 4300$"):
+            parse_int("-" + "9" * 4301)
+        with pytest.raises(ValueError, match=r"^integer of 5 digits; at most 4$"):
+            parse_int("00012345", max_digits=4)
+        assert parse_int("00001234", max_digits=4) == 1234
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1", 1.0), ("-0.0", -0.0), ("-0", -0.0), ("1e308", 1e308), ("-1e+308", -1e308),
+        ("5e-324", 5e-324), (".5", 0.5), ("5.", 5.0), ("1E5", 1e5), ("1e-400", 0.0),
+        ("0" * 5000 + "1.5", 1.5)])
+    def test_float_accepted(self, cell, value):
+        parsed = parse_finite(cell)
+        assert parsed == value and math.copysign(1.0, parsed) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("cell", [
+        "", "-", ".", "nan", "-nan", "inf", "-inf", "Infinity", "1e999", "+1", "1e", " 1",
+        "1 ", "1\t", "1_0", "1e1_0", "١", "１.５", "𝟑", "0x1p3", "1,5"])
+    def test_float_refused(self, cell):
+        with pytest.raises(ValueError):
+            parse_finite(cell)
+
+
+def test_the_number_rule_lives_in_tableio():
+    """No lexcite module but tableio asks str.isdecimal or str.isnumeric
+    whether text is a number; every option converter is Path, parse_int or
+    parse_finite; and ingest's json.loads parses integers with parse_int."""
+    found = []
+    json_loads = []
+    for path in sorted(Path(tableio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("isdecimal", "isnumeric")
+                    and path.name != "tableio.py"):
+                found.append((path.name, node.lineno, node.attr))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "loads" and path.name == "ingest.py"):
+                json_loads.append([keyword.arg for keyword in node.keywords])
+    assert found == []
+    assert json_loads == [["parse_int"]]
+    assert {convert for convert, _ in cli._OPTIONS.values()} == {
+        Path, tableio.parse_int, tableio.parse_finite}
 
 
 class LineReader(NamedTuple):

@@ -179,7 +179,8 @@ class TestLexiconTagger:
         assert load_lexicon(path) == {"foo": "NN"}
 
     @pytest.mark.parametrize("line", [b"bar\tNN", b"bar\tNN\t3\textra", b"bar\tNN\tmany",
-                                      b"b\xffr\tNN\t3"])
+                                      b"b\xffr\tNN\t3", b"bar\tNN\t1_000", b"bar\tNN\t 3",
+                                      "bar\tNN\t٣".encode("utf-8")])
     def test_bad_lexicon_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"# header\nfoo\tNN\t20\n" + line + b"\n")
@@ -323,19 +324,30 @@ class TestColumnFormat:
             import_tagged("#clauses=x\nok\tNN\n")
 
     @pytest.mark.parametrize("value, message", [
-        ("²", "bad clause count '²'"),
-        ("9" * 5000, "clause count of 5000 digits; at most 9"),
-        ("1" * 10, "clause count of 10 digits; at most 9"),
-    ], ids=["superscript", "5000-digits", "10-digits"])
+        ("²", "not an integer: '²'"),
+        ("9" * 5000, "integer of 5000 digits; at most 9"),
+        ("1" * 10, "integer of 10 digits; at most 9"),
+        ("𝟑", "not an integer: '𝟑'"),
+        ("+3", "not an integer: '+3'"),
+        ("1_0", "not an integer: '1_0'"),
+        ("-1", "-1 is negative"),
+    ], ids=["superscript", "5000-digits", "10-digits", "mathematical-digit", "plus-sign",
+            "underscore", "negative"])
     def test_clause_value_int_refuses(self, value, message):
         with pytest.raises(FormatError) as err:
             import_tagged(f"ok\tNN\n#clauses={value}\n")
         assert err.value.line_number == 2
-        assert str(err.value) == f"line 2: {message}"
+        assert str(err.value) == f"line 2: bad clause count: {message}"
 
     def test_nine_digit_clause_value(self):
         doc = import_tagged("#clauses=999999999\nok\tNN\n")
         assert doc.sentences[0].clause_count == 999_999_999
+
+    @pytest.mark.parametrize("value, count", [("0000000001", 1), ("0" * 20 + "7", 7),
+                                              ("-0", 0)])
+    def test_clause_value_leading_zeros_do_not_count(self, value, count):
+        doc = import_tagged(f"#clauses={value}\nok\tNN\n")
+        assert doc.sentences[0].clause_count == count
 
     @pytest.mark.parametrize("inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
