@@ -74,10 +74,10 @@ from .impact import (
 from .ingest import (
     AbbreviationTable,
     RawDocument,
+    check_doc_id,
     normalize_abbreviations,
     parse_jats,
     read_corpus,
-    usable_doc_id,
     write_corpus,
 )
 from .metrics import (
@@ -99,6 +99,7 @@ from .reports import (
     group_samples,
     join_scores,
 )
+from .stats import check_bootstrap_options
 from .tableio import parse_finite, parse_int, read_table, readable_name, write_table
 from .tagging import (
     LexiconTagger,
@@ -224,10 +225,10 @@ def build_config(args: argparse.Namespace,
     if "out" not in merged:
         raise ConfigError("an output directory is required (--out or LEXCITE_OUT)")
     config = RunConfig(**merged)
-    if config.iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    if not 0.0 < config.level < 1.0:
-        raise ConfigError("level must be strictly between 0 and 1")
+    try:
+        check_bootstrap_options(config.iterations, config.level)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -362,20 +363,17 @@ def stage_profile(config: RunConfig) -> None:
 def _read_rows(path: Path, header: list[str], parse, key) -> Iterator:
     """Yield the data rows of an input table, each through parse, as they
     are read. A malformed table or a header other than `header` fails the
-    stage. So does a cell that parse rejects with ValueError, a doc_id in
-    the first column that `usable_doc_id` refuses, or a row whose key (a
-    tuple of its parsed leading columns, from key) repeats an earlier row's:
-    each as a FormatError naming its line and, in a table keyed by doc_id,
-    its document."""
+    stage. So does a row that parse refuses with ValueError (the record
+    types check their own values), or one whose key (a tuple of its parsed
+    leading columns, from key) repeats an earlier row's: each as a
+    FormatError naming its line and, in a table keyed by doc_id, its
+    document."""
     table = read_table(path)
     if table.header != header:
         raise DataError(f"{readable_name(path.name)} columns {table.header} != {header}")
     seen: set[tuple] = set()
     for line, row in table.rows:
         try:
-            if header[0] == "doc_id" and not usable_doc_id(row[0]):
-                raise ValueError(f"doc_id {row[0]!r} is no doc id (empty, a TAB or a "
-                                 "line break, or white space at an end)")
             value = parse(row)
             row_key = key(value)
             if row_key in seen:
@@ -440,7 +438,8 @@ def _joined_inputs(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     codes of the profile rows that have a score (`join_scores`). scores.csv
     is read whole, and then each profiles.csv row is joined as it is read."""
     profiles = _read_rows(config.out / "profiles.csv", ["doc_id", *VARIABLE_COLUMNS],
-                          lambda row: (row[0], profile_cells(row)), lambda parsed: parsed[:1])
+                          lambda row: (check_doc_id(row[0]), profile_cells(row)),
+                          lambda parsed: parsed[:1])
     scores = _read_scores(config)
     if scores and all(s.group is None for s in scores):
         raise DataError("scores.csv has no groups; run the group stage first")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
 from enum import Enum
 
 from .errors import (GroupEmptyWarning, MissingBaseline, ScoreOverflow,
                      ZeroBaselineNonzeroCitations)
+from .ingest import _record, check_doc_id, check_year
 
 
 class ImpactGroup(str, Enum):
@@ -26,19 +26,14 @@ class ImpactGroup(str, Enum):
 GROUP_ORDER = (ImpactGroup.HIGH, ImpactGroup.MEDIUM, ImpactGroup.LOW)
 
 
-def _record(fields: str) -> type:
-    """A namedtuple whose _make, and so _replace, calls the record's checks."""
-    base = namedtuple("_Record", fields)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
-
-
 class CitationRecord(_record("doc_id year domain total_citations")):
     """A count that a float holds, which keeps every mean of counts finite."""
 
     __slots__ = ()
 
     def __new__(cls, doc_id: str, year: int, domain: str, total_citations: int):
+        check_doc_id(doc_id)
+        check_year(year)
         if total_citations < 0:
             raise ValueError(f"negative citations for {doc_id!r}")
         try:
@@ -55,6 +50,7 @@ class Baseline(_record("year domain adc n")):
     __slots__ = ()
 
     def __new__(cls, year: int, domain: str, adc: float, n: int):
+        check_year(year)
         if adc < 0:
             raise ValueError(f"adc '{adc!r}' is negative")
         if n < 1:
@@ -68,6 +64,7 @@ class NormalizedScore(_record("doc_id nc group")):
     __slots__ = ()
 
     def __new__(cls, doc_id: str, nc: float, group: ImpactGroup | None = None):
+        check_doc_id(doc_id)
         if nc < 0:
             raise ValueError(f"nc '{nc!r}' is negative")
         return super().__new__(cls, doc_id, nc, group)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import FormatError, MalformedXml, MissingMetadata
 from .tableio import parse_int, read_lines, readable_name
@@ -38,48 +39,51 @@ DEFAULT_ABBREVIATIONS = {
 }
 
 
-class _RawDocumentFields(NamedTuple):
-    doc_id: str
-    year: int
-    domain: str
-    paragraphs: list[str]
-    journal: str = ""
+def _record(fields: str) -> type:
+    """A namedtuple whose _make, and so _replace, calls the record's checks."""
+    base = namedtuple("_Record", fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
-def usable_doc_id(text: str) -> bool:
-    """Whether text can name a document: it is not empty, holds no TAB, "\r"
-    or "\n", and has no white space at either end. corpus.jsonl and the
-    "#doc=" line of a tagged file then carry it back unchanged."""
-    return (bool(text) and text == text.strip()
-            and "\t" not in text and "\r" not in text and "\n" not in text)
+def check_doc_id(text: str) -> str:
+    """text, if it is not empty, holds no TAB, "\r" or "\n" and has no white
+    space at either end, so that corpus.jsonl and a tagged file's "#doc="
+    line carry it back unchanged; otherwise a ValueError."""
+    if not text or text != text.strip() or "\t" in text or "\r" in text or "\n" in text:
+        raise ValueError(f"doc id {text!r} is empty, holds a TAB or a line break, "
+                         "or has white space at an end")
+    return text
 
 
-class RawDocument(_RawDocumentFields):
-    """One ingested article: metadata plus ordered body paragraphs. The
-    paragraphs are kept stripped, without the empty ones. A doc id that
-    `usable_doc_id` refuses is MissingMetadata, and so are paragraphs with
-    no letter (str.isalpha), since only a letter makes a word token."""
+def check_year(year: int) -> int:
+    """year, if it is in [YEAR_MIN, YEAR_MAX]; otherwise a ValueError."""
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    return year
+
+
+class RawDocument(_record("doc_id year domain paragraphs journal")):
+    """One ingested article: metadata plus its stripped, non-empty paragraphs.
+    A doc id or year that its check refuses is MissingMetadata, and so are
+    paragraphs with no letter (str.isalpha): only a letter makes a word token."""
 
     __slots__ = ()
 
     def __new__(cls, doc_id: str, year: int, domain: str, paragraphs: list[str],
                 journal: str = ""):
-        if not doc_id:
-            raise MissingMetadata("no doc_id element found")
-        if not usable_doc_id(doc_id):
-            raise MissingMetadata(f"doc id {doc_id!r} holds a TAB or a line break, "
-                                  "or white space at an end")
-        if not YEAR_MIN <= year <= YEAR_MAX:
-            raise MissingMetadata(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] "
-                                  f"for {doc_id!r}")
+        try:
+            check_doc_id(doc_id)
+        except ValueError as exc:
+            raise MissingMetadata(str(exc)) from None
+        try:
+            check_year(year)
+        except ValueError as exc:
+            raise MissingMetadata(f"{exc} for {doc_id!r}") from None
         paragraphs = [p.strip() for p in paragraphs if p.strip()]
         if not any(char.isalpha() for p in paragraphs for char in p):
             raise MissingMetadata(f"no paragraph with a letter for {doc_id!r}")
         return super().__new__(cls, doc_id, year, domain, paragraphs, journal)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
 
 
 class AbbreviationTable:

@@ -40,6 +40,7 @@ _SERIES_EPS = 1e-12
 # the same stream however the draws are split into calls, which
 # test_chunking_invariant pins.
 _BOOTSTRAP_BLOCK_CELLS = 2 ** 15
+ITERATIONS_MAX = 10 ** 7  # replicate means of 8 bytes each: 80 MB at the bound
 
 # Column layout per model family: 1/3 full quadratic, 2/4 squares+linear,
 # 5/6 linear only. The intercept is always included.
@@ -151,6 +152,16 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+def check_bootstrap_options(iterations: int, level: float) -> None:
+    """A ValueError unless 1 <= iterations <= ITERATIONS_MAX and 0 < level < 1."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if iterations > ITERATIONS_MAX:
+        raise ValueError(f"iterations must be <= {ITERATIONS_MAX}")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be strictly between 0 and 1")
+
+
 def bootstrap_mean_ci(
     sample: Sequence[float],
     iterations: int = 10_000,
@@ -160,12 +171,11 @@ def bootstrap_mean_ci(
     """Percentile bootstrap CI for the mean, bit-reproducible per seed."""
     import numpy as np
 
+    check_bootstrap_options(iterations, level)
     data = np.asarray(sample, dtype=float)
     n = len(data)
     if n == 0:
         raise EmptySample("bootstrap of empty sample")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
     means = np.empty(iterations, dtype=float)
     block = max(1, _BOOTSTRAP_BLOCK_CELLS // n)

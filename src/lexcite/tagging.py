@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
-from .ingest import RawDocument, usable_doc_id
+from .ingest import RawDocument, check_doc_id
 from .tableio import parse_int, read_lines, read_utf8, readable_name
 
 
@@ -207,7 +207,7 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
 # the heuristic clause count. A "#doc=ID" line names the document. A line
 # with a TAB is always a token line, so a token may start with "#". Lines
 # end by the rule of every text input (tableio), so a token may hold any
-# character but TAB, "\r" and "\n". The ID of a "#doc=" line may not be empty.
+# character but TAB, "\r" and "\n". A "#doc=" ID, stripped, must pass check_doc_id.
 # A "#clauses=" value is a parse_int of at most CLAUSE_DIGITS_MAX digits, not negative.
 
 CLAUSE_DIGITS_MAX = 9
@@ -217,21 +217,16 @@ def read_tagged(path: str | Path) -> TaggedDocument:
     """The TaggedDocument in a UTF-8 column-format file, with the file stem as
     the doc id when no "#doc=" line names one. Bytes that are not UTF-8 are a
     FormatError naming the file and the line; so is a file with no "#doc="
-    line whose stem is not UTF-8, or is not a doc id (`usable_doc_id`), as
+    line whose stem is not UTF-8, or is not a doc id (`check_doc_id`), as
     line 1, where that line would go."""
     path = Path(path)
     doc = import_tagged(read_utf8(path), doc_id=path.stem)
-    # Only a stem can fail: the text decoded, and a "#doc=" id has no TAB,
-    # no line end and no white space at an end.
+    # Only a stem can fail: the text decoded, and import_tagged checked a "#doc=" id.
     try:
-        doc.doc_id.encode("utf-8")
-    except UnicodeEncodeError:
-        raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and the "
-                             "file name is not UTF-8") from None
-    if not usable_doc_id(doc.doc_id):
-        raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and the "
-                             "file name holds a TAB or a line break, or white space "
-                             "at an end")
+        check_doc_id(doc.doc_id).encode("utf-8")
+    except ValueError as exc:  # UnicodeEncodeError for a stem that is not UTF-8
+        reason = "the file name is not UTF-8" if isinstance(exc, UnicodeEncodeError) else exc
+        raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and {reason}") from None
     return doc
 
 
@@ -274,9 +269,10 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             tokens.append(token)
             tags.append(tag)
         elif line.startswith("#doc="):
-            doc_id = line[len("#doc="):].strip()
-            if not doc_id:
-                raise FormatError(lineno, "#doc= names no document")
+            try:
+                doc_id = check_doc_id(line[len("#doc="):].strip())
+            except ValueError as exc:
+                raise FormatError(lineno, f"#doc= line: {exc}") from None
         elif line.startswith("#clauses="):
             try:
                 clause_override = parse_int(line[len("#clauses="):].strip(), CLAUSE_DIGITS_MAX)

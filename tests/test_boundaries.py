@@ -12,6 +12,11 @@ and must exit 0, 1 or 2, write errors.json exactly when it exits 1, print
 no traceback, and write only numeric cells that read back, or "-" or empty
 ones: a count (a year among them) through parse_int, the way normalize reads
 baselines.csv, and any other number through parse_finite.
+
+The library twin holds the CLI to the library on one row of each table
+kind, with one cell replaced, so that no other cell's fault hides its
+rule: a stage refuses the row, with a FormatError naming its line, exactly
+when the record constructor or the row's parse refuses it.
 """
 
 import contextlib
@@ -23,11 +28,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcite import cli
 from lexcite.cli import main
+from lexcite.errors import MissingMetadata
+from lexcite.impact import Baseline, CitationRecord, ImpactGroup, NormalizedScore
+from lexcite.ingest import check_doc_id, document_from_json
+from lexcite.metrics import profile_cells
+from lexcite.stats import bootstrap_mean_ci
 from lexcite.tableio import parse_finite, parse_int, read_table, write_table
 
 
@@ -72,11 +83,12 @@ GROUP_OF = ["High", "Medium", "Medium", "Medium", *["Low"] * 8]
 
 
 @st.composite
-def edited(draw, rows: list[list[str]], kinds: list[st.SearchStrategy]) -> list[list[str]]:
-    """rows, a valid table body, with one to three cells replaced by draws of
-    their column's kind."""
+def edited(draw, rows: list[list[str]], kinds: list[st.SearchStrategy],
+           most: int = 3) -> list[list[str]]:
+    """rows, a valid table body, with one to `most` cells replaced by draws
+    of their column's kind."""
     rows = [list(row) for row in rows]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, most))):
         row = draw(st.integers(0, len(rows) - 1))
         column = draw(st.integers(0, len(kinds) - 1))
         rows[row][column] = draw(kinds[column])
@@ -191,15 +203,18 @@ def test_tagged(text):
         run_stage("profile", out)
 
 
+def corpus_record(doc_id: str, year: str) -> str:
+    return (f'{{"doc_id": {json.dumps(doc_id)}, "year": {year}, "domain": "x", '
+            '"journal": "", "paragraphs": ["The cats sleep. It ran."]}')
+
+
 @settings(max_examples=40, deadline=None)
 @given(doc_id=st.one_of(DOC_IDS, st.just("\ud800")), year=YEARS)
 def test_corpus(doc_id, year):
     """A corpus.jsonl year is a JSON number parsed by parse_int, or bad JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        (out / "corpus.jsonl").write_text(
-            f'{{"doc_id": {json.dumps(doc_id)}, "year": {year}, "domain": "x", '
-            '"journal": "", "paragraphs": ["The cats sleep. It ran."]}\n', encoding="utf-8")
+        (out / "corpus.jsonl").write_text(corpus_record(doc_id, year) + "\n", encoding="utf-8")
         if run_stage("tag", out) == 0:
             run_stage("profile", out)
 
@@ -223,3 +238,109 @@ def test_article_and_abbrev(doc_id, year, entries):
                           encoding="utf-8")
         run_stage("ingest", Path(tmp) / "out", "--input", str(articles),
                   "--abbrev", str(abbrev))
+
+
+# ------------------------------------------------------------ library twin
+
+def library_refuses(parse, row) -> bool:
+    """Whether parse, the library's reading of one row, refuses it."""
+    try:
+        parse(row)
+    except (ValueError, MissingMetadata):
+        return True
+    return False
+
+
+def stage_refuses(stage: str, out: Path, name: str, line: int, *argv: str) -> bool:
+    """Whether the stage, run under run_stage's contract, fails with a
+    FormatError on line `line` of the file `name`."""
+    if run_stage(stage, out, *argv) != 1:
+        return False
+    error = json.loads((out / "errors.json").read_text(encoding="utf-8"))
+    return (error["error"] == "FormatError"
+            and error["message"].startswith(f"line {line}: {name}: "))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=edited([["a", "2010", "Eco", "3"]], [DOC_IDS, YEARS, DOMAINS, COUNTS], most=1))
+def test_twin_citations(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        citations = Path(tmp) / "citations.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"], rows)
+        refused = stage_refuses("normalize", Path(tmp) / "out", "citations.csv", 2,
+                                "--citations", str(citations))
+    assert refused == library_refuses(
+        lambda row: CitationRecord(row[0], parse_int(row[1]), row[2], parse_int(row[3])),
+        rows[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=edited([["2010", "Eco", "1.5", "2"]], [YEARS, DOMAINS, FLOATS, COUNTS], most=1))
+def test_twin_baselines(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        citations, baselines = Path(tmp) / "citations.csv", Path(tmp) / "baselines.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"], CITATIONS)
+        write_table(baselines, ["year", "domain", "adc", "n"], rows)
+        refused = stage_refuses("normalize", Path(tmp) / "out", "baselines.csv", 2,
+                                "--citations", str(citations), "--baselines", str(baselines))
+    assert refused == library_refuses(
+        lambda row: Baseline(parse_int(row[0]), row[1], parse_finite(row[2]), parse_int(row[3])),
+        rows[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=edited([["d00", "1.5", "Low"]], [DOC_IDS, FLOATS, GROUPS], most=1))
+def test_twin_scores(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_table(out / "scores.csv", ["doc_id", "nc", "group"], rows)
+        refused = stage_refuses("group", out, "scores.csv", 2)
+    assert refused == library_refuses(
+        lambda row: NormalizedScore(row[0], parse_finite(row[1]),
+                                    ImpactGroup(row[2]) if row[2] else None),
+        rows[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=st.one_of(st.tuples(st.just(0), DOC_IDS), st.tuples(st.integers(1, 12), FLOATS)))
+def test_twin_profiles(cell):
+    """The doc id is drawn as often as the twelve value cells together."""
+    rows = [list(PROFILES[0])]
+    rows[0][cell[0]] = cell[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_table(out / "profiles.csv", PROFILE_HEADER, rows)
+        write_table(out / "scores.csv", ["doc_id", "nc", "group"], SCORES)
+        refused = stage_refuses("regress", out, "profiles.csv", 2)
+    assert refused == library_refuses(lambda row: (check_doc_id(row[0]), profile_cells(row)),
+                                      rows[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc_id=st.one_of(DOC_IDS, st.just("\ud800")), year=YEARS)
+def test_twin_corpus(doc_id, year):
+    record = corpus_record(doc_id, year)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "corpus.jsonl").write_text(record + "\n", encoding="utf-8")
+        refused = stage_refuses("tag", out, "corpus.jsonl", 1)
+    assert refused == library_refuses(document_from_json, record)
+
+
+DOC_ID_RULE = "is empty, holds a TAB or a line break, or has white space at an end"
+LEVEL_RULE = "level must be strictly between 0 and 1"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CitationRecord("a\tb", 2010, "e", 3), f"doc id 'a\\tb' {DOC_ID_RULE}"),
+    (lambda: NormalizedScore(" x", 1.0), f"doc id ' x' {DOC_ID_RULE}"),
+    (lambda: CitationRecord("d", -5, "e", 1), "year -5 outside [1900, 2100]"),
+    (lambda: Baseline(10 ** 400, "e", 1.0, 1), f"year 1{'0' * 400} outside [1900, 2100]"),
+    (lambda: bootstrap_mean_ci([1.0, 2.0, 3.0], 100, level=1.5), LEVEL_RULE),
+    (lambda: bootstrap_mean_ci([1.0, 2.0, 3.0], 100, level=-3), LEVEL_RULE),
+], ids=["citation-doc-id", "score-doc-id", "citation-year", "baseline-year", "level-1.5",
+        "level-minus-3"])
+def test_library_refuses_what_the_cli_refuses(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -33,6 +33,7 @@ from lexcite.cli import (
 )
 from lexcite.errors import ConfigError, FormatError, GroupEmptyWarning, LexciteError
 from lexcite.ingest import AbbreviationTable, RawDocument, write_corpus
+from lexcite.stats import ITERATIONS_MAX
 from lexcite.tableio import read_table, write_table
 
 MINICORPUS = Path(str(files("lexcite").joinpath("data", "minicorpus")))
@@ -173,6 +174,27 @@ class TestBuildConfig:
         monkeypatch.setenv("LEXCITE_ITERATIONS", "1_000")
         assert main(["group", "--out", str(tmp_path)]) == 2
         assert_config_fault(tmp_path, capsys, "bad value for LEXCITE_ITERATIONS: '1_000'")
+
+    @pytest.mark.parametrize("text", ["10000001", "99999999999999999999"])
+    def test_iterations_bound_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        """Above stats.ITERATIONS_MAX a flag or a variable is a configuration
+        mistake that touches nothing in --out, not numpy's error or an
+        allocation of gigabytes."""
+        write_table(tmp_path / "profiles.csv", PROFILE_HEADER, [["d1", *([2.0] * 12)]])
+        write_table(tmp_path / "scores.csv", ["doc_id", "nc", "group"], [["d1", 2.0, "Low"]])
+        (tmp_path / "cdf.csv").write_text("stale\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(["compare", "--out", str(tmp_path), "--iterations", text]) == 2
+        assert_config_fault(tmp_path, capsys, "error: iterations must be <= 10000000")
+        monkeypatch.setenv("LEXCITE_ITERATIONS", text)
+        assert main(["compare", "--out", str(tmp_path)]) == 2
+        assert_config_fault(tmp_path, capsys, "error: iterations must be <= 10000000")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_iterations_bound_itself_accepted(self, tmp_path):
+        config = build_config(parse(["run", "--out", str(tmp_path),
+                                     "--iterations", str(ITERATIONS_MAX)]), {})
+        assert config.iterations == ITERATIONS_MAX
 
     def test_config_hash_tracks_parameters(self, tmp_path):
         base = RunConfig(out=tmp_path)
@@ -1017,8 +1039,9 @@ class TestImportTagged:
         assert main(argv) == 1
         err = read_errors(out)
         assert (err["stage"], err["document"], err["error"]) == (stage, document, "FormatError")
-        assert err["message"].startswith("line 1: a\tb.tsv: no #doc= line, and the file "
-                                         "name holds a TAB")
+        assert err["message"] == ("line 1: a\tb.tsv: no #doc= line, and doc id 'a\\tb' is "
+                                  "empty, holds a TAB or a line break, or has white space "
+                                  "at an end")
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [("\tNN", "line 3: empty token surface"),
@@ -1412,6 +1435,28 @@ class TestBadCells:
             "message": f"line 3: citations.csv: not an integer: {cell!r}"}
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("year", ["-5", "1899", "2101", "9" * 400])
+    def test_citation_year_out_of_range(self, tmp_path, capsys, year):
+        """A citations.csv or --baselines year is in 1900-2100, as an
+        article's is; no other year can meet an ingested article's."""
+        citations, baselines = tmp_path / "citations.csv", tmp_path / "base.csv"
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4], ["b", year, "Eco", 7]])
+        out = tmp_path / "out"
+        assert main(["normalize", "--out", str(out), "--citations", str(citations)]) == 1
+        assert read_errors(out) == {
+            "stage": "normalize", "document": "b", "error": "FormatError",
+            "message": f"line 3: citations.csv: year {year} outside [1900, 2100]"}
+        write_table(citations, ["doc_id", "year", "domain", "total_citations"],
+                    [["a", 2010, "Eco", 4]])
+        write_table(baselines, ["year", "domain", "adc", "n"], [[year, "Eco", 4.0, 1]])
+        assert main(["normalize", "--out", str(out), "--citations", str(citations),
+                     "--baselines", str(baselines)]) == 1
+        assert read_errors(out) == {
+            "stage": "normalize", "document": "", "error": "FormatError",
+            "message": f"line 2: base.csv: year {year} outside [1900, 2100]"}
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int() digit limit to lift")
     def test_count_of_5000_digits_without_int_limit(self, tmp_path):
@@ -1557,15 +1602,15 @@ BAD_DOC_IDS = {"tab": "ECO.2009.0001\t", "leading-space": " ECO.2009.0001", "emp
 
 
 class TestDocIdsInTables:
-    """A doc id that usable_doc_id refuses, in a table keyed by doc_id, fails
+    """A doc id that check_doc_id refuses, in a table keyed by doc_id, fails
     the stage as a FormatError naming its line, instead of dropping its
     document from every table."""
 
     def assert_refused(self, out, capsys, stage, doc_id, where):
         err = read_errors(out)
         assert (err["stage"], err["document"], err["error"]) == (stage, doc_id, "FormatError")
-        assert err["message"] == (f"{where}: doc_id {doc_id!r} is no doc id (empty, a "
-                                  "TAB or a line break, or white space at an end)")
+        assert err["message"] == (f"{where}: doc id {doc_id!r} is empty, holds a TAB or "
+                                  "a line break, or has white space at an end")
         stderr = capsys.readouterr().err
         assert f"error in {stage} stage" in stderr
         assert "Traceback" not in stderr

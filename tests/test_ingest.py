@@ -106,7 +106,8 @@ class TestParseJats:
     def test_missing_doc_id(self):
         xml = article("<p>t.</p>").replace(
             '<article-id pub-id-type="doi">10.1/x</article-id>', "")
-        with pytest.raises(MissingMetadata, match="no doc_id element found"):
+        with pytest.raises(MissingMetadata, match="^doc id '' is empty, holds a TAB or a "
+                                                  "line break, or has white space at an end$"):
             parse_jats(xml)
 
     def test_missing_year(self):

@@ -12,6 +12,7 @@ from lexcite.errors import DegenerateResponseWarning, EmptySample
 from lexcite.impact import NormalizedScore
 from lexcite.reports import join_scores
 from lexcite.stats import (
+    ITERATIONS_MAX,
     MODEL_IDS,
     _expand_design,
     bootstrap_mean_ci,
@@ -226,6 +227,19 @@ class TestBootstrap:
     def test_bad_iterations(self):
         with pytest.raises(ValueError):
             bootstrap_mean_ci([1.0], iterations=0, seed=0)
+
+    def test_iterations_bounded(self):
+        """The replicate means take 8 bytes an iteration, so the bound keeps
+        them to 80 MB; above it nothing is allocated."""
+        with pytest.raises(ValueError, match="^iterations must be <= 10000000$"):
+            bootstrap_mean_ci([1.0], iterations=ITERATIONS_MAX + 1, seed=0)
+        with pytest.raises(ValueError, match="^iterations must be <= 10000000$"):
+            bootstrap_mean_ci([1.0], iterations=10 ** 20, seed=0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, math.nan])
+    def test_bad_level(self, level):
+        with pytest.raises(ValueError, match="^level must be strictly between 0 and 1$"):
+            bootstrap_mean_ci([1.0, 2.0], iterations=10, level=level, seed=0)
 
 
 # A bootstrap subseed, as reports.subseed(1, 0, 0) derives it.

@@ -365,6 +365,49 @@ def test_the_number_rule_lives_in_tableio():
         Path, tableio.parse_int, tableio.parse_finite}
 
 
+def _names_by_scope() -> dict[str, list[tuple[str, str]]]:
+    """Each name a lexcite module loads, with the module and the top-level
+    function or class it is loaded in, the attribute of an attribute load
+    included."""
+    found: dict[str, list[tuple[str, str]]] = {}
+    for path in sorted(Path(tableio.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    found.setdefault(name, []).append((path.stem, scope))
+    return found
+
+
+def test_each_value_rule_has_one_owner():
+    """The doc-id and year rules are defined in ingest and used only by the
+    records that check them and the readers that build a value with no
+    record (a profiles.csv row, a tagged file's id); so cli._read_rows calls
+    no doc-id check. The bootstrap option rule is defined in stats, and cli
+    compares neither iterations nor level itself."""
+    names = _names_by_scope()
+    assert set(names["check_doc_id"]) == {
+        ("ingest", "RawDocument"), ("impact", "CitationRecord"), ("impact", "NormalizedScore"),
+        ("tagging", "read_tagged"), ("tagging", "import_tagged"), ("cli", "_joined_inputs")}
+    assert set(names["check_year"]) == {
+        ("ingest", "RawDocument"), ("impact", "CitationRecord"), ("impact", "Baseline")}
+    assert set(names["YEAR_MIN"] + names["YEAR_MAX"]) == {
+        ("ingest", "check_year"), ("ingest", "parse_jats")}
+    assert set(names["check_bootstrap_options"]) == {
+        ("stats", "bootstrap_mean_ci"), ("cli", "build_config")}
+    assert set(names["ITERATIONS_MAX"]) == {("stats", "check_bootstrap_options")}
+    compared = [
+        node.lineno
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for inner in ast.walk(operand)
+        if getattr(inner, "id", getattr(inner, "attr", None)) in ("iterations", "level")]
+    assert compared == []
+
+
 class LineReader(NamedTuple):
     """One line-based text input: its file name, the lines that must come
     first, a good line, a template of a good line with a slot for any one
