@@ -41,9 +41,12 @@ the spelling of its numbers.
 tag and profile each map one function per document (make or read it,
 then write or profile it), and compare one per variable (its rows of all
 three tables), with `parallel.run_on_two_processes`, under the rule
-and contract stated there. Each loops over the map's values as it yields
-them and closes it before a failure of its own loop leaves the stage, so
-that its child has ended before main removes the stage's files.
+and contract stated there. The items only name the work: a corpus.jsonl
+line, undecoded, or an --import-tagged file for tag, a tagged/ file for
+profile, a column name for compare. So each process decodes or reads only
+the documents it works on. Each stage loops over the map's values as it
+yields them and closes it before a failure of its own loop leaves the
+stage, so that its child has ended before main removes the stage's files.
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ from .ingest import (
     AbbreviationTable,
     RawDocument,
     check_doc_id,
+    corpus_lines,
+    decode_corpus_line,
     normalize_abbreviations,
     parse_jats,
-    read_corpus,
     write_corpus,
 )
 from .metrics import (
@@ -113,19 +117,21 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Every option a flag or a LEXCITE_<NAME> variable can set: the type that
-# converts its text, and the flag's help. build_parser adds one flag per
-# entry; RunConfig gives the defaults.
+# converts its text, the flag's help, and for a path the invocation reads,
+# the kind it must be: a "directory", or a "file" (anything but a
+# directory). build_parser adds one flag per entry; RunConfig gives the
+# defaults.
 _OPTIONS = {
-    "input": (Path, "directory of article XML files"),
-    "citations": (Path, "citations CSV (doc_id, year, domain, total_citations)"),
-    "baselines": (Path, "externally computed baselines CSV (year, domain, adc, n)"),
-    "out": (Path, "output directory for all stage files"),
-    "seed": (parse_int, "root random seed"),
-    "iterations": (parse_int, "bootstrap iterations"),
-    "level": (parse_finite, "confidence level"),
-    "abbrev": (Path, "abbreviation table TSV (key, expansion)"),
+    "input": (Path, "directory of article XML files", "directory"),
+    "citations": (Path, "citations CSV (doc_id, year, domain, total_citations)", "file"),
+    "baselines": (Path, "externally computed baselines CSV (year, domain, adc, n)", "file"),
+    "out": (Path, "output directory for all stage files", None),
+    "seed": (parse_int, "root random seed", None),
+    "iterations": (parse_int, "bootstrap iterations", None),
+    "level": (parse_finite, "confidence level", None),
+    "abbrev": (Path, "abbreviation table TSV (key, expansion)", "file"),
     "import_tagged": (Path, "directory of externally tagged .tsv files to use "
-                            "instead of the built-in tagger"),
+                            "instead of the built-in tagger", "directory"),
 }
 _ENV_PREFIX = "LEXCITE_"
 _ENV_KEYS = {_ENV_PREFIX + option.upper(): option for option in _OPTIONS}
@@ -209,7 +215,7 @@ def build_config(args: argparse.Namespace,
     current directory."""
     env = _env_overrides(dict(os.environ) if environ is None else environ)
     merged: dict[str, object] = {}
-    for option, (convert, _) in _OPTIONS.items():
+    for option, (convert, _, _) in _OPTIONS.items():
         text = getattr(args, option, None)
         source = _flag(option)
         if text is None and option in env:
@@ -301,16 +307,18 @@ def stage_ingest(config: RunConfig) -> None:
 
 def stage_tag(config: RunConfig) -> None:
     """Write tagged/<doc>.tsv per document through one map of one function:
-    make the document (tag a corpus.jsonl record, or `_read_tagged` an
-    --import-tagged file), then write it. Two documents whose ids give one
+    make the document (decode and tag a corpus.jsonl line, or `_read_tagged`
+    an --import-tagged file), then write it. Two documents whose ids give one
     file name fail the stage at the second, once it is written; a failure to
     write it is the error reported."""
     tagged_dir = config.out / "tagged"
     if config.import_tagged is None:
-        items = lambda: read_corpus(config.out / "corpus.jsonl")
+        corpus = config.out / "corpus.jsonl"
+        items = lambda: corpus_lines(corpus)
         tagger = LexiconTagger()
 
-        def document(raw: RawDocument) -> TaggedDocument:
+        def document(line: tuple[int, str]) -> TaggedDocument:
+            raw = decode_corpus_line(corpus, *line)
             try:
                 return tag_document(raw, tagger)
             except LexciteError as exc:
@@ -320,7 +328,7 @@ def stage_tag(config: RunConfig) -> None:
         items, document = (lambda: files), _read_tagged
     tagged_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(item: RawDocument | Path) -> tuple[str, str]:
+    def write(item: tuple[int, str] | Path) -> tuple[str, str]:
         doc = document(item)
         name = _safe_name(doc.doc_id) + ".tsv"
         try:
@@ -515,9 +523,10 @@ _STAGE_FUNCS = {name: stage.func for name, stage in _STAGES.items()}
 
 def _check_invocation(config: RunConfig, stages: tuple[str, ...]) -> None:
     """Raise a ConfigError for the invocation's first fault, touching nothing:
-    an --out that cannot be created, a required option not set, a missing
-    given path, a stage file read that neither --out holds nor an earlier
-    stage writes, or an --import-tagged that is tagged/ of --out."""
+    an --out that cannot be created, a required option not set, a given path
+    that is missing or not of its option's kind, a stage file read that
+    neither --out holds nor an earlier stage writes, or an --import-tagged
+    that is tagged/ of --out."""
     existing = next((p for p in (config.out, *config.out.parents) if p.exists()), config.out)
     if not existing.is_dir():
         raise ConfigError(f"--out {config.out} cannot be created: {existing} is not a directory")
@@ -525,10 +534,15 @@ def _check_invocation(config: RunConfig, stages: tuple[str, ...]) -> None:
         for option in _STAGES[stage].requires:
             if getattr(config, option) is None:
                 raise ConfigError(f"{_flag(option)} is required")
-    for option, (convert, _) in _OPTIONS.items():
+    for option, (_, _, kind) in _OPTIONS.items():
         given = getattr(config, option)
-        if convert is Path and option != "out" and given is not None and not given.exists():
+        if kind is None or given is None:
+            continue
+        if not given.exists():
             raise ConfigError(f"path not found: {given}")
+        if given.is_dir() != (kind == "directory"):
+            raise ConfigError(f"{_flag(option)} {given} is "
+                              f"{'not ' if kind == 'directory' else ''}a directory")
     owned: list[str] = []
     for stage in stages:
         tag_imports = stage == "tag" and config.import_tagged is not None
@@ -578,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       if name != "run" else "run all stages")
         # Values stay text here: build_config converts flags and LEXCITE_*
         # variables alike.
-        for option, (_, help_text) in _OPTIONS.items():
+        for option, (_, help_text, _) in _OPTIONS.items():
             default = RunConfig._field_defaults.get(option)
             if default is not None:
                 help_text += f" (default {default})"

@@ -290,18 +290,26 @@ def write_corpus(docs: Iterable[RawDocument], path: str | Path) -> int:
     return len(seen)
 
 
+def corpus_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for each non-blank line of a corpus file as
+    it is read, undecoded."""
+    return ((lineno, line) for lineno, line in read_lines(Path(path)) if line.strip())
+
+
+def decode_corpus_line(path: str | Path, lineno: int, line: str) -> RawDocument:
+    """The document in line lineno of a corpus file. A line that is not a
+    document record (bad or too deeply nested JSON, a missing, extra or
+    mistyped field, a year out of range) is a FormatError naming the file
+    and the line."""
+    try:
+        return document_from_json(line)
+    except (ValueError, RecursionError, MissingMetadata) as exc:
+        raise FormatError(lineno, f"{readable_name(Path(path).name)}: not a document record: "
+                                  f"{type(exc).__name__}: {exc}") from None
+
+
 def read_corpus(path: str | Path) -> Iterator[RawDocument]:
-    """Yield the documents of a corpus file as its lines are read. A line
-    that is not a document record (bad or too deeply nested JSON, a missing,
-    extra or mistyped field, a year out of range) is a FormatError naming
-    the file and the line."""
-    path = Path(path)
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            doc = document_from_json(line)
-        except (ValueError, RecursionError, MissingMetadata) as exc:
-            raise FormatError(lineno, f"{readable_name(path.name)}: not a document record: "
-                                      f"{type(exc).__name__}: {exc}") from None
-        yield doc
+    """Yield the documents of a corpus file as its lines are read and
+    decoded (`corpus_lines`, `decode_corpus_line`)."""
+    for lineno, line in corpus_lines(path):
+        yield decode_corpus_line(path, lineno, line)

@@ -28,9 +28,9 @@ with NaN marking Absent, and keep only the rows that have a score
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import EmptyDocument
+from .ingest import _record, check_doc_id
 from .tableio import parse_finite
 from .tagging import LexClass, TaggedDocument, coarsen_tag
 
@@ -39,24 +39,19 @@ VARIABLE_COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
                     "x9", "x10", "x11", "x12")
 
 
-class ComplexityProfile(NamedTuple):
+class ComplexityProfile(_record(
+        "doc_id mean_sentence_length sd_sentence_length clause_ratio ttr "
+        "noun_length verb_length adj_length adv_length "
+        "noun_ratio verb_ratio adj_ratio adv_ratio")):
     """All 12 variables for one article: the fields after doc_id are x1..x12,
     in that order. None marks an Absent sophistication value (the lexical
-    class had no tokens)."""
+    class had no tokens). A doc id that `check_doc_id` refuses is a
+    ValueError, however the profile is built."""
 
-    doc_id: str
-    mean_sentence_length: float
-    sd_sentence_length: float
-    clause_ratio: float
-    ttr: float
-    noun_length: float | None
-    verb_length: float | None
-    adj_length: float | None
-    adv_length: float | None
-    noun_ratio: float
-    verb_ratio: float
-    adj_ratio: float
-    adv_ratio: float
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, *variables: float | None, **named: float | None):
+        return super().__new__(cls, check_doc_id(doc_id), *variables, **named)
 
 
 def complexity_profile(doc: TaggedDocument) -> ComplexityProfile:

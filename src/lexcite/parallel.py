@@ -10,6 +10,12 @@ the lowest item index, which is the one the loop would raise, and no item is
 started once it is raised. So the outputs, and the failure a stage reports,
 are byte-identical on one CPU and on two.
 
+The rule for callers: items() only names the work (a line not yet decoded,
+a file path, a column name), and work(item) does all of it. Each process
+calls items() itself and passes over the other's share, so whatever items()
+makes is made in both. So `tag`'s child decodes only its own corpus.jsonl
+records, and the parent only its own.
+
 A forked child starts no interpreter and imports nothing: it runs on the
 parent's memory, copied as it is written. It sends each value through a pipe
 as it makes it, pickled, and at its first failure that failure instead, and

@@ -16,9 +16,10 @@ beside its path that replaces the path once complete. It is read back a
 line at a time: the metadata and header at once, the rows as the caller
 asks for them.
 
-Every line-based text input is read here, under one rule: UTF-8, a line
-ends at "\r\n", "\n" or "\r" (never at "\f", "\x85" or U+2028), and a byte
-that is not UTF-8 is a FormatError naming the file and the line.
+Every line-based text input is read, and split into lines, here, under one
+rule: UTF-8, a line ends at "\r\n", "\n" or "\r" (never at "\f", "\x85" or
+U+2028), and a byte that is not UTF-8 is a FormatError naming the file and
+the line.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def read_utf8(path: Path) -> str:
         # its own exactly when they end with a line end.
         lineno = len((data[:exc.start] + b"x").splitlines())
         raise FormatError(lineno, f"{readable_name(path.name)}: not UTF-8: {exc}") from None
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a text read whole (`read_utf8`), by the rule above, each
+    without its line end; a text that ends with a line end gives a last
+    empty line. One split of the whole text is faster than `read_lines`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 @contextlib.contextmanager

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import FormatError, TaggerLengthMismatch
-from .ingest import RawDocument, check_doc_id
-from .tableio import parse_int, read_lines, read_utf8, readable_name
+from .ingest import RawDocument, _record, check_doc_id
+from .tableio import parse_int, read_lines, read_utf8, readable_name, split_lines
 
 
 class LexClass(str, Enum):
@@ -73,9 +73,14 @@ class TaggedSentence(NamedTuple):
     clause_count: int
 
 
-class TaggedDocument(NamedTuple):
-    doc_id: str
-    sentences: list[TaggedSentence]
+class TaggedDocument(_record("doc_id sentences")):
+    """A document's tagged sentences. A doc id that `check_doc_id` refuses is
+    a ValueError, however the document is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, sentences: list[TaggedSentence]):
+        return super().__new__(cls, check_doc_id(doc_id), sentences)
 
 
 class TaggerContract(Protocol):
@@ -220,10 +225,12 @@ def read_tagged(path: str | Path) -> TaggedDocument:
     line whose stem is not UTF-8, or is not a doc id (`check_doc_id`), as
     line 1, where that line would go."""
     path = Path(path)
-    doc = import_tagged(read_utf8(path), doc_id=path.stem)
-    # Only a stem can fail: the text decoded, and import_tagged checked a "#doc=" id.
+    text = read_utf8(path)
+    # Only a stem can fail here: the text decoded, and import_tagged checks a
+    # "#doc=" id at its line.
     try:
-        check_doc_id(doc.doc_id).encode("utf-8")
+        doc = import_tagged(text, doc_id=path.stem)
+        doc.doc_id.encode("utf-8")
     except ValueError as exc:  # UnicodeEncodeError for a stem that is not UTF-8
         reason = "the file name is not UTF-8" if isinstance(exc, UnicodeEncodeError) else exc
         raise FormatError(1, f"{readable_name(path.name)}: no #doc= line, and {reason}") from None
@@ -231,7 +238,9 @@ def read_tagged(path: str | Path) -> TaggedDocument:
 
 
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
-    """Reconstruct a TaggedDocument from tagged-token column text.
+    """Reconstruct a TaggedDocument from tagged-token column text, with
+    doc_id as its id when no "#doc=" line names one; an id that
+    `TaggedDocument` refuses is a ValueError.
 
     Each distinct surface builds one Token while the process's token table
     lasts; its repeats share it.
@@ -249,8 +258,7 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
             sentences.append(TaggedSentence(tokens, tags, clauses))
         tokens, tags, clause_override = [], [], None
 
-    lines = column_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(split_lines(column_text), 1):
         if not line.strip():
             close_block()
             continue
@@ -295,15 +303,13 @@ def export_tagged(doc: TaggedDocument) -> str:
     `import_tagged` reproduces the document exactly even when the heuristic
     would disagree.
     """
-    lines = []
-    if doc.doc_id:
-        lines.append(f"#doc={doc.doc_id}")
+    lines = [f"#doc={doc.doc_id}"]
     for sentence in doc.sentences:
         lines.append(f"#clauses={sentence.clause_count}")
         for token, tag in zip(sentence.tokens, sentence.tags):
             lines.append(f"{token.surface}\t{tag}")
         lines.append("")
-    return "\n".join(lines) + ("\n" if lines and lines[-1] != "" else "")
+    return "\n".join(lines) + ("\n" if lines[-1] != "" else "")
 
 
 # --- built-in tagger ---------------------------------------------------------

@@ -329,7 +329,7 @@ class TestStageGating:
         assert "LEXCITE_TYPO" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via", ["flag", "env"])
-    @pytest.mark.parametrize("option", [option for option, (convert, _) in cli._OPTIONS.items()
+    @pytest.mark.parametrize("option", [option for option, (convert, *_) in cli._OPTIONS.items()
                                         if convert is Path])
     def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, option, via):
         # an empty path is not the current directory: nothing is written there
@@ -425,6 +425,13 @@ CONFIG_FAULTS = [
      "--import-tagged {out}/tagged is the tagged/ directory of --out"),
     ("run", ["--input", CORPUS, "--citations", CITATIONS, "--import-tagged", "{out}/tagged"],
      ["tagged/a.tsv"], "--import-tagged {out}/tagged is the tagged/ directory of --out"),
+    # a path of the wrong kind, found before ingest, tag and profile run
+    ("run", ["--input", CORPUS, "--citations", "{tmp}"], [], "--citations {tmp} is a directory"),
+    ("normalize", ["--citations", CITATIONS, "--baselines", "{tmp}"], [],
+     "--baselines {tmp} is a directory"),
+    ("ingest", ["--input", CORPUS, "--abbrev", "{tmp}"], [], "--abbrev {tmp} is a directory"),
+    ("ingest", ["--input", CITATIONS], [], f"--input {CITATIONS} is not a directory"),
+    ("tag", ["--import-tagged", CITATIONS], [], f"--import-tagged {CITATIONS} is not a directory"),
 ]
 
 

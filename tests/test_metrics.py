@@ -7,6 +7,7 @@ import pytest
 from lexcite.errors import EmptyDocument
 from lexcite.metrics import (
     VARIABLE_COLUMNS,
+    ComplexityProfile,
     complexity_profile,
     profile_cells,
 )
@@ -109,6 +110,18 @@ class TestProfile:
         assert p.noun_length is None and p.verb_length is None
         assert p.adj_length is None and p.adv_length is None
         assert p.noun_ratio == 0.0
+
+
+    @pytest.mark.parametrize("doc_id", ["", " a", "a ", "a\tb", "a\rb", "a\nb"])
+    def test_doc_id_refused_however_built(self, doc_id):
+        """A profile refuses a doc id that ingest.check_doc_id refuses."""
+        good = complexity_profile(doc_from(S1))
+        for build in (lambda: ComplexityProfile(doc_id, *good[1:]),
+                      lambda: good._replace(doc_id=doc_id),
+                      lambda: ComplexityProfile._make([doc_id, *good[1:]]),
+                      lambda: ComplexityProfile(**{**good._asdict(), "doc_id": doc_id})):
+            with pytest.raises(ValueError, match="doc id"):
+                build()
 
 
 class TestRowRoundTrip:

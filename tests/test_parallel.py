@@ -10,6 +10,7 @@ import random
 import signal
 import time
 import warnings
+from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcite import cli, errors, parallel, reports
+from lexcite import cli, errors, ingest, parallel, reports
 from lexcite.cli import DocumentError, RunConfig, main
 from lexcite.errors import (EmptyDocument, FormatError, GroupEmptyWarning, LexciteError,
                             TaggerLengthMismatch)
@@ -184,6 +185,27 @@ def test_minicorpus_bytes_equal_on_one_and_two_processes(tmp_path, monkeypatch):
         outputs[cpus] = (tree(out), tree(imported))
     assert len(outputs[1][0]) == 30 + 3  # corpus.jsonl, rejects.csv, profiles.csv
     assert outputs[1] == outputs[2]
+
+
+def test_tag_decodes_each_record_once(tmp_path, monkeypatch):
+    """On two CPUs, each corpus.jsonl record is decoded once, by the process
+    that tags it: the map hands out lines, and the work decodes them."""
+    out, log = tmp_path / "out", tmp_path / "decodes.txt"
+    assert main(["ingest", "--input", str(MINICORPUS), "--out", str(out)]) == 0
+    decode = ingest.document_from_json
+
+    def logged(line: str) -> RawDocument:
+        doc = decode(line)
+        with open(log, "a", encoding="utf-8") as fh:  # the child appends its own
+            fh.write(f"{os.getpid()} {doc.doc_id}\n")
+        return doc
+
+    monkeypatch.setattr(ingest, "document_from_json", logged)
+    assert run_on(monkeypatch, 2, "tag", "--out", out) == (0, 1)
+    decodes = [line.split(" ") for line in log.read_text(encoding="utf-8").splitlines()]
+    assert len(decodes) == 30
+    assert len({doc_id for _, doc_id in decodes}) == 30
+    assert sorted(Counter(pid for pid, _ in decodes).values()) == [15, 15]
 
 
 def test_one_document_forks_once(tmp_path, monkeypatch):

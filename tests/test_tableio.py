@@ -361,8 +361,28 @@ def test_the_number_rule_lives_in_tableio():
                 json_loads.append([keyword.arg for keyword in node.keywords])
     assert found == []
     assert json_loads == [["parse_int"]]
-    assert {convert for convert, _ in cli._OPTIONS.values()} == {
+    assert {convert for convert, *_ in cli._OPTIONS.values()} == {
         Path, tableio.parse_int, tableio.parse_finite}
+
+
+def test_the_line_end_rule_lives_in_tableio():
+    """No lexcite module but tableio splits text at a line end, or replaces
+    one: a text read whole is split by tableio.split_lines, whose lines are
+    those of the rule."""
+    found = []
+    for path in sorted(Path(tableio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr == "splitlines"
+                         or node.func.attr in ("split", "replace") and any(
+                             isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                             and ("\r" in arg.value or "\n" in arg.value)
+                             for arg in node.args))
+                    and path.name != "tableio.py"):
+                found.append((path.name, node.lineno, node.func.attr))
+    assert found == []
+    assert tableio.split_lines("a\r\nb\rc\n\nd\x85\u2028\fe\n") == [
+        "a", "b", "c", "", "d\x85\u2028\fe", ""]
 
 
 def _names_by_scope() -> dict[str, list[tuple[str, str]]]:
@@ -384,13 +404,14 @@ def _names_by_scope() -> dict[str, list[tuple[str, str]]]:
 def test_each_value_rule_has_one_owner():
     """The doc-id and year rules are defined in ingest and used only by the
     records that check them and the readers that build a value with no
-    record (a profiles.csv row, a tagged file's id); so cli._read_rows calls
-    no doc-id check. The bootstrap option rule is defined in stats, and cli
+    record (a profiles.csv row) or name the line of a bad id (a tagged
+    file's "#doc=" line); so cli._read_rows calls no doc-id check. The bootstrap option rule is defined in stats, and cli
     compares neither iterations nor level itself."""
     names = _names_by_scope()
     assert set(names["check_doc_id"]) == {
         ("ingest", "RawDocument"), ("impact", "CitationRecord"), ("impact", "NormalizedScore"),
-        ("tagging", "read_tagged"), ("tagging", "import_tagged"), ("cli", "_joined_inputs")}
+        ("tagging", "TaggedDocument"), ("metrics", "ComplexityProfile"),
+        ("tagging", "import_tagged"), ("cli", "_joined_inputs")}
     assert set(names["check_year"]) == {
         ("ingest", "RawDocument"), ("impact", "CitationRecord"), ("impact", "Baseline")}
     assert set(names["YEAR_MIN"] + names["YEAR_MAX"]) == {

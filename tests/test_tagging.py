@@ -13,6 +13,7 @@ from lexcite.metrics import complexity_profile
 from lexcite.tagging import (
     LexClass,
     LexiconTagger,
+    TaggedDocument,
     Token,
     coarsen_tag,
     count_clauses,
@@ -232,7 +233,7 @@ def test_memo_gives_the_rules_tags(bound, sentences):
 
 class TestCountClauses:
     def tag(self, pairs):
-        return import_tagged("\n".join(f"{w}\t{t}" for w, t in pairs) + "\n")
+        return import_tagged("\n".join(f"{w}\t{t}" for w, t in pairs) + "\n", doc_id="d")
 
     def test_two_finite_verbs(self):
         doc = tag_document(RawDocument(
@@ -281,7 +282,7 @@ class TestColumnFormat:
     TAGGER = LexiconTagger()
 
     def test_basic_import(self):
-        doc = import_tagged("Cats\tNNS\nsleep\tVBP\n.\t.\n\n")
+        doc = import_tagged("Cats\tNNS\nsleep\tVBP\n.\t.\n\n", doc_id="d")
         assert len(doc.sentences) == 1
         sentence = doc.sentences[0]
         assert [t.surface for t in sentence.tokens] == ["Cats", "sleep", "."]
@@ -289,7 +290,7 @@ class TestColumnFormat:
         assert [t.is_word for t in sentence.tokens] == [True, True, False]
 
     def test_clause_override(self):
-        doc = import_tagged("#clauses=3\nCats\tNNS\nsleep\tVBP\n\n")
+        doc = import_tagged("#clauses=3\nCats\tNNS\nsleep\tVBP\n\n", doc_id="d")
         assert doc.sentences[0].clause_count == 3
 
     def test_doc_directive(self):
@@ -340,19 +341,19 @@ class TestColumnFormat:
         assert str(err.value) == f"line 2: bad clause count: {message}"
 
     def test_nine_digit_clause_value(self):
-        doc = import_tagged("#clauses=999999999\nok\tNN\n")
+        doc = import_tagged("#clauses=999999999\nok\tNN\n", doc_id="d")
         assert doc.sentences[0].clause_count == 999_999_999
 
     @pytest.mark.parametrize("value, count", [("0000000001", 1), ("0" * 20 + "7", 7),
                                               ("-0", 0)])
     def test_clause_value_leading_zeros_do_not_count(self, value, count):
-        doc = import_tagged(f"#clauses={value}\nok\tNN\n")
+        doc = import_tagged(f"#clauses={value}\nok\tNN\n", doc_id="d")
         assert doc.sentences[0].clause_count == count
 
     @pytest.mark.parametrize("inner", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
     def test_line_ends_only_at_newline_or_return(self, inner):
-        doc = import_tagged(f"a{inner}b\tNN\r\nc\tNN\rd\tNN\n")
+        doc = import_tagged(f"a{inner}b\tNN\r\nc\tNN\rd\tNN\n", doc_id="d")
         assert [t.surface for t in doc.sentences[0].tokens] == [f"a{inner}b", "c", "d"]
 
     @pytest.mark.parametrize("data, line", [
@@ -369,7 +370,7 @@ class TestColumnFormat:
         assert "doc.tsv: not UTF-8" in str(err.value)
 
     def test_multiple_sentences(self):
-        doc = import_tagged("a\tDT\n\nb\tNN\n\n")
+        doc = import_tagged("a\tDT\n\nb\tNN\n\n", doc_id="d")
         assert len(doc.sentences) == 2
 
     def test_round_trip_exact(self):
@@ -401,7 +402,7 @@ class TestColumnFormat:
 
     def test_repeated_clause_directive_per_sentence(self):
         text = "#clauses=4\nhe\tPRP\nran\tVBD\n\n" * 2 + "he\tPRP\nran\tVBD\n\n"
-        doc = import_tagged(text)
+        doc = import_tagged(text, doc_id="d")
         assert [s.clause_count for s in doc.sentences] == [4, 4, 1]
 
     def test_import_independent_of_previous_document(self):
@@ -413,10 +414,10 @@ class TestColumnFormat:
         assert after_a.sentences[0].tags == ["NN", "VBN", "NN"]
 
     def test_tab_line_is_a_token_even_after_hash(self):
-        doc = import_tagged("#\tSYM\n#doc=x\tNN\n#clauses=2\n\n")
+        doc = import_tagged("#\tSYM\n#doc=x\tNN\n#clauses=2\n\n", doc_id="d")
         assert [t.surface for t in doc.sentences[0].tokens] == ["#", "#doc=x"]
         assert doc.sentences[0].clause_count == 2  # a line without a TAB is a directive
-        assert doc.doc_id == ""
+        assert doc.doc_id == "d"
         assert import_tagged(export_tagged(doc)) == doc
         tagged = tag_document(RawDocument(doc_id="x", year=2010, domain="d",
                                           paragraphs=["Item #3 failed."]),
@@ -479,7 +480,7 @@ class TestTagDocument:
         if build == "import_tagged":
             return import_tagged("".join(
                 "".join(f"{surface}\t{tag}\n" for surface in sentence.split()) + "\n"
-                for sentence, tag in zip(sentences, tags)))
+                for sentence, tag in zip(sentences, tags)), doc_id="d")
         return tag_document(RawDocument(doc_id="d", year=2010, domain="x",
                                         paragraphs=list(sentences)),
                             lambda tokens: [next(tags)] * len(tokens))
@@ -532,3 +533,30 @@ class TestTagDocument:
         # at the bound, not over it: the table is kept
         third = self.read(build, "cat")
         assert third.sentences[0].tokens[0] is sentence.tokens[1]
+
+
+# doc ids that ingest.check_doc_id refuses
+BAD_DOC_IDS = ["", " a", "a ", "a\tb", "a\rb", "a\nb"]
+
+
+class TestDocIdIsChecked:
+    """Every TaggedDocument has a doc id that check_doc_id accepts, so
+    export_tagged always writes its "#doc=" line."""
+
+    @pytest.mark.parametrize("doc_id", BAD_DOC_IDS)
+    def test_refused_however_built(self, doc_id):
+        good = TaggedDocument("a", [])
+        for build in (lambda: TaggedDocument(doc_id, []),
+                      lambda: TaggedDocument(doc_id=doc_id, sentences=[]),
+                      lambda: TaggedDocument._make([doc_id, []]),
+                      lambda: good._replace(doc_id=doc_id)):
+            with pytest.raises(ValueError, match="doc id"):
+                build()
+
+    def test_import_without_an_id_is_refused(self):
+        with pytest.raises(ValueError, match="doc id ''"):
+            import_tagged("The\tDT\n")
+
+    def test_export_always_names_the_document(self):
+        assert export_tagged(TaggedDocument("a", [])) == "#doc=a\n"
+        assert export_tagged(import_tagged("The\tDT\n", doc_id="b")).startswith("#doc=b\n")
