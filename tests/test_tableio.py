@@ -405,8 +405,9 @@ def test_each_value_rule_has_one_owner():
     """The doc-id and year rules are defined in ingest and used only by the
     records that check them and the readers that build a value with no
     record (a profiles.csv row) or name the line of a bad id (a tagged
-    file's "#doc=" line); so cli._read_rows calls no doc-id check. The bootstrap option rule is defined in stats, and cli
-    compares neither iterations nor level itself."""
+    file's "#doc=" line); so cli._read_rows calls no doc-id check. The
+    bootstrap option rule is defined in stats, and cli compares neither
+    iterations nor level itself."""
     names = _names_by_scope()
     assert set(names["check_doc_id"]) == {
         ("ingest", "RawDocument"), ("impact", "CitationRecord"), ("impact", "NormalizedScore"),
