@@ -90,10 +90,12 @@ class AbbreviationTable:
     """Mapping from abbreviation surface form (with trailing period) to expansion.
 
     Keys must end with "." and expansions must not contain ".", so no
-    expansion holds a whole key. A key can still form where an expansion
-    meets the text after it: with {"x.": "a", "ab.": "Z"}, "x.b." becomes
-    "ab.", which a second rewrite turns into "Z". Whether the rewrite is
-    idempotent depends on the table; tests check it for the default table.
+    expansion holds a whole key. A key must not start with white space,
+    which never matches right after a word. A key can still form where an
+    expansion meets the text after it: with {"x.": "a", "ab.": "Z"}, "x.b."
+    becomes "ab.", which a second rewrite turns into "Z". Whether the
+    rewrite is idempotent depends on the table; tests check it for the
+    default table.
     """
 
     def __init__(self, entries: dict[str, str] | None = None):
@@ -107,8 +109,8 @@ class AbbreviationTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "AbbreviationTable":
         """Load a table from a two-column key TAB expansion text file. A
-        line that has no TAB or holds an entry the table rejects is a
-        FormatError naming the file and the line."""
+        line that has no TAB, holds an entry the table rejects or repeats
+        an earlier line's key is a FormatError naming the file and the line."""
         path = Path(path)
         entries: dict[str, str] = {}
         for lineno, line in read_lines(path):
@@ -120,6 +122,8 @@ class AbbreviationTable:
                 key, expansion = line.split("\t", 1)
                 expansion = expansion.strip()
                 _check_entry(key, expansion)
+                if key in entries:
+                    raise ValueError(f"abbreviation key {key!r} is repeated")
             except ValueError as exc:
                 raise FormatError(lineno, f"{readable_name(path.name)}: {exc}") from None
             entries[key] = expansion
@@ -129,6 +133,8 @@ class AbbreviationTable:
 def _check_entry(key: str, expansion: str) -> None:
     if not key.endswith("."):
         raise ValueError(f"abbreviation key {key!r} must end with '.'")
+    if key[:1].isspace():
+        raise ValueError(f"abbreviation key {key!r} starts with white space")
     if "." in expansion:
         raise ValueError(f"expansion {expansion!r} for {key!r} contains '.'")
 

@@ -207,13 +207,13 @@ def tag_document(doc: RawDocument, tagger: TaggerContract) -> TaggedDocument:
 
 # --- tagged-token column format ---------------------------------------------
 #
-# One "token TAB fine-tag" line per token, a blank line between sentences,
-# and an optional "#clauses=N" line inside a sentence block that overrides
-# the heuristic clause count. A "#doc=ID" line names the document. A line
-# with a TAB is always a token line, so a token may start with "#". Lines
-# end by the rule of every text input (tableio), so a token may hold any
-# character but TAB, "\r" and "\n". A "#doc=" ID, stripped, must pass check_doc_id.
-# A "#clauses=" value is a parse_int of at most CLAUSE_DIGITS_MAX digits, not negative.
+# A line with a TAB is a token line, "token TAB fine-tag", so a token may
+# start with "#"; it may hold any character but TAB, "\r" and "\n", the line
+# ends of every text input (tableio). Of the other lines, a blank one (white
+# space only) ends a sentence block; "#clauses=N" overrides the clause count
+# of the block it is in, which must hold a token line; "#doc=ID", at most one
+# per file, names the document. The ID, stripped, must pass check_doc_id; N
+# is a parse_int of at most CLAUSE_DIGITS_MAX digits, not negative.
 
 CLAUSE_DIGITS_MAX = 9
 
@@ -240,28 +240,15 @@ def read_tagged(path: str | Path) -> TaggedDocument:
 def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
     """Reconstruct a TaggedDocument from tagged-token column text, with
     doc_id as its id when no "#doc=" line names one; an id that
-    `TaggedDocument` refuses is a ValueError.
-
-    Each distinct surface builds one Token while the process's token table
-    lasts; its repeats share it.
-    """
+    `TaggedDocument` refuses is a ValueError. Each distinct surface builds
+    one Token while the process's token table lasts; its repeats share it."""
     sentences: list[TaggedSentence] = []
     tokens: list[Token] = []
     tags: list[str] = []
-    clause_override: int | None = None
+    clause_line = clause_override = doc_line = 0  # a *_line of 0: no such line yet
     interned = _document_tokens()
-
-    def close_block():
-        nonlocal tokens, tags, clause_override
-        if tokens:
-            clauses = count_clauses(tags) if clause_override is None else clause_override
-            sentences.append(TaggedSentence(tokens, tags, clauses))
-        tokens, tags, clause_override = [], [], None
-
-    for lineno, line in enumerate(split_lines(column_text), 1):
-        if not line.strip():
-            close_block()
-            continue
+    # The added line end gives the text a last blank line, which ends its last block.
+    for lineno, line in enumerate(split_lines(column_text + "\n"), 1):
         surface, tab, tag = line.partition("\t")
         if tab:
             if "\t" in tag:
@@ -276,11 +263,22 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
                 token = interned[surface] = Token.from_surface(surface)
             tokens.append(token)
             tags.append(tag)
+        elif not line.strip():
+            if tokens:
+                clauses = clause_override if clause_line else count_clauses(tags)
+                sentences.append(TaggedSentence(tokens, tags, clauses))
+                tokens, tags = [], []
+            elif clause_line:
+                raise FormatError(clause_line, "#clauses= line in a block with no token line")
+            clause_line = 0
         elif line.startswith("#doc="):
+            if doc_line:
+                raise FormatError(lineno, f"a second #doc= line (after line {doc_line})")
             try:
                 doc_id = check_doc_id(line[len("#doc="):].strip())
             except ValueError as exc:
                 raise FormatError(lineno, f"#doc= line: {exc}") from None
+            doc_line = lineno
         elif line.startswith("#clauses="):
             try:
                 clause_override = parse_int(line[len("#clauses="):].strip(), CLAUSE_DIGITS_MAX)
@@ -288,11 +286,11 @@ def import_tagged(column_text: str, doc_id: str = "") -> TaggedDocument:
                     raise ValueError(f"{clause_override} is negative")
             except ValueError as exc:
                 raise FormatError(lineno, f"bad clause count: {exc}") from None
+            clause_line = lineno
         elif line.startswith("#"):
             raise FormatError(lineno, f"unknown directive {line.strip()!r}")
         else:
             raise FormatError(lineno, "expected token TAB tag")
-    close_block()
     return TaggedDocument(doc_id=doc_id, sentences=sentences)
 
 

@@ -1051,6 +1051,26 @@ class TestImportTagged:
                                   "at an end")
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, document", [("tag", "ab.tsv"), ("profile", "ab.tsv")],
+                             ids=["tag", "profile"])
+    def test_concatenated_files_fail_the_stage(self, tmp_path, capsys, stage, document):
+        """Two tagged files run together are not read as one document named
+        by the second "#doc=" line."""
+        out = tmp_path / "out"
+        tsv_dir = tmp_path / "ext" if stage == "tag" else out / "tagged"
+        tsv_dir.mkdir(parents=True)
+        a = "#doc=a\n#clauses=1\nThe\tDT\ncats\tNNS\nsleep\tVBP\n\n"
+        (tsv_dir / "ab.tsv").write_text(a + a.replace("=a", "=b"), encoding="utf-8")
+        argv = [stage, "--out", str(out)]
+        if stage == "tag":
+            argv += ["--import-tagged", str(tsv_dir)]
+        assert main(argv) == 1
+        assert read_errors(out) == {"stage": stage, "document": document,
+                                    "error": "FormatError",
+                                    "message": "line 7: a second #doc= line (after line 1)"}
+        assert not (out / "profiles.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, message", [("\tNN", "line 3: empty token surface"),
                                                ("word\t", "line 3: empty tag")],
                              ids=["empty-surface", "empty-tag"])
@@ -2000,6 +2020,9 @@ MINICORPUS_SHA256 = {
     "comparison.csv": "535b6df5d1f86f6ff8144f0202598bf1c203fabcf9c9e41888765b33f70481dd",
     "cdf.csv": "952117a4e7dfbf84f345aba243b6e42ca6ff0088236737ce2661791b604fd18e",
     "estimates.csv": "91fd59594e1ecf5827be6888eab7fe4113e117824745768b6029db0002974164",
+    "rejects.csv": "70679742e9581d467b03df54642c320a5c97cab4ff9c84d77661752baeb86223",
+    "baselines.csv": "eefe628d7b5b48e73313fd6ab9c2088592397155e6e1980a9157c7119e6f486f",
+    "scores.csv": "6fc76548a5af55993b50d27499ee607f5ac6f3bda9cf7fa01e61de5847c5c4e6",
 }
 
 

@@ -241,8 +241,9 @@ class TestAbbreviations:
             AbbreviationTable.from_file(path)
         assert err.value.line_number == 2
 
-    @pytest.mark.parametrize("line", ["etc\tand so on", "etc.\tet cetera."],
-                             ids=["key-without-period", "period-in-expansion"])
+    @pytest.mark.parametrize("line", ["etc\tand so on", "etc.\tet cetera.", " etc.\tand so on"],
+                             ids=["key-without-period", "period-in-expansion",
+                                  "key-starting-with-white-space"])
     def test_from_file_bad_entry_names_line(self, tmp_path, line):
         path = tmp_path / "abbrev.tsv"
         path.write_text(f"# comment\n{line}\n", encoding="utf-8")
@@ -250,6 +251,22 @@ class TestAbbreviations:
             AbbreviationTable.from_file(path)
         assert err.value.line_number == 2
         assert "abbrev.tsv" in str(err.value)
+
+    def test_from_file_repeated_key_names_line(self, tmp_path):
+        """A repeated key is refused, not silently given its last expansion."""
+        path = tmp_path / "abbrev.tsv"
+        path.write_text("e.g.\tfor example\nNo.\tNumber\ne.g.\tsay\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            AbbreviationTable.from_file(path)
+        assert str(err.value) == "line 3: abbrev.tsv: abbreviation key 'e.g.' is repeated"
+
+    @pytest.mark.parametrize("key", [" e.g.", "\te.g.", "\u00a0e.g."],
+                             ids=["space", "tab", "no-break-space"])
+    def test_key_starting_with_white_space_refused(self, key):
+        """Such a key never matches after a word, so its period would split
+        a sentence; the dict API refuses it like the file."""
+        with pytest.raises(ValueError, match="starts with white space"):
+            AbbreviationTable({key: "for example"})
 
 
 class TestRawDocument:

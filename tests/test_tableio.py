@@ -432,8 +432,9 @@ def test_each_value_rule_has_one_owner():
 
 class LineReader(NamedTuple):
     """One line-based text input: its file name, the lines that must come
-    first, a good line, a template of a good line with a slot for any one
-    character, a bad line, and a call that reads the whole file."""
+    first, a good line that may repeat, a template of a good line with a
+    slot for any one character, a bad line, and a call that reads the whole
+    file."""
 
     name: str
     head: list[str]
@@ -447,7 +448,8 @@ CORPUS_RECORD = ('{"doc_id": "d", "year": 2010, "domain": "x", "journal": "", '
                  '"paragraphs": ["A cat sat."]}')
 
 LINE_READERS = {
-    "abbrev": LineReader("ab.tsv", [], "k.\tkey", "k.\tfor{}example", "k. no tab",
+    # a key may not repeat, so the good line that repeats is a comment
+    "abbrev": LineReader("ab.tsv", [], "# k.\tkey", "k.\tfor{}example", "k. no tab",
                          AbbreviationTable.from_file),
     "lexicon": LineReader("lex.tsv", [], "cat\tNN\t3", "ca{}t\tNN\t3", "cat\tNN",
                           load_lexicon),

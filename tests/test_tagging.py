@@ -14,6 +14,7 @@ from lexcite.tagging import (
     LexClass,
     LexiconTagger,
     TaggedDocument,
+    TaggedSentence,
     Token,
     coarsen_tag,
     count_clauses,
@@ -31,6 +32,14 @@ from test_acceptance import oracle_clauses
 non_space = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())
 penn_tags = st.sampled_from(["NN", "NNS", "VB", "VBD", "VBZ", "VBP", "MD", "JJ",
                              "RB", "DT", "."])
+# Any character a column-format field may hold: all but TAB and the line ends.
+column_char = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n")
+# Non-empty fields of those characters, among them fields that start with "#"
+# and fields of white space alone.
+column_field = st.one_of(
+    st.text(column_char, min_size=1, max_size=6),
+    st.text(column_char, max_size=5).map("#".__add__),
+    st.text(st.sampled_from(" \u00a0\v\f\x1c\x85\u2028\u3000"), min_size=1, max_size=3))
 
 
 class TestSegmentation:
@@ -423,6 +432,62 @@ class TestColumnFormat:
                                           paragraphs=["Item #3 failed."]),
                               LexiconTagger())
         assert import_tagged(export_tagged(tagged)) == tagged
+
+    def test_white_space_line_with_a_tab_is_a_token_line(self):
+        """Only a line without a TAB can be blank: " \\t " is a token whose
+        surface and tag are a space, inside the sentence."""
+        doc = import_tagged("a\tDT\n \t \nb\tNN\n", doc_id="d")
+        assert len(doc.sentences) == 1
+        assert [t.surface for t in doc.sentences[0].tokens] == ["a", " ", "b"]
+        assert doc.sentences[0].tags == ["DT", " ", "NN"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("\t", "empty token surface"),
+        ("\t\t", "expected 2 tab-separated fields, got 3"),
+        (" \t", "empty tag"),
+    ], ids=["tab", "two-tabs", "space-tab"])
+    def test_tab_only_line_is_a_bad_token_line(self, line, message):
+        with pytest.raises(FormatError) as err:
+            import_tagged(f"a\tDT\n{line}\nb\tNN\n", doc_id="d")
+        assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("second", ["#doc=b", "#doc=a", "#doc= a "],
+                             ids=["other-id", "same-id", "same-id-padded"])
+    def test_second_doc_line_is_refused(self, second):
+        """Two tagged files run together do not merge into one document."""
+        text = f"#doc=a\n#clauses=1\nThe\tDT\n\n{second}\n#clauses=1\nA\tDT\n\n"
+        with pytest.raises(FormatError) as err:
+            import_tagged(text)
+        assert str(err.value) == "line 5: a second #doc= line (after line 1)"
+
+    @pytest.mark.parametrize("text, line", [
+        ("#doc=a\n#clauses=3\n\nThe\tDT\ncat\tNN\n", 2),
+        ("The\tDT\n\n#clauses=2\n", 3),
+        ("The\tDT\n\n#clauses=2\n \n\ncat\tNN\n", 3),
+        ("#clauses=2", 1),
+    ], ids=["before-blank", "at-end", "before-white-space-line", "alone-without-line-end"])
+    def test_clause_line_without_a_token_line_is_refused(self, text, line):
+        """A "#clauses=" line belongs to the sentence block it is in, so it is
+        not dropped when that block has no token."""
+        with pytest.raises(FormatError) as err:
+            import_tagged(text, doc_id="d")
+        assert str(err.value) == f"line {line}: #clauses= line in a block with no token line"
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc_id=st.text(column_char, min_size=1, max_size=6).filter(
+               lambda text: text == text.strip()),
+           blocks=st.lists(st.tuples(
+               st.lists(st.tuples(column_field, column_field), min_size=1, max_size=6),
+               st.integers(0, 999_999_999)), max_size=4))
+    def test_export_then_import_gives_the_document(self, doc_id, blocks):
+        """Any document whose surfaces and tags hold no TAB or line end, even
+        one that starts with "#" or is white space alone, reads back as
+        exported."""
+        doc = TaggedDocument(doc_id, [
+            TaggedSentence([Token.from_surface(surface) for surface, _ in pairs],
+                           [tag for _, tag in pairs], clauses)
+            for pairs, clauses in blocks])
+        assert import_tagged(export_tagged(doc)) == doc
 
     @settings(max_examples=80, deadline=None)
     @given(doc_id=st.text(non_space, max_size=6),
